@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAvailableError
-from .kernels import as_product
-from .quadrature import integrate_levy, integrate_line
+from .kernels import _normalize_ls, as_product
+from .quadrature import integrate_levy_rows, integrate_line, integrate_rows
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,7 @@ class FddSpec:
 
 def fdd_spec(ls, zs, T) -> FddSpec:
     """Normalize shapes: scalars and flat lists describe d = 1."""
-    ls = np.asarray(ls, dtype=float)
-    if ls.ndim == 0:
-        ls = ls.reshape(1, 1)
-    elif ls.ndim == 1:
-        ls = ls.reshape(-1, 1)
+    ls = _normalize_ls(ls)
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     if zs.shape != (ls.shape[0],):
         raise ValueError(f"need one z per window, got {zs.shape} vs {ls.shape}")
@@ -77,7 +73,11 @@ def shift_constant(kernel, measure) -> float:
 
 
 def _levy_exponent(measure, tol):
-    """K(w) = int (e^{iwy} - 1) nu(dy) as a vectorized callable."""
+    """K(w) = int (e^{iwy} - 1) nu(dy) as a vectorized callable.
+
+    Each call integrates all its arguments together (integrate_rows), and
+    K(0) = 0 is set exactly.
+    """
     if measure.kind == "two_point":
         lam = measure.lam
         return lambda ws: lam * (np.cos(ws) - 1.0)
@@ -92,35 +92,32 @@ def _levy_exponent(measure, tol):
         q = 2.0 / (2.0 - alpha)
         t_hi = delta ** (1.0 / q)
 
-        def one_its(w):
-            if w == 0.0:
-                return 0.0
-            aw = abs(w)
+        def head(aw, ts):
             # cos(u) - 1 written as -2 sin^2(u/2): the plain form rounds to 0
             # for small u and the t^{-1-q*alpha} factor amplifies that noise
-            head = integrate_line(
-                lambda ts: -2.0 * q * np.square(np.sin(0.5 * aw * ts ** q))
-                           * ts ** (-1.0 - q * alpha),
-                0.0, t_hi, tol).value
-            return 2.0 * c * (-(aw ** alpha) * stable_const - head)
+            return (-2.0 * q * np.square(np.sin(0.5 * aw * ts ** q))
+                    * ts ** (-1.0 - q * alpha))
 
-        def vec_its(ws):
+        def kfun_its(ws):
             ws = np.atleast_1d(np.asarray(ws, dtype=float))
-            return np.array([one_its(float(w)) for w in ws])
+            out = np.zeros(ws.shape)
+            nz = ws != 0.0
+            aw = np.abs(ws[nz])
+            out[nz] = 2.0 * c * (-(aw ** alpha) * stable_const
+                                 - integrate_rows(head, aw, 0.0, t_hi, tol))
+            return out
 
-        return vec_its
+        return kfun_its
 
-    def one(w):
-        if w == 0.0:
-            return 0.0j
-        h = lambda ys: np.exp(1j * w * ys) - 1.0
-        return integrate_levy(h, measure, tol).value
-
-    def vec(ws):
+    def kfun(ws):
         ws = np.atleast_1d(np.asarray(ws, dtype=float))
-        return np.array([one(float(w)) for w in ws])
+        out = np.zeros(ws.shape, dtype=complex)
+        nz = ws != 0.0
+        out[nz] = integrate_levy_rows(lambda w, ys: np.exp(1j * w * ys) - 1.0,
+                                      measure, ws[nz], tol)
+        return out
 
-    return vec
+    return kfun
 
 
 def _box_integral(last_vec, boxes, breaks, tol, max_evals):

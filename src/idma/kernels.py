@@ -270,6 +270,18 @@ def as_product(kernel) -> ProductKernel:
     return ProductKernel((kernel,))
 
 
+def _normalize_ls(ls, d=None) -> np.ndarray:
+    """Window offsets as an (m, d) float array; scalars and flat lists describe d = 1."""
+    ls = np.asarray(ls, dtype=float)
+    if ls.ndim == 0:
+        ls = ls.reshape(1, 1)
+    elif ls.ndim == 1:
+        ls = ls.reshape(-1, 1)
+    if d is not None and ls.shape[1] != d:
+        raise ValueError(f"l-points have dimension {ls.shape[1]}, kernel has {d}")
+    return ls
+
+
 _SIMPLE_KINDS = {
     "signed_ou": signed_ou,
     "gauss_deriv": gauss_deriv,

@@ -4,8 +4,15 @@ The engine is a fixed-order nested Gauss-Legendre pair (15 against 7 nodes)
 with worst-first adaptive bisection. Everything is deterministic: the
 refinement order depends only on the panel error estimates and the final sum
 runs left to right, so results are bit-stable across runs and thread counts.
-Integrands must accept a 1-d numpy array of abscissas and return an array of
-values (real or complex).
+Integrands must be elementwise: they accept a numpy array of abscissas and
+return an array of values (real or complex) of the same shape. Each panel
+calls its integrand once, on all 22 nodes (the 15 nodes, then the 7).
+
+integrate_rows is the batched form for integrals that depend on a
+parameter: it applies the first 15/7 panel to every parameter row at once,
+as one (rows x 22) array pass, and accepts a row on the same test as
+integrate_line (finite values, error estimate <= tol). Only the rows it
+does not accept are integrated by integrate_line, one row at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ from .errors import NonConvergenceError
 
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-_PANEL_EVALS = len(_NODES_HI) + len(_NODES_LO)
+_NODES = np.concatenate([_NODES_HI, _NODES_LO])
+_N_HI = len(_NODES_HI)
+_PANEL_EVALS = len(_NODES)
 
 
 @dataclass(frozen=True)
@@ -32,16 +41,26 @@ class QuadResult:
     evaluations: int
 
 
-def _panel(h, x0, x1):
+def _nodes(x0, x1):
     half = 0.5 * (x1 - x0)
-    mid = 0.5 * (x0 + x1)
-    y_hi = np.asarray(h(mid + half * _NODES_HI))
-    y_lo = np.asarray(h(mid + half * _NODES_LO))
-    if not (np.all(np.isfinite(y_hi)) and np.all(np.isfinite(y_lo))):
-        raise ValueError(f"integrand returned a non-finite value on [{x0}, {x1}]")
-    v_hi = half * (y_hi @ _WEIGHTS_HI)
-    v_lo = half * (y_lo @ _WEIGHTS_LO)
+    return half, 0.5 * (x0 + x1) + half * _NODES
+
+
+def _rule(y, half):
+    """15-node value and |15-node - 7-node| along the last axis of y."""
+    # as stacked (1 x n) @ (n x 1) products, every row of a batch is summed
+    # by the same dot product, in the same order, as a single panel
+    v_hi = half * (y[..., None, :_N_HI] @ _WEIGHTS_HI[:, None])[..., 0, 0]
+    v_lo = half * (y[..., None, _N_HI:] @ _WEIGHTS_LO[:, None])[..., 0, 0]
     return v_hi, abs(v_hi - v_lo)
+
+
+def _panel(h, x0, x1):
+    half, xs = _nodes(x0, x1)
+    y = np.asarray(h(xs))
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"integrand returned a non-finite value on [{x0}, {x1}]")
+    return _rule(y, half)
 
 
 def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
@@ -116,6 +135,66 @@ def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
     return QuadResult(out, total_err + frozen_err, evals)
 
 
+def integrate_rows(h, rows, a, b, tol=1e-9):
+    """Integrate ``h(row, x)`` over the finite [a, b] for every entry of ``rows``.
+
+    ``h(rows[:, None], xs[None, :])`` is called once on the 22 nodes of the
+    single panel [a, b] and must return a (len(rows), 22) array. A row whose
+    values are finite and whose error estimate is at most ``tol`` takes
+    that panel's value, which is what integrate_line returns for it without
+    refining. Every other row is integrated by integrate_line on its own, so
+    its result, and any error it raises, are those of a per-row call.
+    Returns the values as a 1-d array.
+    """
+    rows = np.asarray(rows, dtype=float)
+    half, xs = _nodes(float(a), float(b))
+    y = np.asarray(h(rows[:, None], xs[None, :]))
+    with np.errstate(invalid="ignore"):
+        out, err = _rule(y, half)
+    redo = ~((err <= tol) & np.all(np.isfinite(y), axis=1))
+    for i in np.flatnonzero(redo):
+        out[i] = integrate_line(lambda x, _r=rows[i]: h(_r, x), a, b, tol).value
+    return out
+
+
+def _levy_line(measure, tol, h_sup):
+    """Reduce int h dnu for a continuous nu to a proper integral on [a, b].
+
+    Returns (line, a, b, breakpoints, tail): int h dnu is the integral of
+    ``line(h, ts)`` over [a, b], up to ``tail``. ``line`` only combines
+    elementwise values of ``h``, so an ``h`` that broadcasts its abscissas
+    against a column of parameters yields one integrand row per parameter.
+    integrate_levy describes each family's reduction.
+    """
+    kind = measure.kind
+    if kind == "dickman":
+        return (lambda h, ys: h(ys) / ys), 0.0, 1.0, (), 0.0
+    if kind == "truncated_stable":
+        beta, big_c = measure.beta, measure.big_c
+        p = 2.0 / (1.0 - beta)
+
+        def folded(h, ts):
+            ys = ts ** p
+            return big_c * p * (h(ys) + h(-ys)) * ts ** (-1.0 - p * beta)
+
+        return folded, 0.0, 1.0, (), 0.0
+    if kind == "inner_truncated_stable":
+        alpha, c, delta = measure.alpha, measure.c, measure.delta
+        cut = max((4.0 * c * h_sup / (alpha * tol)) ** (1.0 / alpha),
+                  10.0 * delta, 1.0)
+
+        def folded(h, ys):
+            return c * (h(ys) + h(-ys)) * ys ** (-1.0 - alpha)
+
+        breaks = []
+        p = 10.0 * delta
+        while p < cut:
+            breaks.append(p)
+            p *= 10.0
+        return folded, delta, cut, tuple(breaks), 0.5 * tol
+    raise ValueError(f"unknown measure kind {kind!r}")
+
+
 def integrate_levy(h, measure, tol=1e-9, *, max_evals=1_000_000, h_sup=2.0):
     """Integrate ``h`` against a Levy measure, handling its singularities.
 
@@ -130,37 +209,23 @@ def integrate_levy(h, measure, tol=1e-9, *, max_evals=1_000_000, h_sup=2.0):
       is dropped once sup|h| * tail_mass(Y) <= tol/2; ``h_sup`` is the
       caller's bound on |h| (2 covers any e^{i...}-1 integrand).
     """
-    kind = measure.kind
-    if kind == "two_point":
+    if measure.kind == "two_point":
         vals = np.asarray(h(np.array([1.0, -1.0])))
         return QuadResult(0.5 * measure.lam * (vals[0] + vals[1]), 0.0, 2)
-    if kind == "dickman":
-        return integrate_line(lambda ys: h(ys) / ys, 0.0, 1.0, tol,
-                              max_evals=max_evals)
-    if kind == "truncated_stable":
-        beta, big_c = measure.beta, measure.big_c
-        p = 2.0 / (1.0 - beta)
+    line, a, b, breaks, tail = _levy_line(measure, tol, h_sup)
+    res = integrate_line(lambda ts: line(h, ts), a, b, tol, breakpoints=breaks,
+                         max_evals=max_evals)
+    return QuadResult(res.value, res.error_estimate + tail, res.evaluations)
 
-        def folded(ts):
-            ys = ts ** p
-            return big_c * p * (h(ys) + h(-ys)) * ts ** (-1.0 - p * beta)
 
-        return integrate_line(folded, 0.0, 1.0, tol, max_evals=max_evals)
-    if kind == "inner_truncated_stable":
-        alpha, c, delta = measure.alpha, measure.c, measure.delta
-        cut = max((4.0 * c * h_sup / (alpha * tol)) ** (1.0 / alpha),
-                  10.0 * delta, 1.0)
+def integrate_levy_rows(h, measure, rows, tol=1e-9):
+    """integrate_levy of ``h(row, y)`` for every entry of ``rows`` at once.
 
-        def folded(ys):
-            return c * (h(ys) + h(-ys)) * ys ** (-1.0 - alpha)
-
-        breaks = []
-        p = 10.0 * delta
-        while p < cut:
-            breaks.append(p)
-            p *= 10.0
-        res = integrate_line(folded, delta, cut, tol, breakpoints=breaks,
-                             max_evals=max_evals)
-        return QuadResult(res.value, res.error_estimate + 0.5 * tol,
-                          res.evaluations)
-    raise ValueError(f"unknown measure kind {kind!r}")
+    The batched form of integrate_levy for the dickman and truncated_stable
+    measures, whose reduced integrals on [0, 1] go through integrate_rows.
+    """
+    if measure.kind not in ("dickman", "truncated_stable"):
+        raise ValueError(f"no batched integral against {measure.kind!r}")
+    line, a, b, _, _ = _levy_line(measure, tol, 2.0)
+    return integrate_rows(lambda r, ts: line(lambda ys: h(r, ys), ts),
+                          rows, a, b, tol)

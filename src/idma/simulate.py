@@ -27,18 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTruncationError, NotAvailableError
-from .kernels import ProductKernel, as_product
-
-
-def _normalize_ls(ls, d=None):
-    ls = np.asarray(ls, dtype=float)
-    if ls.ndim == 0:
-        ls = ls.reshape(1, 1)
-    elif ls.ndim == 1:
-        ls = ls.reshape(-1, 1)
-    if d is not None and ls.shape[1] != d:
-        raise ValueError(f"l-points have dimension {ls.shape[1]}, kernel has {d}")
-    return ls
+from .kernels import ProductKernel, _normalize_ls, as_product
 
 
 def _truncated_mean(measure, eps):
@@ -76,6 +65,8 @@ class SimConfig:
         if self.window_pad is None:
             self.window_pad = self.kernel.decay_radius(1e-8)
         self.window_pad = float(self.window_pad)
+        if not (self.window_pad >= 0.0 and math.isfinite(self.window_pad)):
+            raise ValueError("window_pad must be finite and nonnegative")
 
     @property
     def d(self) -> int:

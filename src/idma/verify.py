@@ -19,7 +19,7 @@ import numpy as np
 from .analytic import (fdd_spec, log_cf_limit, log_cf_window, variance_window,
                        variance_window_quadrature)
 from .errors import NonConvergenceError
-from .kernels import ProductKernel, as_product, persistent_control
+from .kernels import ProductKernel, _normalize_ls, as_product, persistent_control
 from .simulate import SimConfig, empirical_cf, monte_carlo
 
 
@@ -64,11 +64,7 @@ def cf_convergence(kernel, measure, ls, T_grid, z_grid, *, zs_base=None,
     invariant under negating the grid.
     """
     pk = as_product(kernel)
-    ls = np.asarray(ls, dtype=float)
-    if ls.ndim == 0:
-        ls = ls.reshape(1, 1)
-    elif ls.ndim == 1:
-        ls = ls.reshape(-1, 1)
+    ls = _normalize_ls(ls)
     if zs_base is None:
         zs_base = np.ones(ls.shape[0])
     base = fdd_spec(ls, zs_base, 0.0)

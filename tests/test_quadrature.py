@@ -7,7 +7,8 @@ import pytest
 
 from idma.errors import NonConvergenceError
 from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
-from idma.quadrature import integrate_levy, integrate_line
+from idma.quadrature import (integrate_levy, integrate_levy_rows, integrate_line,
+                             integrate_rows)
 
 # entire cosine integral Cin(1) = int_0^1 (1 - cos u)/u du
 CIN1 = 0.23981174200056472594
@@ -72,6 +73,34 @@ def test_budget_exhaustion():
         integrate_line(h, 0.0, 1.0, 1e-300, max_evals=200)
     assert info.value.evaluations <= 200
     assert info.value.error_estimate > 0.0
+
+
+def test_panel_calls_integrand_once():
+    sizes = []
+
+    def h(x):
+        sizes.append(x.size)
+        return np.abs(x - 0.3) ** 1.5
+
+    r = integrate_line(h, 0.0, 1.0, 1e-12)
+    assert len(sizes) == r.evaluations / 22 > 1
+    assert set(sizes) == {22}
+
+
+def test_rows_match_per_row_quadrature():
+    # w = 1 is accepted on the first panel, w = 40 and -2.5 are refined
+    ws = np.array([1.0, 40.0, -2.5])
+    h = lambda w, x: np.cos(w * x) * np.exp(-x)
+    got = integrate_rows(h, ws, 0.0, 3.0, 1e-10)
+    for w, v in zip(ws, got):
+        assert v == integrate_line(lambda x: h(w, x), 0.0, 3.0, 1e-10).value
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate_rows(lambda w, x: np.where(x > 0.5, np.inf, w * x), ws, 0.0, 1.0)
+
+
+def test_levy_rows_reject_unbatched_measures():
+    with pytest.raises(ValueError):
+        integrate_levy_rows(lambda w, y: y, two_point(1.0), np.ones(2))
 
 
 def test_levy_two_point_exact():

@@ -40,6 +40,11 @@ def test_sim_config_defaults_and_validation():
     with pytest.raises(ValueError):
         SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=1.0,
                   ls=[[0.0, 0.0]])
+    for pad in (-3.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="window_pad"):
+            SimConfig(measure=two_point(1.0),
+                      kernel=ProductKernel((signed_ou(), signed_ou())), T=2.0,
+                      ls=[[0.0, 0.0]], window_pad=pad)
 
 
 def test_sample_jumps_statistics():
