@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import NotAvailableError
 from .kernels import _normalize_ls, as_product
-from .quadrature import integrate_levy_rows, integrate_line, integrate_rows
+from .quadrature import (integrate_box, integrate_levy_rows, integrate_line,
+                         integrate_rows)
 
 
 @dataclass(frozen=True)
@@ -120,28 +121,6 @@ def _levy_exponent(measure, tol):
     return kfun
 
 
-def _box_integral(last_vec, boxes, breaks, tol, max_evals):
-    """Iterated integral over a box; only the innermost axis is vectorized.
-
-    last_vec(prefix, xs) evaluates the integrand at points whose leading
-    coordinates are the floats in prefix and whose last coordinate ranges
-    over the array xs.
-    """
-    d = len(boxes)
-
-    def rec(level, prefix):
-        lo, hi = boxes[level]
-        if level == d - 1:
-            fn = lambda xs: last_vec(prefix, xs)
-        else:
-            fn = lambda xs: np.array([rec(level + 1, prefix + (float(x),))
-                                      for x in xs])
-        return integrate_line(fn, lo, hi, tol, breakpoints=breaks[level],
-                              max_evals=max_evals).value
-
-    return rec(0, ())
-
-
 def _radius(pk, measure, spec_m, zmax, tol):
     # kernel tails only matter once |z| * abs_moment * m * |g| drops below tol
     scale = max(1.0, measure.abs_moment() * spec_m * max(zmax, 1e-12))
@@ -166,7 +145,7 @@ def log_cf_stationary(kernel, measure, z, *, tol=1e-9, max_evals=1_000_000) -> c
             w = w * float(comps[i].f(x))
         return kfun(w * comps[-1].f(np.asarray(xs, dtype=float)))
 
-    val = _box_integral(last_vec, boxes, breaks, tol, max_evals)
+    val = integrate_box(last_vec, boxes, breaks, tol, max_evals).value
     return complex(-1j * z * shift_constant(pk, measure) + val)
 
 
@@ -176,28 +155,24 @@ def _require_g(pk):
             "operation needs an antiderivative for every kernel component")
 
 
-def _window_profile(comps, spec, prefix, xs):
-    """J_T along the last axis: sum_j zs[j] prod_k (g_k(T+l-s) - g_k(l-s))."""
-    T, ls, zs = spec.T, spec.ls, spec.zs
-    coef = zs.copy()
-    for i, x in enumerate(prefix):
-        g = comps[i].g
-        coef = coef * (np.asarray(g(T + ls[:, i] - x), dtype=float)
-                       - np.asarray(g(ls[:, i] - x), dtype=float))
-    g = comps[-1].g
-    arg = xs[None, :]
-    last = g(T + ls[:, -1][:, None] - arg) - g(ls[:, -1][:, None] - arg)
-    return coef @ last
+def _window_factor(T):
+    return lambda g, l, s: g(T + l - s) - g(l - s)
 
 
-def _corner_profile(comps, spec, prefix, xs, sign):
-    """sign * sum_j zs[j] prod_k g_k(l_jk - s_k) along the last axis."""
-    ls, zs = spec.ls, spec.zs
-    coef = sign * zs
+def _corner_factor(g, l, s):
+    return g(l - s)
+
+
+def _profile(comps, ls, coef, factor, prefix, xs):
+    """coef @ prod_k factor(g_k, ls[:, k], s_k) along the last axis.
+
+    The leading coordinates s_k are the floats in prefix and the last one
+    ranges over xs. _window_factor(T) gives J_T (coef = zs); _corner_factor
+    gives the limit profile sum_j coef[j] prod_k g_k(l_jk - s_k).
+    """
     for i, x in enumerate(prefix):
-        coef = coef * np.asarray(comps[i].g(ls[:, i] - x), dtype=float)
-    last = comps[-1].g(ls[:, -1][:, None] - xs[None, :])
-    return coef @ last
+        coef = coef * factor(comps[i].g, ls[:, i], x)
+    return coef @ factor(comps[-1].g, ls[:, -1][:, None], xs[None, :])
 
 
 def j_t(kernel, spec: FddSpec, s) -> float:
@@ -207,7 +182,8 @@ def j_t(kernel, spec: FddSpec, s) -> float:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (spec.d,):
         raise ValueError(f"point must have shape ({spec.d},)")
-    out = _window_profile(pk.components, spec, tuple(s[:-1]), s[-1:])
+    out = _profile(pk.components, spec.ls, spec.zs, _window_factor(spec.T),
+                   tuple(s[:-1]), s[-1:])
     return float(out[0])
 
 
@@ -236,11 +212,13 @@ def log_cf_window(kernel, measure, spec: FddSpec, *, tol=1e-9,
         pts += [spec.T + l + p for l in lk for p in comps[k].nonsmooth]
         breaks.append(tuple(sorted(set(pts))))
 
-    def last_vec(prefix, xs):
-        return kfun(_window_profile(comps, spec, prefix,
-                                    np.asarray(xs, dtype=float)))
+    factor = _window_factor(spec.T)
 
-    val = _box_integral(last_vec, boxes, breaks, tol, max_evals)
+    def last_vec(prefix, xs):
+        return kfun(_profile(comps, spec.ls, spec.zs, factor, prefix,
+                             np.asarray(xs, dtype=float)))
+
+    val = integrate_box(last_vec, boxes, breaks, tol, max_evals).value
     return complex(val)
 
 
@@ -282,12 +260,12 @@ def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
         signs.append(1.0)
     for sign in signs:
         def last_vec(prefix, xs, _s=sign):
-            return kfun(_corner_profile(comps, spec, prefix,
-                                        np.asarray(xs, dtype=float), _s))
+            return kfun(_profile(comps, spec.ls, _s * spec.zs, _corner_factor,
+                                 prefix, np.asarray(xs, dtype=float)))
 
         int_h = sign * float(np.sum(spec.zs)) * prod_int_g
         total += -1j * c_nu * int_h
-        total += _box_integral(last_vec, boxes, breaks, tol, max_evals)
+        total += integrate_box(last_vec, boxes, breaks, tol, max_evals).value
     return complex(total)
 
 
@@ -429,23 +407,10 @@ def check_conditions(kernel, measure, *, quad_tol=1e-9,
 
     values, errors, evals = [], [], 0
     for vec in (c1_vec, c2_vec, c3_vec):
-        d = len(boxes)
-
-        def rec(level, prefix):
-            lo, hi = boxes[level]
-            if level == d - 1:
-                fn = lambda xs: vec(prefix, xs)
-            else:
-                fn = lambda xs: np.array(
-                    [rec(level + 1, prefix + (float(x),))[0] for x in xs])
-            res = integrate_line(fn, lo, hi, quad_tol,
-                                 breakpoints=breaks[level], max_evals=budget)
-            return res.value, res.error_estimate, res.evaluations
-
-        v, e, n = rec(0, ())
-        values.append(float(v))
-        errors.append(float(e))
-        evals += n
+        res = integrate_box(vec, boxes, breaks, quad_tol, budget)
+        values.append(float(res.value))
+        errors.append(float(res.error_estimate))
+        evals += res.evaluations
     return ConditionsReport(
         c1=values[0], c2=values[1], c3=values[2],
         c1_pass=math.isfinite(values[0]), c2_pass=math.isfinite(values[1]),

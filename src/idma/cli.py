@@ -1,7 +1,8 @@
 """Command-line front end: config ingestion, subcommands, structured output.
 
 One JSON config document drives every subcommand; the flags --seed,
---threads, --out, and --format override the matching config fields. Every
+--threads, --out, and --format replace the matching config fields before
+any check, so a bad flag value fails exactly like a bad config value. Every
 output CSV starts with a comment line carrying a digest of the effective
 config and the seed; JSON reports carry the same two values as their first
 fields so they stay parseable. The digest excludes the output directory,
@@ -18,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import field, make_dataclass
 
 import numpy as np
 
@@ -27,37 +28,6 @@ from .errors import (ConfigError, DivergentMomentError, EmptyTruncationError,
                      NonConvergenceError, NotAvailableError)
 
 _DEFAULT_Z_GRID = [round(-5.0 + 0.25 * i, 2) for i in range(41)]
-
-_ALLOWED_KEYS = {
-    "measure", "kernel", "T", "T_grid", "ls", "zs_base", "z_grid", "t_grid",
-    "eps", "N", "seed", "quad_tol", "conditions_budget", "threshold",
-    "window_pad", "threads", "out", "format",
-}
-
-
-@dataclass
-class RunConfig:
-    measure_cfg: dict
-    kernel_cfg: dict
-    measure: object
-    kernel: object
-    T: float
-    T_grid: list
-    ls: list
-    zs_base: list | None
-    z_grid: list
-    t_grid: list
-    eps: float
-    N: int
-    seed: int
-    quad_tol: float
-    conditions_budget: int
-    threshold: float
-    window_pad: float | None
-    threads: int
-    out: str
-    format: str
-    digest: str = ""
 
 
 def _as_float_list(value, name):
@@ -82,6 +52,56 @@ def _as_points(value, name):
     raise ConfigError(f"{name} must be all scalars or all lists")
 
 
+def _number(lo, integer=False):
+    def parse(value, name):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number")
+        if value < lo:
+            raise ConfigError(f"{name} must be >= {lo}")
+        return int(value) if integer else float(value)
+    return parse
+
+
+def _text(value, name):
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string")
+    return value
+
+
+# The config schema: key -> (default, parser, part of the digest). measure
+# and kernel are required; their parser is None because they are built by
+# levy/kernels.from_config, and RunConfig keeps both the raw dict (the
+# <key>_cfg field, which the digest hashes) and the built object.
+_SCHEMA = {
+    "measure": (None, None, True),
+    "kernel": (None, None, True),
+    "T": (10.0, _number(0.0), True),
+    "T_grid": ([5.0, 10.0, 20.0, 40.0], _as_float_list, True),
+    "ls": ([0.0], _as_points, True),
+    "zs_base": (None, _as_float_list, True),
+    "z_grid": (_DEFAULT_Z_GRID, _as_float_list, True),
+    "t_grid": ([0.0, 1.0, 2.0], _as_points, True),
+    "eps": (1e-3, _number(0.0), True),
+    "N": (10_000, _number(1, integer=True), True),
+    "seed": (0, _number(0, integer=True), True),
+    "quad_tol": (1e-9, _number(0.0), True),
+    "conditions_budget": (2_000_000, _number(1, integer=True), True),
+    "threshold": (1e-3, _number(0.0), True),
+    "window_pad": (None, _number(0.0), True),
+    "threads": (1, _number(1, integer=True), False),
+    "out": (".", _text, False),
+    "format": ("csv", _text, False),
+}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [name for key, (_, parse, _) in _SCHEMA.items()
+     for name in ((key,) if parse else (f"{key}_cfg", key))]
+    + [("digest", str, field(default=""))],
+    namespace={"__module__": __name__,
+               "__doc__": "The effective config of one run, fields as in _SCHEMA."})
+
+
 def load_config(path: str, *, seed=None, threads=None, out=None,
                 fmt=None) -> RunConfig:
     try:
@@ -93,68 +113,36 @@ def load_config(path: str, *, seed=None, threads=None, out=None,
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _ALLOWED_KEYS
+    unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key in ("measure", "kernel"):
         if key not in raw:
             raise ConfigError(f"config needs a {key!r} entry")
+    # flags replace config values before any check, so both pass the same ones
+    flags = {"seed": seed, "threads": threads, "out": out, "format": fmt}
+    raw.update((k, v) for k, v in flags.items() if v is not None)
 
-    measure = levy.from_config(raw["measure"])
-    kernel = kernels.from_config(raw["kernel"], base_dir=os.path.dirname(path) or ".")
-
-    def num(key, default, lo=None, integer=False):
-        v = raw.get(key, default)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{key} must be a number")
-        if lo is not None and v < lo:
-            raise ConfigError(f"{key} must be >= {lo}")
-        return int(v) if integer else float(v)
-
-    cfg = RunConfig(
-        measure_cfg=raw["measure"], kernel_cfg=raw["kernel"],
-        measure=measure, kernel=kernel,
-        T=num("T", 10.0, lo=0.0),
-        T_grid=_as_float_list(raw.get("T_grid", [5.0, 10.0, 20.0, 40.0]), "T_grid"),
-        ls=_as_points(raw.get("ls", [0.0]), "ls"),
-        zs_base=(_as_float_list(raw["zs_base"], "zs_base")
-                 if "zs_base" in raw else None),
-        z_grid=_as_float_list(raw.get("z_grid", _DEFAULT_Z_GRID), "z_grid"),
-        t_grid=_as_points(raw.get("t_grid", [0.0, 1.0, 2.0]), "t_grid"),
-        eps=num("eps", 1e-3, lo=0.0),
-        N=num("N", 10_000, lo=1, integer=True),
-        seed=num("seed", 0, lo=0, integer=True),
-        quad_tol=num("quad_tol", 1e-9, lo=0.0),
-        conditions_budget=num("conditions_budget", 2_000_000, lo=1, integer=True),
-        threshold=num("threshold", 1e-3, lo=0.0),
-        window_pad=num("window_pad", None, lo=0.0),
-        threads=num("threads", 1, lo=1, integer=True),
-        out=str(raw.get("out", ".")),
-        format=str(raw.get("format", "csv")),
-    )
-    if seed is not None:
-        cfg.seed = int(seed)
-    if threads is not None:
-        cfg.threads = int(threads)
-    if out is not None:
-        cfg.out = out
-    if fmt is not None:
-        cfg.format = fmt
+    fields = {
+        "measure_cfg": raw["measure"], "kernel_cfg": raw["kernel"],
+        "measure": levy.from_config(raw["measure"]),
+        "kernel": kernels.from_config(raw["kernel"],
+                                      base_dir=os.path.dirname(path) or "."),
+    }
+    for key, (default, parse, _) in _SCHEMA.items():
+        if parse is None:
+            continue
+        value = raw.get(key, default)
+        # null is accepted only where it is the default (zs_base, window_pad)
+        fields[key] = None if value is None and default is None else parse(value, key)
+    cfg = RunConfig(**fields)
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     if cfg.eps <= 0.0:
         raise ConfigError("eps must be positive")
 
-    payload = {
-        "measure": cfg.measure_cfg, "kernel": cfg.kernel_cfg, "T": cfg.T,
-        "T_grid": cfg.T_grid, "ls": cfg.ls, "zs_base": cfg.zs_base,
-        "z_grid": cfg.z_grid, "t_grid": cfg.t_grid, "eps": cfg.eps,
-        "N": cfg.N, "seed": cfg.seed, "quad_tol": cfg.quad_tol,
-        "conditions_budget": cfg.conditions_budget,
-        "threshold": cfg.threshold, "window_pad": cfg.window_pad,
-    }
+    payload = {key: raw[key] if parse is None else fields[key]
+               for key, (_, parse, digested) in _SCHEMA.items() if digested}
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     cfg.digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
     return cfg

@@ -13,6 +13,9 @@ parameter: it applies the first 15/7 panel to every parameter row at once,
 as one (rows x 22) array pass, and accepts a row on the same test as
 integrate_line (finite values, error estimate <= tol). Only the rows it
 does not accept are integrated by integrate_line, one row at a time.
+
+integrate_box is the iterated form over a box in R^d: one integrate_line
+per axis, the innermost axis vectorized.
 """
 
 from __future__ import annotations
@@ -155,6 +158,32 @@ def integrate_rows(h, rows, a, b, tol=1e-9):
     for i in np.flatnonzero(redo):
         out[i] = integrate_line(lambda x, _r=rows[i]: h(_r, x), a, b, tol).value
     return out
+
+
+def integrate_box(last_vec, boxes, breaks, tol=1e-9, max_evals=1_000_000):
+    """Iterated integral over a box; only the innermost axis is vectorized.
+
+    last_vec(prefix, xs) evaluates the integrand at points whose leading
+    coordinates are the floats in prefix and whose last coordinate ranges
+    over the array xs. Axis k spans boxes[k] with breakpoints breaks[k].
+    Every level is an integrate_line call with its own ``max_evals``; an
+    inner level passes on its value only, so the returned QuadResult, that
+    of the outermost axis, counts neither the inner errors nor their
+    evaluations.
+    """
+    d = len(boxes)
+
+    def rec(level, prefix):
+        if level == d - 1:
+            fn = lambda xs: last_vec(prefix, xs)
+        else:
+            fn = lambda xs: np.array([rec(level + 1, prefix + (float(x),)).value
+                                      for x in xs])
+        lo, hi = boxes[level]
+        return integrate_line(fn, lo, hi, tol, breakpoints=breaks[level],
+                              max_evals=max_evals)
+
+    return rec(0, ())
 
 
 def _levy_line(measure, tol, h_sup):

@@ -202,6 +202,20 @@ def test_conditions_dickman():
     assert d["pass"] == [True, True, True]
 
 
+def test_conditions_dickman_2d():
+    # d=2 runs the nested box integrator two levels deep; the error estimates
+    # and evaluation counts are those of the outermost axis
+    pk = ProductKernel((signed_ou(), signed_ou()))
+    rep = check_conditions(pk, dickman(), quad_tol=1e-6)
+    assert abs(rep.c1) < 1e-9
+    assert abs(rep.c2) < 1e-9
+    assert abs(rep.c3 - 0.5) < 1e-6
+    assert rep.all_pass
+    assert rep.evaluations == 396
+    assert rep.errors[:2] == (0.0, 0.0)
+    assert rep.errors[2] == pytest.approx(4.819766575929317e-09, rel=1e-9)
+
+
 def test_conditions_two_point():
     rep = check_conditions(signed_ou(), two_point(1.0))
     assert abs(rep.c1) < 1e-9

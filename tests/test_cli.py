@@ -47,6 +47,45 @@ def test_load_config_defaults_and_digest(tmp_path):
     assert cfg3.seed == 9 and cfg3.digest != cfg.digest
 
 
+def test_config_digest_pinned(tmp_path):
+    # every key set; the digest covers all but threads, out and format
+    doc = {"measure": {"kind": "truncated_stable", "beta": 0.5, "C": 1.0},
+           "kernel": {"kind": "product", "components": [
+               {"kind": "signed_ou"}, {"kind": "gauss_deriv"}]},
+           "T": 7.5, "T_grid": [2.0, 4.0, 8.0], "ls": [[0.0, 0.0], [1.5, -2.0]],
+           "zs_base": [1.0, -0.5], "z_grid": [-1.0, 0.25, 2.0],
+           "t_grid": [[0.0, 0.0], [1.0, 0.5]], "eps": 0.01, "N": 1234,
+           "seed": 42, "quad_tol": 1e-7, "conditions_budget": 500000,
+           "threshold": 0.002, "window_pad": 9.0, "threads": 2,
+           "out": "somewhere", "format": "json"}
+    p = tmp_path / "full.json"
+    p.write_text(json.dumps(doc))
+    cfg = load_config(str(p))
+    assert (cfg.T, cfg.N, cfg.seed, cfg.threads, cfg.out, cfg.format) == (
+        7.5, 1234, 42, 2, "somewhere", "json")
+    assert cfg.digest == ("68ea8902129e38698cfdeec52cd7458c"
+                          "cdbde131f613cb699749b1dc892965c7")
+    cfg = load_config(str(p), seed=7, threads=1, out="x", fmt="csv")
+    assert (cfg.seed, cfg.threads, cfg.out, cfg.format) == (7, 1, "x", "csv")
+    assert cfg.digest == ("f183b53b4be5df55f18af6d06dc5c17d"
+                          "8706d02458804b1bf576552b434ea121")
+
+
+def test_flag_overrides_are_validated(tmp_path, capsys):
+    # a bad value is refused the same way from a flag as from the config
+    out = tmp_path / "o"
+    good = write_config(tmp_path, {"out": str(out)}, name="good.json")
+    for key, flag, value in (("seed", "--seed", -1), ("threads", "--threads", 0)):
+        bad = write_config(tmp_path, {key: value, "out": str(out)},
+                           name=f"bad_{key}.json")
+        assert main(["cov", "--config", bad]) == 2
+        assert main(["cov", "--config", good, flag, str(value)]) == 2
+        assert f"{key} must be >=" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="format"):
+        load_config(write_config(tmp_path), fmt="xml")
+
+
 def test_load_config_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
@@ -58,6 +97,17 @@ def test_load_config_rejects_bad_input(tmp_path):
         load_config(write_config(tmp_path, {"mystery": 1}))
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, {"eps": -1.0}))
+    # null stands for the default only where the default is null
+    for key in ("T", "eps", "N", "seed", "quad_tol", "conditions_budget",
+                "threshold", "threads"):
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            load_config(write_config(tmp_path, {key: None}))
+    cfg = load_config(write_config(tmp_path, {"zs_base": None,
+                                              "window_pad": None}))
+    assert cfg.zs_base is None and cfg.window_pad is None
+    for key in ("out", "format"):
+        with pytest.raises(ConfigError, match=f"{key} must be a string"):
+            load_config(write_config(tmp_path, {key: None}))
     p = tmp_path / "nokernel.json"
     p.write_text(json.dumps({"measure": {"kind": "dickman"}}))
     with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from idma import simulate
 from idma.errors import EmptyTruncationError, NotAvailableError
 from idma.kernels import ProductKernel, persistent_control, signed_ou
 from idma.levy import dickman, two_point
@@ -73,6 +74,9 @@ def test_eval_field_single_jump():
     want = 2.0 * math.exp(-0.5) - 0.3     # f(-0.5) = +e^{-0.5}
     assert abs(got - want) < 1e-14
     assert eval_field(jump_set(np.empty((0, 1)), []), k, 0.3, [0.0]) == -0.3
+    # no jumps: -a exactly, so a = 0 gives -0.0
+    empty = eval_field(jump_set(np.empty((0, 1)), []), k, 0.0, [0.0])
+    assert empty == 0.0 and math.copysign(1.0, empty) == -1.0
 
 
 def test_eval_field_pad_warning():
@@ -111,8 +115,10 @@ def test_limit_sums_single_jump():
     assert abs(limit_sum(js, k, [0.0]) - (-2.0 * math.exp(-0.7))) < 1e-14
     assert abs(mirrored_limit_sum(js, k, [0.0]) - 2.0 * math.exp(-0.7)) < 1e-14
     empty = jump_set(np.empty((0, 1)), [])
-    assert limit_sum(empty, k, [0.0]) == 0.0
-    assert mirrored_limit_sum(empty, k, [0.0]) == 0.0
+    # no jumps: +0.0 for both, not (-1)^d * 0.0 = -0.0 at odd d
+    for fn in (limit_sum, mirrored_limit_sum):
+        got = fn(empty, k, [0.0])
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
     pk2 = ProductKernel((k, k))
     js2 = jump_set([[0.5, -0.25]], [3.0])
     want = (-1.0) ** 2 * 3.0 * math.exp(-0.5) * math.exp(-0.25)
@@ -143,6 +149,30 @@ def test_monte_carlo_thread_determinism():
                                     T=5.0, ls=[0.0, 1.0], eps=0.5,
                                     n_replicates=400, seed=12), threads=1)
     assert not np.array_equal(r1.S, r_other.S)
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_monte_carlo_windows_match_single_window_calls(monkeypatch, block):
+    # all windows of a replicate are evaluated in one pass, in column blocks
+    # of the jumps (block 5 gives 5 // 3 = 1 jump per block); each value must
+    # equal the single-window functional bit for bit
+    pk = ProductKernel((signed_ou(), signed_ou()))
+    ls = [[0.0, 0.0], [1.0, -0.5], [2.5, 1.5]]
+    cfg = SimConfig(measure=dickman(), kernel=pk, T=2.0, ls=ls, eps=0.05,
+                    window_pad=5.0, n_replicates=30, seed=4)
+    a_sim = pk.integral_f * dickman().signed_moment_interval(0.05, 1.0)
+    y_drift = pk.integral_g * dickman().signed_moment_interval(0.05, 1.0)
+    S, Y = [], []
+    for r in range(cfg.n_replicates):
+        jumps = sample_jumps(cfg, stream_for(cfg.seed, r))
+        S.append([window_integral(jumps, pk, cfg.T, l, a_sim) for l in ls])
+        Y.append([limit_sum(jumps, pk, l) - y_drift for l in ls])
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    res = monte_carlo(cfg)
+    assert res.S.shape == res.Y.shape == (30, 3)
+    assert np.array_equal(np.array(S).view(np.int64), res.S.view(np.int64))
+    assert np.array_equal(np.array(Y).view(np.int64), res.Y.view(np.int64))
 
 
 def test_monte_carlo_grid_fallback():
