@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import NotAvailableError
 from .kernels import _normalize_ls, as_product
-from .quadrature import (integrate_box, integrate_levy_rows, integrate_line,
-                         integrate_rows)
+from .quadrature import integrate_box, integrate_line
 
 
 @dataclass(frozen=True)
@@ -73,54 +72,6 @@ def shift_constant(kernel, measure) -> float:
     return as_product(kernel).integral_f * measure.compensator_integral()
 
 
-def _levy_exponent(measure, tol):
-    """K(w) = int (e^{iwy} - 1) nu(dy) as a vectorized callable.
-
-    Each call integrates all its arguments together (integrate_rows), and
-    K(0) = 0 is set exactly.
-    """
-    if measure.kind == "two_point":
-        lam = measure.lam
-        return lambda ws: lam * (np.cos(ws) - 1.0)
-
-    if measure.kind == "inner_truncated_stable":
-        # the unbounded oscillatory tail defeats direct quadrature, but
-        # int_0^inf (cos(wy)-1) y^{-1-a} dy = -|w|^a * pi/(2 Gamma(1+a) sin(pi a/2)),
-        # so only the smooth piece over (0, delta) needs numerics
-        alpha, c, delta = measure.alpha, measure.c, measure.delta
-        stable_const = math.pi / (2.0 * math.gamma(1.0 + alpha)
-                                  * math.sin(0.5 * math.pi * alpha))
-        q = 2.0 / (2.0 - alpha)
-        t_hi = delta ** (1.0 / q)
-
-        def head(aw, ts):
-            # cos(u) - 1 written as -2 sin^2(u/2): the plain form rounds to 0
-            # for small u and the t^{-1-q*alpha} factor amplifies that noise
-            return (-2.0 * q * np.square(np.sin(0.5 * aw * ts ** q))
-                    * ts ** (-1.0 - q * alpha))
-
-        def kfun_its(ws):
-            ws = np.atleast_1d(np.asarray(ws, dtype=float))
-            out = np.zeros(ws.shape)
-            nz = ws != 0.0
-            aw = np.abs(ws[nz])
-            out[nz] = 2.0 * c * (-(aw ** alpha) * stable_const
-                                 - integrate_rows(head, aw, 0.0, t_hi, tol))
-            return out
-
-        return kfun_its
-
-    def kfun(ws):
-        ws = np.atleast_1d(np.asarray(ws, dtype=float))
-        out = np.zeros(ws.shape, dtype=complex)
-        nz = ws != 0.0
-        out[nz] = integrate_levy_rows(lambda w, ys: np.exp(1j * w * ys) - 1.0,
-                                      measure, ws[nz], tol)
-        return out
-
-    return kfun
-
-
 def _radius(pk, measure, spec_m, zmax, tol):
     # kernel tails only matter once |z| * abs_moment * m * |g| drops below tol
     scale = max(1.0, measure.abs_moment() * spec_m * max(zmax, 1e-12))
@@ -133,7 +84,7 @@ def log_cf_stationary(kernel, measure, z, *, tol=1e-9, max_evals=1_000_000) -> c
     z = float(z)
     if z == 0.0:
         return 0.0 + 0.0j
-    kfun = _levy_exponent(measure, tol)
+    kfun = measure.exponent(tol)
     r = _radius(pk, measure, 1, abs(z), tol)
     comps = pk.components
     boxes = [(-r, r)] * pk.d
@@ -187,6 +138,34 @@ def j_t(kernel, spec: FddSpec, s) -> float:
     return float(out[0])
 
 
+def _window_boxes(kernel, measure, spec: FddSpec, T, tol):
+    """(components, K(w), boxes, breakpoints) of the windows [l, l + T]^d.
+
+    Each box is the windows' hull padded by the kernel decay radius, with
+    the kernels' kinks at both window edges as breakpoints; None when every
+    z is 0. log_cf_limit takes T = 0.0, where 0.0 + x == x gives the same
+    floats as leaving the T terms out.
+    """
+    pk = as_product(kernel)
+    _require_g(pk)
+    if spec.d != pk.d:
+        raise ValueError(f"spec has d={spec.d}, kernel has d={pk.d}")
+    comps = pk.components
+    kfun = measure.exponent(tol)
+    zmax = float(np.max(np.abs(spec.zs)))
+    if zmax == 0.0:
+        return None
+    r = _radius(pk, measure, spec.m, zmax, tol)
+    boxes, breaks = [], []
+    for k in range(pk.d):
+        lk = spec.ls[:, k]
+        boxes.append((float(lk.min()) - r, T + float(lk.max()) + r))
+        pts = [l + p for l in lk for p in comps[k].nonsmooth]
+        pts += [T + l + p for l in lk for p in comps[k].nonsmooth]
+        breaks.append(tuple(sorted(set(pts))))
+    return comps, kfun, boxes, breaks
+
+
 def log_cf_window(kernel, measure, spec: FddSpec, *, tol=1e-9,
                   max_evals=1_000_000) -> complex:
     """Joint log-CF of window integrals: int (e^{iyJ_T(s)} - 1) ds nu(dy).
@@ -194,24 +173,10 @@ def log_cf_window(kernel, measure, spec: FddSpec, *, tol=1e-9,
     No drift term appears: int J_T = 0 exactly because every g vanishes at
     infinity, so the compensator contribution cancels identically.
     """
-    pk = as_product(kernel)
-    _require_g(pk)
-    if spec.d != pk.d:
-        raise ValueError(f"spec has d={spec.d}, kernel has d={pk.d}")
-    comps = pk.components
-    kfun = _levy_exponent(measure, tol)
-    zmax = float(np.max(np.abs(spec.zs)))
-    if zmax == 0.0:
+    setup = _window_boxes(kernel, measure, spec, spec.T, tol)
+    if setup is None:
         return 0.0 + 0.0j
-    r = _radius(pk, measure, spec.m, zmax, tol)
-    boxes, breaks = [], []
-    for k in range(pk.d):
-        lk = spec.ls[:, k]
-        boxes.append((float(lk.min()) - r, spec.T + float(lk.max()) + r))
-        pts = [l + p for l in lk for p in comps[k].nonsmooth]
-        pts += [spec.T + l + p for l in lk for p in comps[k].nonsmooth]
-        breaks.append(tuple(sorted(set(pts))))
-
+    comps, kfun, boxes, breaks = setup
     factor = _window_factor(spec.T)
 
     def last_vec(prefix, xs):
@@ -235,27 +200,14 @@ def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
     """
     if variant not in ("claimed", "boundary_augmented"):
         raise ValueError(f"unknown variant {variant!r}")
-    pk = as_product(kernel)
-    _require_g(pk)
-    if spec.d != pk.d:
-        raise ValueError(f"spec has d={spec.d}, kernel has d={pk.d}")
-    comps = pk.components
-    kfun = _levy_exponent(measure, tol)
-    zmax = float(np.max(np.abs(spec.zs)))
-    if zmax == 0.0:
+    setup = _window_boxes(kernel, measure, spec, 0.0, tol)
+    if setup is None:
         return 0.0 + 0.0j
-    r = _radius(pk, measure, spec.m, zmax, tol)
-    boxes, breaks = [], []
-    for k in range(pk.d):
-        lk = spec.ls[:, k]
-        boxes.append((float(lk.min()) - r, float(lk.max()) + r))
-        breaks.append(tuple(sorted(set(
-            l + p for l in lk for p in comps[k].nonsmooth))))
-
+    comps, kfun, boxes, breaks = setup
     c_nu = measure.compensator_integral()
     prod_int_g = math.prod(k.integral_g for k in comps)
     total = 0.0 + 0.0j
-    signs = [float((-1) ** pk.d)]
+    signs = [float((-1) ** spec.d)]
     if variant == "boundary_augmented":
         signs.append(1.0)
     for sign in signs:

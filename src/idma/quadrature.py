@@ -186,75 +186,13 @@ def integrate_box(last_vec, boxes, breaks, tol=1e-9, max_evals=1_000_000):
     return rec(0, ())
 
 
-def _levy_line(measure, tol, h_sup):
-    """Reduce int h dnu for a continuous nu to a proper integral on [a, b].
-
-    Returns (line, a, b, breakpoints, tail): int h dnu is the integral of
-    ``line(h, ts)`` over [a, b], up to ``tail``. ``line`` only combines
-    elementwise values of ``h``, so an ``h`` that broadcasts its abscissas
-    against a column of parameters yields one integrand row per parameter.
-    integrate_levy describes each family's reduction.
-    """
-    kind = measure.kind
-    if kind == "dickman":
-        return (lambda h, ys: h(ys) / ys), 0.0, 1.0, (), 0.0
-    if kind == "truncated_stable":
-        beta, big_c = measure.beta, measure.big_c
-        p = 2.0 / (1.0 - beta)
-
-        def folded(h, ts):
-            ys = ts ** p
-            return big_c * p * (h(ys) + h(-ys)) * ts ** (-1.0 - p * beta)
-
-        return folded, 0.0, 1.0, (), 0.0
-    if kind == "inner_truncated_stable":
-        alpha, c, delta = measure.alpha, measure.c, measure.delta
-        cut = max((4.0 * c * h_sup / (alpha * tol)) ** (1.0 / alpha),
-                  10.0 * delta, 1.0)
-
-        def folded(h, ys):
-            return c * (h(ys) + h(-ys)) * ys ** (-1.0 - alpha)
-
-        breaks = []
-        p = 10.0 * delta
-        while p < cut:
-            breaks.append(p)
-            p *= 10.0
-        return folded, delta, cut, tuple(breaks), 0.5 * tol
-    raise ValueError(f"unknown measure kind {kind!r}")
-
-
 def integrate_levy(h, measure, tol=1e-9, *, max_evals=1_000_000, h_sup=2.0):
     """Integrate ``h`` against a Levy measure, handling its singularities.
 
     Atomic measures are summed exactly. Absolutely continuous ones are
-    reduced to proper integrals on a bounded interval first:
-
-    * dickman: density 1/y on (0,1); integrate h(y)/y directly, relying on
-      h(0)=0 with a linear bound (true for characteristic-function kernels).
-    * truncated_stable: substitute y = t^p with p = 2/(1-beta), which turns
-      the |y|^{-1-beta} blow-up into an O(t) integrand near 0.
-    * inner_truncated_stable: the support is unbounded, so the tail beyond Y
-      is dropped once sup|h| * tail_mass(Y) <= tol/2; ``h_sup`` is the
-      caller's bound on |h| (2 covers any e^{i...}-1 integrand).
+    reduced to a proper integral on a bounded interval first, each family
+    by its own substitution (idma.levy). ``h_sup`` is the caller's bound on
+    |h| (2 covers any e^{i...}-1 integrand); a measure with unbounded
+    support drops its tail once sup|h| times the tail mass is <= tol/2.
     """
-    if measure.kind == "two_point":
-        vals = np.asarray(h(np.array([1.0, -1.0])))
-        return QuadResult(0.5 * measure.lam * (vals[0] + vals[1]), 0.0, 2)
-    line, a, b, breaks, tail = _levy_line(measure, tol, h_sup)
-    res = integrate_line(lambda ts: line(h, ts), a, b, tol, breakpoints=breaks,
-                         max_evals=max_evals)
-    return QuadResult(res.value, res.error_estimate + tail, res.evaluations)
-
-
-def integrate_levy_rows(h, measure, rows, tol=1e-9):
-    """integrate_levy of ``h(row, y)`` for every entry of ``rows`` at once.
-
-    The batched form of integrate_levy for the dickman and truncated_stable
-    measures, whose reduced integrals on [0, 1] go through integrate_rows.
-    """
-    if measure.kind not in ("dickman", "truncated_stable"):
-        raise ValueError(f"no batched integral against {measure.kind!r}")
-    line, a, b, _, _ = _levy_line(measure, tol, 2.0)
-    return integrate_rows(lambda r, ts: line(lambda ys: h(r, ys), ts),
-                          rows, a, b, tol)
+    return measure.integrate(h, tol, max_evals=max_evals, h_sup=h_sup)

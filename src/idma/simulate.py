@@ -73,6 +73,11 @@ class SimConfig:
         self.window_pad = float(self.window_pad)
         if not (self.window_pad >= 0.0 and math.isfinite(self.window_pad)):
             raise ValueError("window_pad must be finite and nonnegative")
+        # fixed for the run: sample_jumps reads them for every replicate
+        self.window_lo = self.ls.min(axis=0) - self.window_pad
+        self.window_hi = self.T + self.ls.max(axis=0) + self.window_pad
+        self.window_volume = float(np.prod(self.window_hi - self.window_lo))
+        self.tail_mass = self.measure.tail_mass(self.eps)
 
     @property
     def d(self) -> int:
@@ -81,18 +86,6 @@ class SimConfig:
     @property
     def m(self) -> int:
         return self.ls.shape[0]
-
-    @property
-    def window_lo(self) -> np.ndarray:
-        return self.ls.min(axis=0) - self.window_pad
-
-    @property
-    def window_hi(self) -> np.ndarray:
-        return self.T + self.ls.max(axis=0) + self.window_pad
-
-    @property
-    def window_volume(self) -> float:
-        return float(np.prod(self.window_hi - self.window_lo))
 
 
 @dataclass
@@ -134,7 +127,7 @@ def stream_for(seed: int, replicate: int) -> np.random.Generator:
 
 def sample_jumps(cfg: SimConfig, rng: np.random.Generator) -> JumpSet:
     """Draw the Poisson cloud for one replicate over the padded window."""
-    tm = cfg.measure.tail_mass(cfg.eps)
+    tm = cfg.tail_mass
     if tm <= 0.0:
         raise EmptyTruncationError(
             f"no jumps with |y| >= {cfg.eps}; lower eps below "

@@ -219,6 +219,14 @@ def test_exit_codes(tmp_path, capsys):
     bad = write_config(tmp_path, {"bogus_key": 1}, name="bad.json")
     assert main(["conditions", "--config", bad]) == 2
 
+    # a NaN measure parameter used to run and write nan for every value
+    nan = write_config(tmp_path, {
+        "measure": {"kind": "two_point", "lambda": float("nan")},
+        "out": str(tmp_path / "o")}, name="nan.json")
+    capsys.readouterr()
+    assert main(["cov", "--config", nan]) == 2
+    assert "'lambda' must be a finite number" in capsys.readouterr().err
+
     # dickman truncated at eps = 1 leaves no jumps
     empty = write_config(tmp_path, {
         "measure": {"kind": "dickman"}, "eps": 1.0, "N": 10,

@@ -130,17 +130,31 @@ def test_constructor_validation():
         inner_truncated_stable(2.5, 1.0, 0.01)
     with pytest.raises(ConfigError):
         inner_truncated_stable(1.5, 1.0, 0.0)
+    # every parameter must be a finite number, never a bool
+    for bad in (math.nan, math.inf, -math.inf, True, "1.0", None):
+        with pytest.raises(ConfigError, match="finite number"):
+            two_point(bad)
+        with pytest.raises(ConfigError, match="finite number"):
+            truncated_stable(0.5, bad)
+        with pytest.raises(ConfigError, match="finite number"):
+            inner_truncated_stable(1.5, 1.0, bad)
+        with pytest.raises(ConfigError, match="'lambda' must be a finite number"):
+            from_config({"kind": "two_point", "lambda": bad})
 
 
 def test_from_config():
+    assert from_config({"kind": "dickman"}) == dickman()
     assert from_config({"kind": "dickman"}).kind == "dickman"
     ts = from_config({"kind": "truncated_stable", "beta": 0.5, "C": 2.0})
+    assert ts == truncated_stable(0.5, 2.0)
     assert ts.beta == 0.5 and ts.big_c == 2.0
-    tp = from_config({"kind": "two_point", "lambda": 3.0})
-    assert tp.lam == 3.0
+    tp = from_config({"kind": "two_point", "lambda": 3})
+    assert tp == two_point(3.0) and tp.lam == 3.0
     its = from_config({"kind": "inner_truncated_stable", "alpha": 1.5,
                        "c": 1.0, "delta": 0.01})
-    assert its.alpha == 1.5
+    assert its == inner_truncated_stable(1.5, 1.0, 0.01)
+    assert its.alpha == 1.5 and its.c == 1.0 and its.delta == 0.01
+    assert ts != two_point(3.0) and two_point(1.0) != two_point(2.0)
     with pytest.raises(ConfigError):
         from_config({"kind": "gaussian"})
     with pytest.raises(ConfigError):
@@ -149,3 +163,5 @@ def test_from_config():
         from_config({"kind": "dickman", "beta": 0.5})
     with pytest.raises(ConfigError):
         from_config(["two_point"])
+    with pytest.raises(ConfigError):
+        from_config({"kind": ["two_point"]})

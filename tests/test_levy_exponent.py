@@ -1,4 +1,4 @@
-"""Batched Levy exponent K(w) against the per-argument scalar quadrature."""
+"""Levy exponent K(w): batched against per-argument quadrature, and pinned bits."""
 
 import math
 
@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idma.analytic import _levy_exponent
-from idma.levy import dickman, inner_truncated_stable, truncated_stable
+from idma.analytic import fdd_spec, log_cf_window
+from idma.kernels import signed_ou
+from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
 from idma.quadrature import integrate_levy, integrate_line
 
 TOL = 1e-9
@@ -35,7 +36,7 @@ def _scalar_k(measure, w):
     return 2.0 * c * (-(aw ** alpha) * stable_const - head)
 
 
-MEASURES = [dickman(), truncated_stable(0.5, 1.0),
+MEASURES = [dickman(), truncated_stable(0.5, 1.0), two_point(1.0),
             inner_truncated_stable(1.5, 1.0, 0.01)]
 
 
@@ -44,7 +45,7 @@ MEASURES = [dickman(), truncated_stable(0.5, 1.0),
 @given(st.lists(st.floats(-250.0, 250.0, allow_nan=False), max_size=12))
 def test_batched_k_matches_scalar_quadrature(measure, extra):
     ws = np.array(FIXED_WS + extra)
-    kfun = _levy_exponent(measure, TOL)
+    kfun = measure.exponent(TOL)
     got = kfun(ws)
     assert got.shape == ws.shape
     scale = 1e-14 * np.maximum(1.0, np.abs(got))
@@ -53,3 +54,47 @@ def test_batched_k_matches_scalar_quadrature(measure, extra):
     assert np.all(np.abs(kfun(-ws) - np.conj(got)) <= scale)
     assert np.all(np.real(got) <= 0.0)
     assert got[0] == 0.0
+
+
+# K(w) at PIN_WS and one log_cf_window value per family, as (real, imag)
+# float.hex bits computed before the families became classes
+PIN_WS = [-3.0, 0.5, 7.0, 200.0]
+PINS = {
+    "dickman": (
+        [("-0x1.8e6300cbc5baep+0", "-0x1.d9414ac56ce9ap+0"),
+         ("-0x1.fab239fca6417p-5", "0x1.f8f126a7a3cfap-2"),
+         ("-0x1.3924a2c2e6540p+1", "0x1.7460719711613p+0"),
+         ("-0x1.7850783adae98p+2", "0x1.9181814716457p+0")],
+        ("-0x1.ec1453b3b864ap-2", "-0x1.f43adfd9e33c0p-6")),
+    "truncated_stable": (
+        [("-0x1.1990b9219f2f0p+2", "0x0.0p+0"),
+         ("-0x1.524d44477368fp-3", "0x0.0p+0"),
+         ("-0x1.2416fd9f222d8p+3", "0x0.0p+0"),
+         ("-0x1.0ba0b05999f91p+6", "0x0.0p+0")],
+        ("-0x1.491fbfb08121ap+0", "0x0.0p+0")),
+    "two_point": (
+        [("-0x1.fd7025f42f2e9p+0", "0x0.0p+0"),
+         ("-0x1.f56bfcd241580p-4", "0x0.0p+0"),
+         ("-0x1.f8021849b7fa4p-3", "0x0.0p+0"),
+         ("-0x1.068f5649a948cp-1", "0x0.0p+0")],
+        ("-0x1.e0f5d3a34121ep-1", "0x0.0p+0")),
+    "inner_truncated_stable": (
+        [("-0x1.f2206aa8b0a56p+3", "0x0.0p+0"),
+         ("-0x1.21b2e4498cfd9p+0", "0x0.0p+0"),
+         ("-0x1.a0ca1598abca1p+5", "0x0.0p+0"),
+         ("-0x1.e733672100cc8p+10", "0x0.0p+0")],
+        ("-0x1.00890e053f718p+3", "0x0.0p+0")),
+}
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
+def test_exponent_and_window_cf_pinned(measure):
+    k_pins, window_pin = PINS[measure.kind]
+    assert [_bits(k) for k in measure.exponent(TOL)(np.array(PIN_WS))] == k_pins
+    spec = fdd_spec([0.0, 2.0], [0.5, -1.0], 3.0)
+    assert _bits(log_cf_window(signed_ou(), measure, spec, tol=1e-8)) == window_pin

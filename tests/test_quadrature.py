@@ -7,8 +7,7 @@ import pytest
 
 from idma.errors import NonConvergenceError
 from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
-from idma.quadrature import (integrate_levy, integrate_levy_rows, integrate_line,
-                             integrate_rows)
+from idma.quadrature import integrate_levy, integrate_line, integrate_rows
 
 # entire cosine integral Cin(1) = int_0^1 (1 - cos u)/u du
 CIN1 = 0.23981174200056472594
@@ -98,11 +97,6 @@ def test_rows_match_per_row_quadrature():
         integrate_rows(lambda w, x: np.where(x > 0.5, np.inf, w * x), ws, 0.0, 1.0)
 
 
-def test_levy_rows_reject_unbatched_measures():
-    with pytest.raises(ValueError):
-        integrate_levy_rows(lambda w, y: y, two_point(1.0), np.ones(2))
-
-
 def test_levy_two_point_exact():
     r = integrate_levy(lambda y: y ** 2, two_point(1.5))
     assert r.value == 1.5
@@ -129,10 +123,3 @@ def test_levy_inner_truncated_stable_vs_scipy():
     want, _ = si.quad(lambda y: (1.0 - math.exp(-y * y)) * 2.0 * y ** -2.5,
                       0.01, np.inf, limit=500)
     assert abs(got.value - want) < 1e-6
-
-
-def test_levy_unknown_kind():
-    class Fake:
-        kind = "nope"
-    with pytest.raises(ValueError):
-        integrate_levy(lambda y: y, Fake())
