@@ -267,24 +267,31 @@ def variance_window(kernel, measure, T) -> float:
 
 
 def variance_window_quadrature(kernel, measure, T, *, tol=1e-9) -> float:
-    """Var S_T by integrating the squared window increment; works without g."""
+    """Var S_T by quadrature; works without g.
+
+    A component with g integrates its squared window increment
+    (g(T - s) - g(-s))^2 over s. One without g uses
+    int (int_{-s}^{T-s} f)^2 ds = 2 int_0^T (T - t) autocorr_f(t) dt,
+    which needs no inner quadrature per node.
+    """
     pk = as_product(kernel)
     sm = measure.second_moment()
     T = float(T)
     out = sm
     for comp in pk.components:
-        r = comp.decay_radius(1e-10)
         if comp.has_g:
             h = lambda ss, _c=comp: np.square(_c.g(T - ss) - _c.g(-ss))
+            r = comp.decay_radius(1e-10)
+            lo, hi = -r, T + r
+            pts = [q for p in comp.nonsmooth for q in (-p, T - p)]
         else:
-            h = lambda ss, _c=comp: np.array(
-                [_c.window_increment(-s, T - s) ** 2 for s in ss])
-        pts = set()
-        for p in comp.nonsmooth:
-            pts.add(-p)
-            pts.add(T - p)
-        out *= integrate_line(h, -r, T + r, tol,
-                              breakpoints=tuple(sorted(pts))).value
+            h = lambda ts, _c=comp: 2.0 * (T - ts) * np.array(
+                [_c.autocorr_f(float(t)) for t in ts])
+            lo, hi = 0.0, T
+            # autocorr_f has its kinks at the differences of f's kinks
+            pts = [abs(p - q) for p in comp.nonsmooth for q in comp.nonsmooth]
+        out *= integrate_line(h, lo, hi, tol,
+                              breakpoints=tuple(sorted(set(pts)))).value
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import field, make_dataclass
@@ -56,6 +57,8 @@ def _number(lo, integer=False):
     def parse(value, name):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
         if value < lo:
             raise ConfigError(f"{name} must be >= {lo}")
         return int(value) if integer else float(value)

@@ -28,7 +28,17 @@ where the defaults do not hold, ``symmetric``, ``support_bound`` and
 * _tail(eps), _small_variance(eps) and _magnitude(v, eps): the tail mass,
   the small-jump variance and the quantile of |y| on arrays;
 * _line(tol, h_sup): int h dnu as a proper integral on a bounded line,
-  or, for an atomic measure, integrate() and exponent() themselves.
+  or, for an atomic measure, integrate() and exponent() themselves;
+* _series(): the power-series coefficients of K(w), unless it overrides
+  exponent() as TwoPoint and InnerTruncatedStable do.
+
+K(w) = int (e^{iwy} - 1) nu(dy) is entire for a measure on [-1, 1]. A
+family's _series() returns an (N_TERMS + 1, j) array: column 0 holds the
+coefficients a_k of w^{2k} in Re K (a_0 = 0), and an asymmetric family adds
+column 1, the coefficients b_k of Im K = w * sum_k b_k w^{2k}. The one
+evaluator, LevyMeasure.exponent, sums these series for |w| <= SERIES_MAX_W
+(8) and integrates the reduced line for larger |w|. The term count follows
+the largest |w| of the call, from the table SERIES_W.
 
 Moments over restricted regions are exposed in vectorized form so that
 integrability diagnostics can evaluate them on whole quadrature panels.
@@ -49,6 +59,39 @@ from .quadrature import QuadResult, integrate_line, integrate_rows
 
 def _scalar(out):
     return out if out.ndim else float(out)
+
+
+# K(w) is summed from its power series for |w| <= SERIES_MAX_W. A family's
+# coefficients of w^(2k) and w^(2k+1) are at most its scale (1, or 2C) times
+# 1/(2k)!, so after n terms the first omitted term is at most the scale times
+# p_n(w) = |w|^(2n+2)/(2n+2)!, times |w| in the odd series. SERIES_W[n-1] is
+# the largest |w| with p_n(w) <= eps * min(w^2, 1/|w|): eps relative to the
+# w^2 size of K while |w| < 1, and eps absolute for the odd series beyond.
+# SERIES_W[-1] >= SERIES_MAX_W fixes N_TERMS (23).
+SERIES_MAX_W = 8.0
+
+
+def _series_table(w_max):
+    eps, out = np.finfo(float).eps, []
+    while not out or out[-1] < w_max:
+        n = len(out) + 1
+        x = eps * math.factorial(2 * n + 2)
+        out.append(min(x ** (1.0 / (2 * n)), x ** (1.0 / (2 * n + 3))))
+    return np.array(out)
+
+
+SERIES_W = _series_table(SERIES_MAX_W)
+N_TERMS = len(SERIES_W)
+
+
+def _series_sum(coef, ws):
+    """K at the 1-d ws, all |w| <= SERIES_MAX_W, from _series() coefficients."""
+    x2 = ws * ws
+    n = 1 + int(np.searchsorted(SERIES_W, math.sqrt(float(x2.max(initial=0.0)))))
+    s = (x2[:, None] ** np.arange(1, n + 1)) @ coef[1:n + 1]
+    if coef.shape[1] == 1:
+        return s[:, 0] + 0j
+    return s[:, 0] + 1j * ws * (coef[0, 1] + s[:, 1])
 
 
 @dataclass(frozen=True)
@@ -146,20 +189,27 @@ class LevyMeasure:
     def exponent(self, tol):
         """K(w) = int (e^{iwy} - 1) nu(dy) as a vectorized callable.
 
-        Each call integrates all its arguments together (integrate_rows on
-        the reduced line, which must carry no breakpoints and no tail), and
-        K(0) = 0 is set exactly.
+        Arguments with |w| <= SERIES_MAX_W are summed from the family's
+        power series (_series), to rounding whatever ``tol``; every term
+        vanishes at w = 0, so K(0) = 0 exactly. The others are integrated
+        together on the reduced line (integrate_rows; the line must carry no
+        breakpoints and no tail) to ``tol``.
         """
+        coef = self._series()
         line, a, b, _, _ = self._line(tol, 2.0)
 
         def kfun(ws):
             ws = np.atleast_1d(np.asarray(ws, dtype=float))
-            out = np.zeros(ws.shape, dtype=complex)
-            nz = ws != 0.0
-            out[nz] = integrate_rows(
+            flat = ws.ravel()
+            near = np.abs(flat) <= SERIES_MAX_W
+            if near.all():
+                return _series_sum(coef, flat).reshape(ws.shape)
+            out = np.zeros(flat.shape, dtype=complex)
+            out[near] = _series_sum(coef, flat[near])
+            out[~near] = integrate_rows(
                 lambda w, ts: line(lambda ys: np.exp(1j * w * ys) - 1.0, ts),
-                ws[nz], a, b, tol)
-            return out
+                flat[~near], a, b, tol)
+            return out.reshape(ws.shape)
 
         return kfun
 
@@ -193,6 +243,13 @@ class Dickman(LevyMeasure):
         # h(y)/y directly, relying on h(0) = 0 with a linear bound (true
         # for characteristic-function kernels)
         return (lambda h, ys: h(ys) / ys), 0.0, 1.0, (), 0.0
+
+    def _series(self):
+        # -Cin(w) + i Si(w): a_k = (-1)^k / (2k (2k)!),
+        # b_k = (-1)^k / ((2k+1) (2k+1)!)
+        return np.array([[(-1) ** k / (2 * k * math.factorial(2 * k)) if k else 0.0,
+                          (-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1))]
+                         for k in range(N_TERMS + 1)])
 
 
 @dataclass(frozen=True)
@@ -240,6 +297,12 @@ class TruncatedStable(LevyMeasure):
             return big_c * p * (h(ys) + h(-ys)) * ts ** (-1.0 - p * beta)
 
         return folded, 0.0, 1.0, (), 0.0
+
+    def _series(self):
+        # 2C int_0^1 (cos wy - 1) y^{-1-beta} dy: a_k = 2C (-1)^k / ((2k)! (2k - beta))
+        return np.array([[2.0 * self.big_c * (-1) ** k
+                          / (math.factorial(2 * k) * (2 * k - self.beta)) if k else 0.0]
+                         for k in range(N_TERMS + 1)])
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,9 @@ _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _NODES = np.concatenate([_NODES_HI, _NODES_LO])
 _N_HI = len(_NODES_HI)
 _PANEL_EVALS = len(_NODES)
+# QUADPACK's roundoff limit: no refinement gets the error estimate below
+# about 50 eps times the summed magnitude of the panel values
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,12 @@ def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
     kinks and jumps off the Gauss nodes. The panel with the largest error
     estimate is bisected until the summed estimate drops below ``tol``;
     panels narrower than the width floor are frozen as-is (a jump inside one
-    contributes at most its width). If the evaluation budget runs out first,
-    NonConvergenceError carries the running estimate. The final sum runs
-    left to right over the surviving panels, so results are bit-stable.
+    contributes at most its width). A ``tol`` that the initial panels miss
+    and that lies below the roundoff floor, 50 eps times the sum of their
+    absolute values, raises NonConvergenceError at once; so does running out
+    of the evaluation budget. Either error carries the running estimate. The
+    final sum runs left to right over the surviving panels, so results are
+    bit-stable.
     """
     lo = -float(radius) if math.isinf(a) and a < 0 else float(a)
     hi = float(radius) if math.isinf(b) and b > 0 else float(b)
@@ -110,6 +116,12 @@ def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
     frozen_err = 0.0
     for i in range(len(edges) - 1):
         total_err += add_panel(edges[i], edges[i + 1])
+    floor = _ROUNDOFF * sum(abs(p[2]) for p in panels)
+    if total_err > tol and tol < floor:
+        raise NonConvergenceError(
+            f"tol {tol:.3e} is below the roundoff floor {floor:.3e} of this "
+            f"integral (running error {total_err:.3e})",
+            evaluations=evals, error_estimate=total_err)
 
     while heap and total_err > tol:
         neg_e, idx = heapq.heappop(heap)

@@ -175,7 +175,7 @@ def test_variance_window_control():
                 + (1.0 - math.exp(-2.0 * T)) / 4.0 + 0.5 * T * math.exp(-T))
 
     for T in (1.0, 5.0, 20.0):
-        assert abs(variance_window_quadrature(pc, tp, T) - closed(T)) < 1e-7
+        assert abs(variance_window_quadrature(pc, tp, T) - closed(T)) < 1e-12
 
 
 def test_j_t_values():

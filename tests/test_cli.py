@@ -1,6 +1,7 @@
 """Command-line interface: configs, outputs, digests, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,11 @@ def test_load_config_rejects_bad_input(tmp_path):
                 "threshold", "threads"):
         with pytest.raises(ConfigError, match=f"{key} must be a number"):
             load_config(write_config(tmp_path, {key: None}))
+    # NaN and +-inf (JSON NaN, Infinity) name the key instead of failing later
+    for key, value in (("quad_tol", math.nan), ("quad_tol", math.inf),
+                       ("N", math.inf), ("T", -math.inf), ("eps", math.nan)):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            load_config(write_config(tmp_path, {key: value}))
     cfg = load_config(write_config(tmp_path, {"zs_base": None,
                                               "window_pad": None}))
     assert cfg.zs_base is None and cfg.window_pad is None

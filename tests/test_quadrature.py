@@ -67,11 +67,25 @@ def test_nonfinite_integrand_rejected():
 
 
 def test_budget_exhaustion():
-    h = lambda x: np.abs(x - 1.0 / 3.0)  # kink never resolved at tol 0+
-    with pytest.raises(NonConvergenceError) as info:
-        integrate_line(h, 0.0, 1.0, 1e-300, max_evals=200)
+    h = lambda x: np.abs(x - 1.0 / 3.0)  # kink not resolved in 200 evaluations
+    with pytest.raises(NonConvergenceError, match="budget") as info:
+        integrate_line(h, 0.0, 1.0, 1e-12, max_evals=200)
     assert info.value.evaluations <= 200
     assert info.value.error_estimate > 0.0
+
+
+def test_roundoff_floor_fails_fast():
+    # 50 eps * int_0^1 |x - 1/3| dx is about 3e-15: 1e-16 is unattainable
+    h = lambda x: np.abs(x - 1.0 / 3.0)
+    with pytest.raises(NonConvergenceError, match="roundoff floor") as info:
+        integrate_line(h, 0.0, 1.0, 1e-16)
+    assert info.value.evaluations == 22
+    assert info.value.error_estimate > 1e-16
+    # below the floor, a tol that the first panel already meets is not refused
+    r = integrate_line(lambda x: x * x, 0.0, 1.0, 1e-16)
+    assert r.error_estimate <= 1e-16 and abs(r.value - 1.0 / 3.0) < 1e-15
+    # above the floor the same kink converges
+    assert integrate_line(h, 0.0, 1.0, 1e-13).error_estimate <= 1e-13
 
 
 def test_panel_calls_integrand_once():
