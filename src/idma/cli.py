@@ -6,7 +6,8 @@ any check, so a bad flag value fails exactly like a bad config value. Every
 output CSV starts with a comment line carrying a digest of the effective
 config and the seed; JSON reports carry the same two values as their first
 fields so they stay parseable. The digest excludes the output directory,
-format, and thread count, none of which affect the numbers.
+format, and thread count, none of which affect the numbers (the thread
+count is accepted and ignored: the Monte Carlo runs on one thread).
 
 Exit codes: 0 success, 2 config or input error, 3 quadrature non-convergence,
 4 divergent moment.
@@ -38,6 +39,8 @@ def _as_float_list(value, name):
     for v in value:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{name} must contain only numbers")
+        if not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {v}")
         out.append(float(v))
     return out
 
@@ -47,7 +50,7 @@ def _as_points(value, name):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a non-empty list")
     if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        return [[float(v)] for v in value]
+        return [[v] for v in _as_float_list(value, name)]
     if all(isinstance(v, list) for v in value):
         return [_as_float_list(v, name) for v in value]
     raise ConfigError(f"{name} must be all scalars or all lists")
@@ -275,7 +278,7 @@ def _cmd_simulate(cfg: RunConfig) -> list:
         measure=cfg.measure, kernel=cfg.kernel, T=cfg.T, ls=cfg.ls,
         eps=cfg.eps, window_pad=cfg.window_pad, n_replicates=cfg.N,
         seed=cfg.seed)
-    res = simulate.monte_carlo(sim_cfg, threads=cfg.threads)
+    res = simulate.monte_carlo(sim_cfg)
     path = _out_path(cfg, "replicates", "csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         simulate.write_replicates_csv(fh, res, cfg.digest, cfg.seed)
@@ -301,8 +304,7 @@ def _cmd_converge(cfg: RunConfig) -> list:
 
 def _cmd_hyper(cfg: RunConfig) -> list:
     rep = verify.hyperuniformity(
-        cfg.kernel, cfg.measure, cfg.T_grid, cfg.N, seed=cfg.seed,
-        eps=cfg.eps, threads=cfg.threads)
+        cfg.kernel, cfg.measure, cfg.T_grid, cfg.N, seed=cfg.seed, eps=cfg.eps)
     if cfg.format == "json":
         return [_write_json(cfg, "hyper", rep.to_dict())]
     rows = [[t, a, e, s, c] for t, a, e, s, c in
@@ -333,7 +335,9 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored: the Monte Carlo runs on "
+                             "one thread")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"],
                         default=None)

@@ -11,23 +11,18 @@ all in closed form per jump, so the only approximations are the jump-size
 truncation (variance deficit small_jump_variance(eps) * ||f||_2^2) and the
 finite window (tails of g beyond the pad).
 
-Each of these, and the mirrored limit sum, is one weighted product over
-the jumps, sum_i y_i prod_k factor_k(s_ik), with its own per-axis factor.
-_jump_sums evaluates it for all windows of a replicate in one pass, so
-monte_carlo and sample_limit fill a replicate's row at once; each window is
-still summed by the same dot product as a single-window call.
-
-Replicate r derives its own counter-based stream from (seed, r), and results
-land in preallocated index slots, so monte_carlo output is bit-identical for
-any thread count or scheduling order. Within a replicate the draw order is
-fixed: Poisson count, then locations (row-major), then jump sizes.
+Each is one weighted product over the jumps, sum_i y_i prod_k
+factor_k(s_ik). _jump_sums evaluates it for all windows on the stacked
+jumps of a block of replicates, summing each replicate by the same dot
+product as a single call. Replicate r draws only its count and uniforms
+from its counter-based stream stream_for(seed, r); all else runs once per
+block, on one thread, so the output depends on (seed, r) alone.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +68,7 @@ class SimConfig:
         self.window_pad = float(self.window_pad)
         if not (self.window_pad >= 0.0 and math.isfinite(self.window_pad)):
             raise ValueError("window_pad must be finite and nonnegative")
-        # fixed for the run: sample_jumps reads them for every replicate
+        # fixed for the run: every replicate's draw reads them
         self.window_lo = self.ls.min(axis=0) - self.window_pad
         self.window_hi = self.T + self.ls.max(axis=0) + self.window_pad
         self.window_volume = float(np.prod(self.window_hi - self.window_lo))
@@ -125,70 +120,113 @@ def stream_for(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_jumps(cfg: SimConfig, rng: np.random.Generator) -> JumpSet:
-    """Draw the Poisson cloud for one replicate over the padded window."""
-    tm = cfg.tail_mass
+def _streams(seed: int, replicates):
+    """stream_for(seed, r) for each r, re-keying one Philox (a fifth of the cost)."""
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng, state = np.random.Generator(bitgen), bitgen.state
+    for r in replicates:
+        state["state"]["key"] = np.array([seed, r], dtype=np.uint64)
+        bitgen.state = state
+        yield rng
+
+
+def _blocks(cfg: SimConfig, rngs, cap: int):
+    """Draw one replicate from each of rngs, yield (jumps, starts) per block."""
+    # a block holds fewer than cap jumps in all, or a single replicate; its
+    # replicate i owns jumps starts[i]:starts[i+1]
+    tm, lo, hi = cfg.tail_mass, cfg.window_lo, cfg.window_hi
     if tm <= 0.0:
         raise EmptyTruncationError(
             f"no jumps with |y| >= {cfg.eps}; lower eps below "
             f"support_bound={cfg.measure.support_bound}")
     if not math.isfinite(tm):
         raise ValueError("jump intensity is infinite; raise eps")
-    lo, hi = cfg.window_lo, cfg.window_hi
-    n = int(rng.poisson(tm * cfg.window_volume))
-    locations = rng.uniform(lo, hi, size=(n, cfg.d))
-    sizes = cfg.measure.sample_jump_sizes(cfg.eps, n, rng)
-    return JumpSet(locations=locations, sizes=sizes, lo=lo, hi=hi,
-                   eps=cfg.eps, pad=cfg.window_pad)
+    u_loc, u_size, starts = [], [], [0]
+
+    def flush():
+        # the uniforms are let go as soon as they are stacked (peak memory),
+        # and lo + (hi - lo) * u is rng.uniform(lo, hi)'s own formula
+        nonlocal u_loc, u_size, starts
+        u, v, block = np.concatenate(u_loc), np.concatenate(u_size), starts
+        u_loc, u_size, starts = [], [], [0]
+        u = lo + (hi - lo) * u
+        return JumpSet(u, cfg.measure.jump_quantile(v, cfg.eps), lo, hi, cfg.eps,
+                       cfg.window_pad), block
+
+    for rng in rngs:
+        # a replicate's draws, in this order: its count decides whether the
+        # block so far is evaluated first (evaluation draws nothing)
+        k = int(rng.poisson(tm * cfg.window_volume))
+        if len(starts) > 1 and starts[-1] + k >= cap:
+            yield flush()
+        u_loc.append(rng.random((k, cfg.d)))
+        u_size.append(rng.random(k))
+        starts.append(starts[-1] + k)
+    yield flush()
 
 
-# _jump_sums evaluates the factors on column blocks of at most _BLOCK doubles
-# (96 KiB): glibc malloc gives temporaries of 128 KiB and more back to the OS
-# on free, so larger ones page-fault anew on every call (twice the time at
-# 4 windows and 10^4 jumps)
+def sample_jumps(cfg: SimConfig, rng: np.random.Generator) -> JumpSet:
+    """Draw the Poisson cloud for one replicate over the padded window."""
+    return next(_blocks(cfg, [rng], 0))[0]
+
+
+# _jump_sums evaluates the nf factors of m windows on column blocks of at most
+# _BLOCK // (nf m) jumps, so they hold at most _BLOCK doubles (96 KiB): glibc
+# malloc gives temporaries of 128 KiB and more back to the OS on free, so
+# larger ones page-fault anew on every call (twice the time at 4 windows and
+# 10^4 jumps). A block of replicates holds fewer than _BLOCK // (nf m) jumps
+# unless it is one replicate, so its (nf, m, n) products stay that size too.
 _BLOCK = 12288
 
 
-def _jump_sums(jumps: JumpSet, pk, ls, factor) -> np.ndarray:
-    """sum_i y_i prod_k factor(comp_k, l_k, s_ik) for every row l of ls.
-
-    factor gets the column ls[:, k, None] and the locations of axis k, so
-    one pass builds the (m, n) products of all m windows, a column block of
-    jumps at a time.
-    """
-    prod = np.ones((ls.shape[0], jumps.n))
-    step = max(1, _BLOCK // ls.shape[0])
+def _jump_sums(jumps: JumpSet, pk, ls, factor, starts, nf: int = 1) -> np.ndarray:
+    """sum_i y_i prod_k factor(comp_k, l_k, s_ik) as (replicates, nf, m)."""
+    # factor(comp, ls[:, k, None], locations of axis k) returns nf factors;
+    # replicates split the jumps at starts as in _blocks, and one without
+    # jumps sums to +0.0
+    prod = np.ones((nf, ls.shape[0], jumps.n))
+    step = max(1, _BLOCK // (nf * ls.shape[0]))
     for lo in range(0, jumps.n, step):
         cols = slice(lo, lo + step)
         for k, comp in enumerate(pk.components):
-            prod[:, cols] *= factor(comp, ls[:, k, None], jumps.locations[cols, k])
+            for p, fac in zip(prod, factor(comp, ls[:, k, None],
+                                           jumps.locations[cols, k])):
+                p[:, cols] *= fac
     # as stacked (1 x n) @ (n x 1) products, every row is summed by the same
-    # dot product as the sizes @ prod of a single window
-    return (prod[:, None, :] @ jumps.sizes[:, None])[:, 0, 0]
+    # dot product as the sizes @ prod of a single window and replicate
+    return np.array([(prod[:, :, None, a:b] @ jumps.sizes[a:b, None])[..., 0, 0]
+                     for a, b in zip(starts[:-1], starts[1:])])
 
 
-def _window_sums(jumps: JumpSet, pk, T: float, ls, a: float) -> np.ndarray:
-    """S_{T,l} for every row l of ls; the drift shifts each by a * T^d."""
+def _window_sums(jumps: JumpSet, pk, ls, starts, T=None, a: float = 0.0,
+                 mirrored: bool = False):
+    """(limit_sum, S_{T,l} - a T^d) per replicate and row l of ls."""
+    # both from one g(l - s); S is None without T, and mirrored gives
+    # mirrored_limit_sum instead of limit_sum
     if not pk.has_g:
         raise NotAvailableError(
-            "window_integral needs every component's antiderivative; "
-            "use window_integral_grid for kernels without one")
+            "window integrals and limit sums need every component's "
+            "antiderivative; use window_integral_grid for kernels without one")
+
+    def factor(c, l, s):
+        g_ls = c.g(s - l) if mirrored else c.g(l - s)
+        return (g_ls,) if T is None else (g_ls, c.g(T + l - s) - g_ls)
+    sums = _jump_sums(jumps, pk, ls, factor, starts, nf=1 if T is None else 2)
+    Y = sums[:, 0] if mirrored else (-1.0) ** pk.d * sums[:, 0]
+    empty = np.diff(starts) == 0
+    Y[empty] = 0.0      # +0.0 whatever the sign (-1)^d
+    if T is None:
+        return Y, None
     shift = float(a) * T ** pk.d
-    if jumps.n == 0:
-        return np.full(ls.shape[0], -shift)
-    return _jump_sums(jumps, pk, ls,
-                      lambda c, l, s: c.g(T + l - s) - c.g(l - s)) - shift
+    S = sums[:, 1] - shift
+    S[empty] = -shift
+    return Y, S
 
 
-def _limit_sums(jumps: JumpSet, pk, ls, mirrored: bool = False) -> np.ndarray:
-    """limit_sum, or mirrored_limit_sum, for every row l of ls."""
-    if not pk.has_g:
-        raise NotAvailableError("limit sums need every component's antiderivative")
-    if jumps.n == 0:
-        return np.zeros(ls.shape[0])    # +0.0 whatever the sign (-1)^d
-    if mirrored:
-        return _jump_sums(jumps, pk, ls, lambda c, l, s: c.g(s - l))
-    return (-1.0) ** pk.d * _jump_sums(jumps, pk, ls, lambda c, l, s: c.g(l - s))
+def _one_window(jumps: JumpSet, kernel, l, **kw):
+    """_window_sums of all jumps as one replicate, for the one window l."""
+    l = np.atleast_1d(np.asarray(l, dtype=float))
+    return _window_sums(jumps, as_product(kernel), l[None, :], (0, jumps.n), **kw)
 
 
 def eval_field(jumps: JumpSet, kernel, a: float, t) -> float:
@@ -205,8 +243,8 @@ def eval_field(jumps: JumpSet, kernel, a: float, t) -> float:
                       stacklevel=2)
     if jumps.n == 0:
         return -float(a)
-    sums = _jump_sums(jumps, pk, t[None, :], lambda c, t, s: c.f(t - s))
-    return float(sums[0] - a)
+    return float(_jump_sums(jumps, pk, t[None, :], lambda c, t, s: (c.f(t - s),),
+                            (0, jumps.n))[0, 0, 0] - a)
 
 
 def window_integral(jumps: JumpSet, kernel, T: float, l, a: float = 0.0) -> float:
@@ -216,8 +254,7 @@ def window_integral(jumps: JumpSet, kernel, T: float, l, a: float = 0.0) -> floa
     default covers them. Kernels without g must go through
     window_integral_grid instead.
     """
-    l = np.atleast_1d(np.asarray(l, dtype=float))
-    return float(_window_sums(jumps, as_product(kernel), float(T), l[None, :], a)[0])
+    return float(_one_window(jumps, kernel, l, T=float(T), a=a)[1][0, 0])
 
 
 def window_integral_grid(jumps: JumpSet, kernel, T: float, l, a: float = 0.0,
@@ -230,48 +267,37 @@ def window_integral_grid(jumps: JumpSet, kernel, T: float, l, a: float = 0.0,
     """
     pk = as_product(kernel)
     l = np.atleast_1d(np.asarray(l, dtype=float))
-    T = float(T)
-    n = int(n)
+    T, n = float(T), int(n)
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
     if T == 0.0:
         return 0.0, 0.0
 
-    def field_grid(nodes_per_axis):
-        cols = [comp.f(nodes_per_axis[k][None, :] - jumps.locations[:, k][:, None])
-                for k, comp in enumerate(pk.components)]
-        if jumps.n == 0:
-            grid = np.zeros(tuple(len(x) for x in nodes_per_axis))
-        else:
-            letters = [chr(97 + k) for k in range(pk.d)]
-            sub = ",".join("z" + letters[k] for k in range(pk.d))
-            grid = np.einsum(f"{sub},z->{''.join(letters)}",
-                             *cols, jumps.sizes)
-        return grid - a
+    letters = "".join(chr(97 + k) for k in range(pk.d))
+    spec = ",".join("z" + x for x in letters) + ",z->" + letters
 
     def trap(nodes_per_axis):
-        vals = field_grid(nodes_per_axis)
+        cols = [comp.f(nodes_per_axis[k][None, :] - jumps.locations[:, k][:, None])
+                for k, comp in enumerate(pk.components)]
+        # the field on the grid; without jumps the empty sum over z is 0
+        vals = np.einsum(spec, *cols, jumps.sizes) - a
         for k in range(pk.d - 1, -1, -1):
             vals = np.trapezoid(vals, x=nodes_per_axis[k], axis=k)
         return float(vals)
 
     fine = [l[k] + np.linspace(0.0, T, n + 1) for k in range(pk.d)]
-    coarse = [x[::2] for x in fine]
-    v_fine = trap(fine)
-    v_coarse = trap(coarse)
+    v_fine, v_coarse = trap(fine), trap([x[::2] for x in fine])
     return v_fine, abs(v_fine - v_coarse) / 3.0
 
 
 def limit_sum(jumps: JumpSet, kernel, l) -> float:
     """The bare limit summand (-1)^d sum_i y_i prod_k g_k(l_k - s_ik)."""
-    l = np.atleast_1d(np.asarray(l, dtype=float))
-    return float(_limit_sums(jumps, as_product(kernel), l[None, :])[0])
+    return float(_one_window(jumps, kernel, l)[0][0, 0])
 
 
 def mirrored_limit_sum(jumps: JumpSet, kernel, l) -> float:
     """sum_i y_i prod_k g_k(s_ik - l_k): the s -> -s substitution of limit_sum."""
-    l = np.atleast_1d(np.asarray(l, dtype=float))
-    return float(_limit_sums(jumps, as_product(kernel), l[None, :], mirrored=True)[0])
+    return float(_one_window(jumps, kernel, l, mirrored=True)[0][0, 0])
 
 
 def _limit_drift(cfg: SimConfig, mirrored: bool) -> float:
@@ -280,11 +306,19 @@ def _limit_drift(cfg: SimConfig, mirrored: bool) -> float:
 
 
 def sample_limit(cfg: SimConfig, rng: np.random.Generator,
-                 mirrored: bool = False) -> np.ndarray:
-    """One replicate of the limit values Y_l for every l in cfg.ls."""
-    jumps = sample_jumps(cfg, rng)
-    return (_limit_sums(jumps, cfg.kernel, cfg.ls, mirrored)
-            - _limit_drift(cfg, mirrored))
+                 mirrored: bool = False, n: int | None = None) -> np.ndarray:
+    """The limit values Y_l for every l in cfg.ls: one replicate, shape (m,).
+
+    With n, an (n, m) array of n replicates drawn one after another from
+    rng, equal bit for bit to n successive calls without n.
+    """
+    if n is not None and n < 1:
+        raise ValueError("n must be at least 1")
+    blocks = _blocks(cfg, [rng] * (n or 1), max(1, _BLOCK // cfg.m))
+    ys = np.concatenate([_window_sums(jumps, cfg.kernel, cfg.ls, starts,
+                                      mirrored=mirrored)[0]
+                         for jumps, starts in blocks]) - _limit_drift(cfg, mirrored)
+    return ys[0] if n is None else ys
 
 
 @dataclass
@@ -300,40 +334,20 @@ def monte_carlo(cfg: SimConfig, threads: int = 1) -> SimResult:
     """Run cfg.n_replicates independent replicates, each on its own stream.
 
     S uses the exact per-jump window integral when the kernel has
-    antiderivatives, else the trapezoid grid fallback. Y needs g; it is
-    filled with NaN for kernels without one.
+    antiderivatives, else the trapezoid grid fallback. Y needs g; it is NaN
+    without one. threads is accepted and ignored: one thread does the work.
     """
-    pk = cfg.kernel
-    N, m = cfg.n_replicates, cfg.m
-    S = np.empty((N, m))
-    Y = np.full((N, m), np.nan)
-    exact = pk.has_g
+    pk, N, m = cfg.kernel, cfg.n_replicates, cfg.m
     a_sim = pk.integral_f * _truncated_mean(cfg.measure, cfg.eps)
-    y_drift = _limit_drift(cfg, mirrored=False) if exact else 0.0
-
-    def run_block(lo, hi):
-        for r in range(lo, hi):
-            rng = stream_for(cfg.seed, r)
-            jumps = sample_jumps(cfg, rng)
-            if exact:
-                S[r] = _window_sums(jumps, pk, cfg.T, cfg.ls, a_sim)
-                Y[r] = _limit_sums(jumps, pk, cfg.ls) - y_drift
-            else:
-                for j in range(m):
-                    S[r, j] = window_integral_grid(jumps, pk, cfg.T, cfg.ls[j],
-                                                   a_sim)[0]
-
-    threads = max(1, int(threads))
-    if threads == 1:
-        run_block(0, N)
-    else:
-        bounds = np.linspace(0, N, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(run_block, bounds[i], bounds[i + 1])
-                    for i in range(threads)]
-            for fut in futs:
-                fut.result()
-    return SimResult(S=S, Y=Y, cfg=cfg)
+    rngs = _streams(cfg.seed, range(N))
+    if not pk.has_g:
+        S = [[window_integral_grid(jumps, pk, cfg.T, l, a_sim)[0] for l in cfg.ls]
+             for jumps, _ in _blocks(cfg, rngs, 0)]
+        return SimResult(S=np.array(S), Y=np.full((N, m), np.nan), cfg=cfg)
+    Y, S = zip(*(_window_sums(jumps, pk, cfg.ls, starts, cfg.T, a_sim) for jumps, starts
+                 in _blocks(cfg, rngs, max(1, _BLOCK // (2 * m)))))
+    return SimResult(S=np.concatenate(S), cfg=cfg,
+                     Y=np.concatenate(Y) - _limit_drift(cfg, mirrored=False))
 
 
 @dataclass(frozen=True)

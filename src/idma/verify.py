@@ -158,11 +158,12 @@ def mc_consistency(cfg: SimConfig, z_grid, *, band_c=5.0, threads=1,
     For each window offset l the empirical CF of S must sit within
     band_c/sqrt(N) of exp(log_cf_window), the sample variance within 4 SE of
     variance_window, and the sample mean within 4 sqrt(var/N) of zero.
+    threads is accepted and ignored, as in monte_carlo.
     """
     if cfg.n_replicates < 10_000:
         raise ValueError("mc_consistency needs N >= 1e4")
     zs = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    res = monte_carlo(cfg, threads=threads)
+    res = monte_carlo(cfg)
     exact = np.array([
         [1.0 + 0.0j if z == 0.0 else
          np.exp(log_cf_window(cfg.kernel, cfg.measure,
@@ -246,7 +247,7 @@ def hyperuniformity(kernel, measure, T_grid, N, *, seed=0, eps=1e-3,
     dimension) is fitted by least squares to expose its linear growth.
     Classification is "hyperuniform" when the kernel's curve plateaus (last
     two values within 10%) while the control slope is positive, else
-    "persistent".
+    "persistent". threads is accepted and ignored, as in monte_carlo.
     """
     pk = as_product(kernel)
     T_grid = [float(t) for t in T_grid]
@@ -264,7 +265,7 @@ def hyperuniformity(kernel, measure, T_grid, N, *, seed=0, eps=1e-3,
         cfg = SimConfig(measure=measure, kernel=pk, T=T,
                         ls=np.zeros((1, pk.d)), eps=eps, n_replicates=N,
                         seed=seed)
-        s = monte_carlo(cfg, threads=threads).S[:, 0]
+        s = monte_carlo(cfg).S[:, 0]
         var_e.append(float(np.var(s)))
         ses.append(variance_se(s))
 

@@ -165,7 +165,8 @@ def test_criterion_8_thread_determinism(tmp_path):
 
 def test_criterion_9_limit_symmetry_identity():
     # -int g(-s) L(ds) and int g(s) L(ds) must share one law: 100 seeded
-    # KS comparisons at 1%, at most 5 rejections tolerated
+    # KS comparisons at 1%, at most 5 rejections tolerated; each sample is
+    # n replicates of one sample_limit call, equal to n single calls
     cfg = simulate.SimConfig(
         measure=levy.two_point(1.0), kernel=kernels.signed_ou(), T=0.0,
         ls=[0.0], eps=0.5, window_pad=12.0, n_replicates=10_000, seed=0)
@@ -174,9 +175,8 @@ def test_criterion_9_limit_symmetry_identity():
     for r in range(100):
         rng_a = simulate.stream_for(r, 0)
         rng_b = simulate.stream_for(r, 1)
-        a = np.array([simulate.sample_limit(cfg, rng_a)[0] for _ in range(n)])
-        b = np.array([simulate.sample_limit(cfg, rng_b, mirrored=True)[0]
-                      for _ in range(n)])
+        a = simulate.sample_limit(cfg, rng_a, n=n)[:, 0]
+        b = simulate.sample_limit(cfg, rng_b, mirrored=True, n=n)[:, 0]
         if verify.ks_two_sample(a, b).reject:
             rejects += 1
     report(9, rejects <= 5,

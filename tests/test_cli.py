@@ -87,7 +87,7 @@ def test_flag_overrides_are_validated(tmp_path, capsys):
         load_config(write_config(tmp_path), fmt="xml")
 
 
-def test_load_config_rejects_bad_input(tmp_path):
+def test_load_config_rejects_bad_input(tmp_path, capsys):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
     p = tmp_path / "bad.json"
@@ -108,6 +108,17 @@ def test_load_config_rejects_bad_input(tmp_path):
                        ("N", math.inf), ("T", -math.inf), ("eps", math.nan)):
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             load_config(write_config(tmp_path, {key: value}))
+    # and in list keys, scalar points and d > 1 points alike
+    for key, value in (("z_grid", [math.nan]), ("ls", [math.nan]),
+                       ("T_grid", [5.0, math.inf]), ("ls", [[0.0, -math.inf]]),
+                       ("t_grid", [0.0, math.nan])):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            load_config(write_config(tmp_path, {key: value}))
+    for key, cmd in (("z_grid", "cf"), ("ls", "simulate")):
+        capsys.readouterr()
+        assert main([cmd, "--config", write_config(tmp_path, {key: [math.nan]}),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {key} must be finite" in capsys.readouterr().err
     cfg = load_config(write_config(tmp_path, {"zs_base": None,
                                               "window_pad": None}))
     assert cfg.zs_base is None and cfg.window_pad is None

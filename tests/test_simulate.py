@@ -9,7 +9,7 @@ import pytest
 from idma import simulate
 from idma.errors import EmptyTruncationError, NotAvailableError
 from idma.kernels import ProductKernel, persistent_control, signed_ou
-from idma.levy import dickman, two_point
+from idma.levy import dickman, inner_truncated_stable, two_point
 from idma.simulate import (CfEvaluation, SimConfig, empirical_cf, eval_field,
                            jump_set, limit_sum, mirrored_limit_sum,
                            monte_carlo, sample_jumps, sample_limit,
@@ -23,6 +23,36 @@ def test_stream_for_determinism():
     np.testing.assert_array_equal(a, b)
     c = stream_for(3, 18).random(4)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_rekeyed_stream_matches_stream_for(seed):
+    # one Philox re-keyed per replicate; r = 0 comes back after 2^32 to show
+    # that re-keying also drops a half-used 32-bit buffer
+    rs = (0, 1, 2 ** 32, 0)
+    for r, got in zip(rs, simulate._streams(seed, rs)):
+        want = stream_for(seed, r)
+        assert got.poisson(40.0) == want.poisson(40.0)
+        assert np.array_equal(got.random((5, 3)), want.random((5, 3)))
+        assert np.array_equal(got.integers(0, 7, 3, dtype=np.uint32),
+                              want.integers(0, 7, 3, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sample_jumps_matches_uniform_draw(d):
+    # locations are lo + (hi - lo) * u, bit for bit rng.uniform(lo, hi)
+    pk = ProductKernel(tuple(signed_ou() for _ in range(d)))
+    cfg = SimConfig(measure=dickman(), kernel=pk, T=1.0, ls=np.zeros((1, d)),
+                    eps=0.5, window_pad=1.5, seed=9)
+    for r in range(300):
+        rng = stream_for(cfg.seed, r)
+        n = int(rng.poisson(cfg.tail_mass * cfg.window_volume))
+        locations = rng.uniform(cfg.window_lo, cfg.window_hi, size=(n, d))
+        sizes = dickman().sample_jump_sizes(cfg.eps, n, rng)
+        js = sample_jumps(cfg, stream_for(cfg.seed, r))
+        assert js.locations.shape == (n, d)
+        assert np.array_equal(js.locations.view(np.int64), locations.view(np.int64))
+        assert np.array_equal(js.sizes.view(np.int64), sizes.view(np.int64))
 
 
 def test_sim_config_defaults_and_validation():
@@ -173,6 +203,104 @@ def test_monte_carlo_windows_match_single_window_calls(monkeypatch, block):
     assert res.S.shape == res.Y.shape == (30, 3)
     assert np.array_equal(np.array(S).view(np.int64), res.S.view(np.int64))
     assert np.array_equal(np.array(Y).view(np.int64), res.Y.view(np.int64))
+
+
+# S and Y of the seed -> sample mapping as float.hex, frozen from the
+# per-replicate monte_carlo that preceded the batched one
+PINNED = {
+    "two_point_d1": (
+        SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=5.0,
+                  ls=[0.0, 1.0], eps=0.5, n_replicates=3, seed=11),
+        [["0x1.1635a7ba9fbbfp+0", "0x1.92c9e8cbd432fp-1"],
+         ["-0x1.008658b462dafp+0", "-0x1.df3ca9cb9386ep+0"],
+         ["0x1.0a7a94eab566ap-3", "-0x1.9945bb49c1178p-1"]],
+        [["0x1.a293c31bd64b6p-1", "0x1.9d2d11e69ac41p-1"],
+         ["-0x1.f470ce8f1ee24p-2", "-0x1.4441df0411a12p+0"],
+         ["0x1.9e92a232ea8ccp-1", "-0x1.b63864f9b1048p-2"]]),
+    "dickman_d2": (
+        SimConfig(measure=dickman(),
+                  kernel=ProductKernel((signed_ou(), signed_ou())), T=2.0,
+                  ls=[[0.0, 0.0], [1.0, -0.5], [2.5, 1.5]], eps=0.05,
+                  window_pad=5.0, n_replicates=2, seed=4),
+        [["-0x1.4591fe20bd2afp+1", "0x1.3be80868455dcp-1", "0x1.e3d63e1523d68p-1"],
+         ["0x1.036f8fb263d92p+0", "0x1.53978966122a2p-1", "-0x1.b7c75de061e28p-1"]],
+        [["-0x1.5e90a55bd3e30p-3", "0x1.ee87ea6df5f40p-2", "-0x1.3d13a259d0b50p-2"],
+         ["-0x1.7d7f56b2dadecp+0", "-0x1.2191c999de5c8p+0", "-0x1.fb74d776688b8p-2"]]),
+    # replicate 4 has no jumps
+    "sparse": (
+        SimConfig(measure=two_point(0.02), kernel=signed_ou(), T=1.0,
+                  ls=[0.0, 2.0], n_replicates=6, seed=5),
+        [["0x1.a20937bd83cfap-16", "0x1.c499a4cf4102dp-19"],
+         ["0x1.7c0f4e5a50b1ap-17", "0x1.5f090f3096f20p-14"],
+         ["0x1.0011329f4dd09p-14", "0x1.27317458f1ce0p-17"],
+         ["0x1.df48933986196p-15", "0x1.baae7c0c92656p-12"],
+         ["-0x0.0p+0", "-0x0.0p+0"],
+         ["-0x1.f37933607409fp-9", "-0x1.cd5464831927dp-6"]],
+        [["0x1.4aa95f72d21e4p-15", "0x1.66005ff2d515ap-18"],
+         ["-0x1.ba5f342179da5p-18", "-0x1.9896be1a4ffe3p-15"],
+         ["0x1.946c3d2626e24p-14", "0x1.ab69a7bac51e9p-17"],
+         ["-0x1.16ee8c78d5df8p-15", "-0x1.01a15fd16c21ap-12"],
+         ["0x0.0p+0", "0x0.0p+0"],
+         ["0x1.22ae91840ab65p-9", "0x1.0c7bad75e3c85p-6"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_monte_carlo_pinned_bits(name):
+    cfg, S, Y = PINNED[name]
+    res = monte_carlo(cfg)
+    assert [[v.hex() for v in row] for row in res.S.tolist()] == S
+    assert [[v.hex() for v in row] for row in res.Y.tolist()] == Y
+    for r in range(cfg.n_replicates):
+        if sample_jumps(cfg, stream_for(cfg.seed, r)).n == 0:
+            # -shift with shift = a T^d = +0.0, and Y = +0.0 - drift = +0.0
+            assert all(math.copysign(1.0, v) == -1.0 for v in res.S[r])
+            assert all(math.copysign(1.0, v) == 1.0 for v in res.Y[r])
+    if name == "sparse":
+        assert sample_jumps(cfg, stream_for(cfg.seed, 4)).n == 0
+
+
+def test_monte_carlo_checks_before_drawing(monkeypatch):
+    # no stream is drawn from before the jump intensity is known to be usable
+    def streams(seed, replicates):      # a generator, as _streams is
+        pytest.fail("drew a replicate")
+        yield
+    monkeypatch.setattr(simulate, "_streams", streams)
+    empty = SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=1.0,
+                      ls=[0.0], eps=2.0, n_replicates=10)
+    with pytest.raises(EmptyTruncationError):
+        monte_carlo(empty)
+    with np.errstate(over="ignore"):
+        infinite = SimConfig(measure=inner_truncated_stable(1.9, 1.0, 1e-200),
+                             kernel=signed_ou(), T=1.0, ls=[0.0], eps=1e-300,
+                             n_replicates=10)
+    with pytest.raises(ValueError, match="infinite"):
+        monte_carlo(infinite)
+    for cfg in (empty, infinite):
+        with pytest.raises((EmptyTruncationError, ValueError)):
+            sample_limit(cfg, stream_for(0, 0), n=3)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("block", [None, 7])
+def test_sample_limit_batch_matches_calls(monkeypatch, mirrored, block):
+    # n replicates in one call equal n calls on the same rng, bit for bit,
+    # replicates without jumps included (+0.0 before the drift)
+    for measure, d in ((two_point(0.3), 1), (dickman(), 2)):
+        pk = ProductKernel(tuple(signed_ou() for _ in range(d)))
+        cfg = SimConfig(measure=measure, kernel=pk, T=0.0,
+                        ls=np.arange(2 * d).reshape(2, d) * 0.25, eps=0.9,
+                        window_pad=2.0, n_replicates=1)
+        rng = stream_for(3, d)
+        want = np.array([sample_limit(cfg, rng, mirrored) for _ in range(40)])
+        if block is not None:
+            monkeypatch.setattr(simulate, "_BLOCK", block)
+        got = sample_limit(cfg, stream_for(3, d), mirrored, n=40)
+        monkeypatch.undo()
+        assert got.shape == (40, 2) and want.shape == (40, 2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(ValueError):
+        sample_limit(cfg, rng, n=0)
 
 
 def test_monte_carlo_grid_fallback():
