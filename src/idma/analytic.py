@@ -87,17 +87,17 @@ def log_cf_stationary(kernel, measure, z, *, tol=1e-9, max_evals=1_000_000) -> c
     kfun = measure.exponent(tol)
     r = _radius(pk, measure, 1, abs(z), tol)
     comps = pk.components
-    boxes = [(-r, r)] * pk.d
-    breaks = [k.nonsmooth for k in comps]
-
-    def last_vec(prefix, xs):
-        w = z
-        for i, x in enumerate(prefix):
-            w = w * float(comps[i].f(x))
-        return kfun(w * comps[-1].f(np.asarray(xs, dtype=float)))
-
-    val = integrate_box(last_vec, boxes, breaks, tol, max_evals).value
+    last_vec = lambda prefix, xs: kfun(_f_prod(comps, z, prefix, xs))
+    val = integrate_box(last_vec, [(-r, r)] * pk.d, [k.nonsmooth for k in comps],
+                        tol, max_evals).value
     return complex(-1j * z * shift_constant(pk, measure) + val)
+
+
+def _f_prod(comps, w, prefix, xs, op=lambda f: f):
+    """w * prod_k op(f_k(s_k)), s_k the prefix columns and then xs."""
+    for comp, x in zip(comps, prefix):
+        w = w * op(comp.f(x))
+    return w * op(comps[-1].f(xs))
 
 
 def _require_g(pk):
@@ -117,13 +117,15 @@ def _corner_factor(g, l, s):
 def _profile(comps, ls, coef, factor, prefix, xs):
     """coef @ prod_k factor(g_k, ls[:, k], s_k) along the last axis.
 
-    The leading coordinates s_k are the floats in prefix and the last one
-    ranges over xs. _window_factor(T) gives J_T (coef = zs); _corner_factor
-    gives the limit profile sum_j coef[j] prod_k g_k(l_jk - s_k).
+    The leading coordinates s_k are the (rows, 1) columns in prefix and the
+    last one is the (rows, n) array xs. _window_factor(T) gives J_T
+    (coef = zs); _corner_factor gives the limit profile
+    sum_j coef[j] prod_k g_k(l_jk - s_k).
     """
     for i, x in enumerate(prefix):
         coef = coef * factor(comps[i].g, ls[:, i], x)
-    return coef @ factor(comps[-1].g, ls[:, -1][:, None], xs[None, :])
+    last = factor(comps[-1].g, ls[:, -1][:, None], xs[:, None, :])
+    return (coef[..., None, :] @ last)[..., 0, :]
 
 
 def j_t(kernel, spec: FddSpec, s) -> float:
@@ -133,9 +135,8 @@ def j_t(kernel, spec: FddSpec, s) -> float:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (spec.d,):
         raise ValueError(f"point must have shape ({spec.d},)")
-    out = _profile(pk.components, spec.ls, spec.zs, _window_factor(spec.T),
-                   tuple(s[:-1]), s[-1:])
-    return float(out[0])
+    return float(_profile(pk.components, spec.ls, spec.zs, _window_factor(spec.T),
+                          tuple(s[:-1].reshape(-1, 1, 1)), s[-1:, None])[0, 0])
 
 
 def _window_boxes(kernel, measure, spec: FddSpec, T, tol):
@@ -177,14 +178,9 @@ def log_cf_window(kernel, measure, spec: FddSpec, *, tol=1e-9,
     if setup is None:
         return 0.0 + 0.0j
     comps, kfun, boxes, breaks = setup
-    factor = _window_factor(spec.T)
-
-    def last_vec(prefix, xs):
-        return kfun(_profile(comps, spec.ls, spec.zs, factor, prefix,
-                             np.asarray(xs, dtype=float)))
-
-    val = integrate_box(last_vec, boxes, breaks, tol, max_evals).value
-    return complex(val)
+    last_vec = lambda prefix, xs: kfun(_profile(
+        comps, spec.ls, spec.zs, _window_factor(spec.T), prefix, xs))
+    return complex(integrate_box(last_vec, boxes, breaks, tol, max_evals).value)
 
 
 def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
@@ -211,10 +207,8 @@ def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
     if variant == "boundary_augmented":
         signs.append(1.0)
     for sign in signs:
-        def last_vec(prefix, xs, _s=sign):
-            return kfun(_profile(comps, spec.ls, _s * spec.zs, _corner_factor,
-                                 prefix, np.asarray(xs, dtype=float)))
-
+        last_vec = lambda prefix, xs, _s=sign: kfun(_profile(
+            comps, spec.ls, _s * spec.zs, _corner_factor, prefix, xs))
         int_h = sign * float(np.sum(spec.zs)) * prod_int_g
         total += -1j * c_nu * int_h
         total += integrate_box(last_vec, boxes, breaks, tol, max_evals).value
@@ -338,40 +332,24 @@ def check_conditions(kernel, measure, *, quad_tol=1e-9,
     boxes = [(-r, r)] * pk.d
     breaks = [k.nonsmooth for k in comps]
 
-    def absf_last(prefix, xs):
-        w = 1.0
-        for i, x in enumerate(prefix):
-            w *= abs(float(comps[i].f(x)))
-        return w * np.abs(comps[-1].f(np.asarray(xs, dtype=float)))
+    def masked(fn):
+        def vec(prefix, xs):
+            af = _f_prod(comps, 1.0, prefix, xs, np.abs)
+            out = np.zeros_like(af)
+            pos = af > 0.0
+            if np.any(pos):
+                out[pos] = fn(1.0 / af[pos], af[pos])
+            return out
+        return vec
 
-    def masked(af, fn):
-        out = np.zeros_like(af)
-        pos = af > 0.0
-        if np.any(pos):
-            out[pos] = fn(1.0 / af[pos], af[pos])
-        return out
-
-    def c1_vec(prefix, xs):
-        return masked(absf_last(prefix, xs), lambda rr, af: af * np.abs(
+    res = [integrate_box(masked(fn), boxes, breaks, quad_tol, budget) for fn in (
+        lambda rr, af: af * np.abs(
             measure.signed_moment_interval(1.0, np.maximum(rr, 1.0))
-            - measure.signed_moment_interval(np.minimum(rr, 1.0), 1.0)))
-
-    def c2_vec(prefix, xs):
-        return masked(absf_last(prefix, xs),
-                      lambda rr, af: measure.tail_mass(rr))
-
-    def c3_vec(prefix, xs):
-        return masked(absf_last(prefix, xs),
-                      lambda rr, af: af * af * measure.small_jump_variance(rr))
-
-    values, errors, evals = [], [], 0
-    for vec in (c1_vec, c2_vec, c3_vec):
-        res = integrate_box(vec, boxes, breaks, quad_tol, budget)
-        values.append(float(res.value))
-        errors.append(float(res.error_estimate))
-        evals += res.evaluations
+            - measure.signed_moment_interval(np.minimum(rr, 1.0), 1.0)),
+        lambda rr, af: measure.tail_mass(rr),
+        lambda rr, af: af * af * measure.small_jump_variance(rr))]
+    values = [float(r.value) for r in res]
     return ConditionsReport(
-        c1=values[0], c2=values[1], c3=values[2],
-        c1_pass=math.isfinite(values[0]), c2_pass=math.isfinite(values[1]),
-        c3_pass=math.isfinite(values[2]),
-        errors=tuple(errors), evaluations=evals)
+        *values, *(math.isfinite(v) for v in values),
+        errors=tuple(float(r.error_estimate) for r in res),
+        evaluations=sum(r.evaluations for r in res))

@@ -5,17 +5,16 @@ with worst-first adaptive bisection. Everything is deterministic: the
 refinement order depends only on the panel error estimates and the final sum
 runs left to right, so results are bit-stable across runs and thread counts.
 Integrands must be elementwise: they accept a numpy array of abscissas and
-return an array of values (real or complex) of the same shape. Each panel
-calls its integrand once, on all 22 nodes (the 15 nodes, then the 7).
+return an array of values (real or complex) of the same shape.
 
-integrate_rows is the batched form for integrals that depend on a
-parameter: it applies the first 15/7 panel to every parameter row at once,
-as one (rows x 22) array pass, and accepts a row on the same test as
-integrate_line (finite values, error estimate <= tol). Only the rows it
-does not accept are integrated by integrate_line, one row at a time.
-
-integrate_box is the iterated form over a box in R^d: one integrate_line
-per axis, the innermost axis vectorized.
+One engine runs R independent bisections (rows) that share their initial
+panel edges, each exactly as integrate_line alone. Each integrand call
+evaluates one panel slot of all active rows, as one (rows x 22) array pass on
+the 22 nodes (the 15, then the 7): one call per initial panel, then one for
+the left and one for the right halves of each step. integrate_line is R = 1;
+integrate_rows is one row per parameter on the single panel [a, b];
+integrate_box batches a box in R^d by levels, passing the leading
+coordinates to the innermost axis as (rows, 1) columns.
 """
 
 from __future__ import annotations
@@ -47,11 +46,6 @@ class QuadResult:
     evaluations: int
 
 
-def _nodes(x0, x1):
-    half = 0.5 * (x1 - x0)
-    return half, 0.5 * (x0 + x1) + half * _NODES
-
-
 def _rule(y, half):
     """15-node value and |15-node - 7-node| along the last axis of y."""
     # as stacked (1 x n) @ (n x 1) products, every row of a batch is summed
@@ -61,141 +55,169 @@ def _rule(y, half):
     return v_hi, abs(v_hi - v_lo)
 
 
-def _panel(h, x0, x1):
-    half, xs = _nodes(x0, x1)
-    y = np.asarray(h(xs))
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"integrand returned a non-finite value on [{x0}, {x1}]")
-    return _rule(y, half)
+def _edges(a, b, breakpoints, radius):
+    """Initial panel edges of [a, b]; empty when the interval is a point."""
+    lo = -float(radius) if math.isinf(a) and a < 0 else float(a)
+    hi = float(radius) if math.isinf(b) and b > 0 else float(b)
+    if hi < lo:
+        raise ValueError("inverted interval")
+    edges = [lo]
+    for p in sorted(set(float(q) for q in breakpoints)):
+        if lo < p < hi and p - edges[-1] > 1e-13 * max(1.0, abs(p)):
+            edges.append(p)
+    return edges + [hi] if hi > lo else []
+
+
+def _adapt(h, n, edges, tol, max_evals):
+    """n worst-first bisections over the same initial edges, one call per slot.
+
+    h(idx, xs) gets the (rows, 22) nodes of rows idx and returns (values, aux),
+    aux None or the per-node error estimates of inner integrals. Each row
+    refines as integrate_line does, with its own heap and ``max_evals``.
+    Returns per-row values and errors (aux integrated over the surviving
+    panels added) and the evaluation count of all rows.
+    """
+    if not edges:
+        return np.zeros(n), np.zeros(n), 0
+
+    def evaluate(idx, spans):
+        # one call per slot p; row idx[j] has panel spans[p][j], or spans[p][0]
+        # when the slot's panel is shared
+        half = np.array([[0.5 * (b - a) for a, b in row] for row in spans])
+        mid = np.array([[0.5 * (a + b) for a, b in row] for row in spans])
+        xs = mid[..., None] + half[..., None] * _NODES
+        out = [h(idx, x if len(x) == len(idx) else x.repeat(len(idx), 0)) for x in xs]
+        y = out[0][0][None] if len(out) == 1 else np.array([o[0] for o in out])
+        if not np.isfinite(y).all():
+            p, j = np.argwhere(~np.isfinite(y).all(axis=-1))[0]
+            raise ValueError("integrand returned a non-finite value on "
+                             f"{list(spans[p][j % len(spans[p])])}")
+        v, e = _rule(y, half)
+        if out[0][1] is None:
+            return v, e, 0.0 * e
+        return v, e, half * (np.array([o[1] for o in out])[..., :_N_HI] @ _WEIGHTS_HI)
+
+    # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
+    # a row made 22 evaluations per panel, and a sorted list is a heap
+    slots = list(zip(edges[:-1], edges[1:]))
+    v, e, aux = evaluate(range(n), [[s] for s in slots])
+    # left-to-right sums over the slots, as integrate_line's final sum
+    value, err = sum(v[1:], 0.0 + v[0]), sum(e[1:], e[0])
+    inner = sum(aux[1:], aux[0].copy())
+    evals, rows = n * len(slots) * _PANEL_EVALS, {}
+    live = (err > tol).nonzero()[0].tolist()
+    sel = live if len(live) < n else slice(None)
+    cols = [a[:, sel].T.tolist() for a in (v, e, aux)] if live else ()
+    for r, vs, es, auxs in zip(live, *cols):
+        floor = _ROUNDOFF * sum(abs(x) for x in vs)
+        if tol < floor:
+            raise NonConvergenceError(
+                f"tol {tol:.3e} is below the roundoff floor {floor:.3e} of this "
+                f"integral (running error {err[r]:.3e})",
+                evaluations=len(slots) * _PANEL_EVALS, error_estimate=float(err[r]))
+        ps = [[*s, *p] for s, p in zip(slots, zip(vs, es, auxs))]
+        rows[r] = [float(err[r]), 0.0, ps, sorted((-p[3], i) for i, p in enumerate(ps))]
+    while live:
+        split = []
+        for r in live:
+            st = rows[r]
+            while st[3] and st[0] > tol:
+                p = st[2][heapq.heappop(st[3])[1]]
+                x0, x1, e = p[0], p[1], p[3]
+                if x1 - x0 <= 1e-14 * max(1.0, abs(x0), abs(x1)):
+                    # cannot refine further; keep its value, move error aside
+                    st[0] -= e
+                    st[1] += e
+                    continue
+                if _PANEL_EVALS * (len(st[2]) + 2) > max_evals:
+                    raise NonConvergenceError(
+                        f"quadrature budget of {max_evals} evaluations exhausted "
+                        f"(running error {st[0]:.3e}, tol {tol:.3e})",
+                        evaluations=_PANEL_EVALS * len(st[2]), error_estimate=st[0])
+                p[3] = None
+                st[0] -= e
+                split.append((r, x0, 0.5 * (x0 + x1), x1))
+                break
+        live = [s[0] for s in split]
+        if not live:
+            break
+        evals += 2 * _PANEL_EVALS * len(live)
+        v, e, aux = evaluate(live, [[s[1:3] for s in split], [s[2:] for s in split]])
+        for (r, a, m, b), *new in zip(split, *(c.T.tolist() for c in (v, e, aux))):
+            st = rows[r]
+            for p in zip((a, m), (m, b), *new):
+                st[0] += p[3]
+                heapq.heappush(st[3], (-p[3], len(st[2])))
+                st[2].append(list(p))
+    for r, (running, frozen, ps, _) in rows.items():
+        total, aux_sum = 0.0 + 0.0j, 0.0
+        for p in sorted((p for p in ps if p[3] is not None), key=lambda p: p[0]):
+            total += p[2]
+            aux_sum += p[4]
+        value[r] = total if value.dtype.kind == "c" else total.real
+        err[r], inner[r] = running + frozen, aux_sum
+    return value, err + inner, evals
 
 
 def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
                    max_evals=1_000_000):
     """Integrate ``h`` over [a, b] by worst-first adaptive bisection.
 
-    Infinite endpoints are truncated to ``-radius`` / ``radius``; callers pick
-    the radius from kernel decay so the truncation error stays below ``tol``.
-    ``breakpoints`` inside the domain become initial panel edges, which keeps
-    kinks and jumps off the Gauss nodes. The panel with the largest error
-    estimate is bisected until the summed estimate drops below ``tol``;
-    panels narrower than the width floor are frozen as-is (a jump inside one
-    contributes at most its width). A ``tol`` that the initial panels miss
-    and that lies below the roundoff floor, 50 eps times the sum of their
-    absolute values, raises NonConvergenceError at once; so does running out
-    of the evaluation budget. Either error carries the running estimate. The
-    final sum runs left to right over the surviving panels, so results are
-    bit-stable.
+    Infinite endpoints are truncated to ``-radius`` / ``radius``, picked by
+    callers from kernel decay. ``breakpoints`` inside the domain become
+    initial panel edges, keeping kinks off the Gauss nodes. The worst panel
+    is bisected until the summed estimate drops below ``tol``; panels under
+    the width floor are frozen as-is. A ``tol`` that the initial panels miss
+    and that lies below their roundoff floor (50 eps times the sum of their
+    absolute values) raises NonConvergenceError at once, as does exhausting
+    the evaluation budget; either carries the running estimate.
     """
-    lo = -float(radius) if math.isinf(a) and a < 0 else float(a)
-    hi = float(radius) if math.isinf(b) and b > 0 else float(b)
-    if hi < lo:
-        raise ValueError("inverted interval")
-    if hi == lo:
-        return QuadResult(0.0, 0.0, 0)
-    edges = [lo]
-    for p in sorted(set(float(q) for q in breakpoints)):
-        if lo < p < hi and p - edges[-1] > 1e-13 * max(1.0, abs(p)):
-            edges.append(p)
-    edges.append(hi)
-
-    panels = []                 # [x0, x1, value, err, alive]
-    heap = []                   # (-err, panel index); index breaks ties
-    evals = 0
-    is_complex = False
-
-    def add_panel(x0, x1):
-        nonlocal evals, is_complex
-        v, e = _panel(h, x0, x1)
-        evals += _PANEL_EVALS
-        is_complex = is_complex or np.iscomplexobj(v)
-        heapq.heappush(heap, (-e, len(panels)))
-        panels.append([x0, x1, v, e, True])
-        return e
-
-    total_err = 0.0
-    frozen_err = 0.0
-    for i in range(len(edges) - 1):
-        total_err += add_panel(edges[i], edges[i + 1])
-    floor = _ROUNDOFF * sum(abs(p[2]) for p in panels)
-    if total_err > tol and tol < floor:
-        raise NonConvergenceError(
-            f"tol {tol:.3e} is below the roundoff floor {floor:.3e} of this "
-            f"integral (running error {total_err:.3e})",
-            evaluations=evals, error_estimate=total_err)
-
-    while heap and total_err > tol:
-        neg_e, idx = heapq.heappop(heap)
-        x0, x1, _, e, _ = panels[idx]
-        if x1 - x0 <= 1e-14 * max(1.0, abs(x0), abs(x1)):
-            # cannot refine further; keep its value, move error aside
-            total_err -= e
-            frozen_err += e
-            continue
-        if evals + 2 * _PANEL_EVALS > max_evals:
-            raise NonConvergenceError(
-                f"quadrature budget of {max_evals} evaluations exhausted "
-                f"(running error {total_err:.3e}, tol {tol:.3e})",
-                evaluations=evals, error_estimate=total_err)
-        panels[idx][4] = False
-        total_err -= e
-        xm = 0.5 * (x0 + x1)
-        total_err += add_panel(x0, xm)
-        total_err += add_panel(xm, x1)
-
-    alive = sorted((p for p in panels if p[4]), key=lambda p: p[0])
-    value = 0.0 + 0.0j
-    for p in alive:
-        value += p[2]
-    out = complex(value) if is_complex else float(value.real)
-    return QuadResult(out, total_err + frozen_err, evals)
+    v, e, n = _adapt(lambda idx, xs: (np.asarray(h(xs[0]))[None], None), 1,
+                     _edges(a, b, breakpoints, radius), tol, max_evals)
+    return QuadResult(v[0].item(), float(e[0]), n)
 
 
 def integrate_rows(h, rows, a, b, tol=1e-9):
     """Integrate ``h(row, x)`` over the finite [a, b] for every entry of ``rows``.
 
-    ``h(rows[:, None], xs[None, :])`` is called once on the 22 nodes of the
-    single panel [a, b] and must return a (len(rows), 22) array. A row whose
-    values are finite and whose error estimate is at most ``tol`` takes
-    that panel's value, which is what integrate_line returns for it without
-    refining. Every other row is integrated by integrate_line on its own, so
-    its result, and any error it raises, are those of a per-row call.
-    Returns the values as a 1-d array.
+    ``h(rows[idx][:, None], xs)`` gets the (rows, 22) nodes of the rows idx
+    still refining and returns that shape. Each row's value, and any error it
+    raises, are those of its own integrate_line call. Returns a 1-d array.
     """
     rows = np.asarray(rows, dtype=float)
-    half, xs = _nodes(float(a), float(b))
-    y = np.asarray(h(rows[:, None], xs[None, :]))
-    with np.errstate(invalid="ignore"):
-        out, err = _rule(y, half)
-    redo = ~((err <= tol) & np.all(np.isfinite(y), axis=1))
-    for i in np.flatnonzero(redo):
-        out[i] = integrate_line(lambda x, _r=rows[i]: h(_r, x), a, b, tol).value
-    return out
+    return _adapt(lambda idx, xs: (h(rows[idx][:, None], xs), None), len(rows),
+                  _edges(a, b, (), 0.0), tol, 1_000_000)[0]
 
 
 def integrate_box(last_vec, boxes, breaks, tol=1e-9, max_evals=1_000_000):
-    """Iterated integral over a box; only the innermost axis is vectorized.
+    """Iterated integral over a box, batched by levels.
 
-    last_vec(prefix, xs) evaluates the integrand at points whose leading
-    coordinates are the floats in prefix and whose last coordinate ranges
-    over the array xs. Axis k spans boxes[k] with breakpoints breaks[k].
-    Every level is an integrate_line call with its own ``max_evals``; an
-    inner level passes on its value only, so the returned QuadResult, that
-    of the outermost axis, counts neither the inner errors nor their
-    evaluations.
+    last_vec(prefix, xs) gets the leading coordinates as (rows, 1) columns
+    and the last one as the (rows, 22) array xs. Axis k spans boxes[k] with
+    breakpoints breaks[k]; each call of its integrand runs axis k + 1 for all
+    outer nodes of one panel slot in one engine run. Every row refines on
+    its own ``max_evals``, so values are those of one integrate_line per
+    outer node. The error estimate adds the inner ones, integrated by the
+    outer 15-node weights over the surviving outer panels, and the
+    evaluation count covers every level.
     """
-    d = len(boxes)
+    d, evals = len(boxes), []
 
-    def rec(level, prefix):
-        if level == d - 1:
-            fn = lambda xs: last_vec(prefix, xs)
-        else:
-            fn = lambda xs: np.array([rec(level + 1, prefix + (float(x),)).value
-                                      for x in xs])
-        lo, hi = boxes[level]
-        return integrate_line(fn, lo, hi, tol, breakpoints=breaks[level],
-                              max_evals=max_evals)
+    def level(k, prefix, n):
+        def h(idx, xs):
+            cols = tuple(c[idx] for c in prefix)
+            if k == d - 1:
+                return last_vec(cols, xs), None
+            cols = tuple(np.repeat(c, _PANEL_EVALS, axis=0) for c in cols)
+            v, e = level(k + 1, cols + (xs.reshape(-1, 1),), xs.size)
+            return v.reshape(xs.shape), e.reshape(xs.shape)
 
-    return rec(0, ())
+        v, e, ev = _adapt(h, n, _edges(*boxes[k], breaks[k], 60.0), tol, max_evals)
+        evals.append(ev)
+        return v, e
+
+    v, e = level(0, (), 1)
+    return QuadResult(v[0].item(), float(e[0]), sum(evals))
 
 
 def integrate_levy(h, measure, tol=1e-9, *, max_evals=1_000_000, h_sup=2.0):

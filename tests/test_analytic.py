@@ -25,6 +25,7 @@ from idma.errors import NotAvailableError
 from idma.kernels import (ProductKernel, gauss_deriv, persistent_control,
                           signed_ou)
 from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
+from idma.quadrature import integrate_line
 
 CIN1 = 0.23981174200056472594
 STAT_DICKMAN = -0.24486805759326125       # frozen independent quadrature
@@ -203,17 +204,18 @@ def test_conditions_dickman():
 
 
 def test_conditions_dickman_2d():
-    # d=2 runs the nested box integrator two levels deep; the error estimates
-    # and evaluation counts are those of the outermost axis
+    # d=2 runs the nested box integrator two levels deep; the evaluation
+    # counts cover both levels and the error estimates add the inner ones,
+    # integrated over the outer axis
     pk = ProductKernel((signed_ou(), signed_ou()))
     rep = check_conditions(pk, dickman(), quad_tol=1e-6)
     assert abs(rep.c1) < 1e-9
     assert abs(rep.c2) < 1e-9
     assert abs(rep.c3 - 0.5) < 1e-6
     assert rep.all_pass
-    assert rep.evaluations == 396
+    assert rep.evaluations == 40788
     assert rep.errors[:2] == (0.0, 0.0)
-    assert rep.errors[2] == pytest.approx(4.819766575929317e-09, rel=1e-9)
+    assert rep.errors[2] == pytest.approx(4.975932720165344e-06, rel=1e-9)
 
 
 def test_conditions_two_point():
@@ -222,6 +224,23 @@ def test_conditions_two_point():
     assert abs(rep.c2) < 1e-9
     assert abs(rep.c3 - 1.0) < 1e-6
     assert rep.all_pass
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("measure", [two_point(1.0), truncated_stable(0.5, 1.0)],
+                         ids=lambda m: m.kind)
+def test_claimed_limit_layer_cake_oracle(measure, d):
+    # u -> t = sum_k |u_k| pushes du on R^d forward to 2^d t^(d-1)/(d-1)! dt,
+    # so for signed_ou^d the claimed limit is a 1-d integral in t; symmetric
+    # nu makes K even and the drift vanish
+    z, tol = 0.5, 1e-6
+    kfun = measure.exponent(1e-13)
+    dens = 2.0 ** d / math.factorial(d - 1)
+    want = integrate_line(lambda t: kfun(z * np.exp(-t)) * dens * t ** (d - 1),
+                          0.0, np.inf, 1e-13).value
+    pk = ProductKernel((signed_ou(),) * d) if d > 1 else signed_ou()
+    got = log_cf_limit(pk, measure, fdd_spec([[0.0] * d], [z], 10.0), tol=tol)
+    assert abs(got - want) <= tol
 
 
 def test_dimension_mismatch():

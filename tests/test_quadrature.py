@@ -7,7 +7,8 @@ import pytest
 
 from idma.errors import NonConvergenceError
 from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
-from idma.quadrature import integrate_levy, integrate_line, integrate_rows
+from idma.quadrature import (integrate_box, integrate_levy, integrate_line,
+                              integrate_rows)
 
 # entire cosine integral Cin(1) = int_0^1 (1 - cos u)/u du
 CIN1 = 0.23981174200056472594
@@ -109,6 +110,75 @@ def test_rows_match_per_row_quadrature():
         assert v == integrate_line(lambda x: h(w, x), 0.0, 3.0, 1e-10).value
     with pytest.raises(ValueError, match="non-finite"):
         integrate_rows(lambda w, x: np.where(x > 0.5, np.inf, w * x), ws, 0.0, 1.0)
+
+
+def test_rows_roundoff_floor_fails_after_one_call():
+    # every row misses tol = 1e-16 on the shared first panel, whose roundoff
+    # floor lies above it, so no row is integrated a second time
+    shapes = []
+
+    def h(w, x):
+        shapes.append(x.shape)
+        return w * np.abs(x - 1.0 / 3.0)
+
+    with pytest.raises(NonConvergenceError, match="roundoff floor"):
+        integrate_rows(h, [1.0, 2.0, 3.0], 0.0, 1.0, 1e-16)
+    assert shapes == [(3, 22)]
+
+
+def _nested(last_vec, boxes, breaks, tol, prefix=(), count=None):
+    """integrate_box as one integrate_line per outer node, counting evaluations."""
+    k = len(prefix)
+    if k == len(boxes) - 1:
+        cols = tuple(np.full((1, 1), p) for p in prefix)
+        fn = lambda xs: last_vec(cols, xs[None, :])[0]
+    else:
+        fn = lambda xs: np.array([_nested(last_vec, boxes, breaks, tol,
+                                          prefix + (x,), count) for x in xs])
+    res = integrate_line(fn, *boxes[k], tol, breakpoints=breaks[k])
+    count.append(res.evaluations)
+    return res.value
+
+
+def _tent(prefix, xs):
+    # kinks at the breakpoints 0.1 k - 0.3 of each axis k
+    w = np.exp(-3.0 * np.abs(xs - 0.1 * len(prefix) + 0.3)) * (1.5 + np.sin(2.0 * xs))
+    for k, c in enumerate(prefix):
+        w = w * np.exp(-3.0 * np.abs(c - 0.1 * k + 0.3)) * (1.5 + np.sin(2.0 * c))
+    return w
+
+
+# tolerances at which rows refine by different numbers of steps
+@pytest.mark.parametrize("kind, d, tol", [
+    ("real", 1, 1e-10), ("real", 2, 1e-9), ("real", 3, 3e-8),
+    ("complex", 1, 1e-10), ("complex", 2, 1e-9), ("complex", 3, 1e-5)])
+def test_box_matches_nested_line_calls(kind, d, tol):
+    if kind == "real":
+        last_vec = _tent
+    else:
+        last_vec = lambda prefix, xs: np.exp(1j * _tent(prefix, xs)) - 1.0
+    boxes = [(-2.0, 2.5)] * d
+    breaks = [(0.1 * k - 0.3,) for k in range(d)]
+    count = []
+    want = _nested(last_vec, boxes, breaks, tol, count=count)
+    got = integrate_box(last_vec, boxes, breaks, tol)
+    assert got.value == want
+    assert type(got.value) is type(want)
+    assert got.evaluations == sum(count)
+    assert len(set(count)) > 1 or d == 1
+
+
+def test_box_inner_failures_propagate():
+    boxes, breaks = [(0.0, 1.0)] * 2, [(), ()]
+    nonfinite = lambda prefix, xs: np.where((xs > 0.5) & (prefix[0] > 0.4), np.inf, xs)
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate_box(nonfinite, boxes, breaks)
+    # the outer integrand is constant; each inner row has an unresolved kink
+    kink = lambda prefix, xs: np.abs(xs - 1.0 / 3.0) + 0.0 * prefix[0]
+    with pytest.raises(NonConvergenceError, match="roundoff floor"):
+        integrate_box(kink, boxes, breaks, 1e-16)
+    with pytest.raises(NonConvergenceError, match="budget"):
+        integrate_box(kink, boxes, breaks, 1e-12, max_evals=200)
 
 
 def test_levy_two_point_exact():
