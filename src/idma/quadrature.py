@@ -81,12 +81,12 @@ def _adapt(h, n, edges, tol, max_evals):
         return np.zeros(n), np.zeros(n), 0
 
     def evaluate(idx, spans):
-        # one call per slot p; row idx[j] has panel spans[p][j], or spans[p][0]
-        # when the slot's panel is shared
-        half = np.array([[0.5 * (b - a) for a, b in row] for row in spans])
-        mid = np.array([[0.5 * (a + b) for a, b in row] for row in spans])
-        xs = mid[..., None] + half[..., None] * _NODES
-        out = [h(idx, x if len(x) == len(idx) else x.repeat(len(idx), 0)) for x in xs]
+        # one call per slot p; row idx[j] has panel spans[p][j] (spans[p][0] if shared)
+        hm = np.array([f for row in spans for a, b in row for f in
+                       (0.5 * (b - a), 0.5 * (a + b))]).reshape(len(spans), -1, 2)
+        half, xs = hm[..., 0], hm[..., 1:] + hm[..., :1] * _NODES
+        xs = xs if xs.shape[1] == len(idx) else xs.repeat(len(idx), 1)
+        out = [h(idx, xs[p]) for p in range(len(spans))]
         y = out[0][0][None] if len(out) == 1 else np.array([o[0] for o in out])
         if not np.isfinite(y).all():
             p, j = np.argwhere(~np.isfinite(y).all(axis=-1))[0]

@@ -126,18 +126,18 @@ def test_rows_roundoff_floor_fails_after_one_call():
     assert shapes == [(3, 22)]
 
 
-def _nested(last_vec, boxes, breaks, tol, prefix=(), count=None):
+def _nested(last_vec, boxes, breaks, tol, count, prefix=()):
     """integrate_box as one integrate_line per outer node, counting evaluations."""
     k = len(prefix)
     if k == len(boxes) - 1:
         cols = tuple(np.full((1, 1), p) for p in prefix)
         fn = lambda xs: last_vec(cols, xs[None, :])[0]
     else:
-        fn = lambda xs: np.array([_nested(last_vec, boxes, breaks, tol,
-                                          prefix + (x,), count) for x in xs])
+        fn = lambda xs: np.array([_nested(last_vec, boxes, breaks, tol, count,
+                                          prefix + (x,)).value for x in xs])
     res = integrate_line(fn, *boxes[k], tol, breakpoints=breaks[k])
     count.append(res.evaluations)
-    return res.value
+    return res
 
 
 def _tent(prefix, xs):
@@ -160,12 +160,17 @@ def test_box_matches_nested_line_calls(kind, d, tol):
     boxes = [(-2.0, 2.5)] * d
     breaks = [(0.1 * k - 0.3,) for k in range(d)]
     count = []
-    want = _nested(last_vec, boxes, breaks, tol, count=count)
+    want = _nested(last_vec, boxes, breaks, tol, count)
     got = integrate_box(last_vec, boxes, breaks, tol)
-    assert got.value == want
-    assert type(got.value) is type(want)
+    assert got.value == want.value
+    assert type(got.value) is type(want.value)
+    # every level's evaluations, and the outer error plus the inner ones
     assert got.evaluations == sum(count)
-    assert len(set(count)) > 1 or d == 1
+    if d == 1:
+        assert got.error_estimate == want.error_estimate
+    else:
+        assert got.error_estimate > want.error_estimate
+        assert len(set(count)) > 1
 
 
 def test_box_inner_failures_propagate():
