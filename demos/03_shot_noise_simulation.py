@@ -35,7 +35,7 @@ print(f"  limit sum Y: {simulate.limit_sum(jumps, k, [0.0]): .8f}, "
       f"mirrored: {simulate.mirrored_limit_sum(jumps, k, [0.0]): .8f}")
 
 print("\n=== Monte Carlo, N = 5000 ===")
-res = simulate.monte_carlo(cfg, threads=4)
+res = simulate.monte_carlo(cfg)
 var_s = float(np.var(res.S[:, 0]))
 var_want = analytic.variance_window(k, tp, cfg.T)
 print(f"  var S_5: empirical {var_s:.4f} vs analytic {var_want:.4f}")
@@ -52,6 +52,6 @@ for z, h in zip(zs, hat.values):
           f"(band {hat.band:.4f})")
 
 print("\n=== Determinism ===")
-r1 = simulate.monte_carlo(cfg, threads=1)
-print(f"  1 thread and 4 threads bit-identical: "
+r1 = simulate.monte_carlo(cfg)
+print(f"  two runs with the same seed bit-identical: "
       f"{np.array_equal(r1.S, res.S) and np.array_equal(r1.Y, res.Y)}")

@@ -11,7 +11,7 @@ from idma import kernels, levy, verify
 
 rep = verify.hyperuniformity(
     kernels.signed_ou(), levy.two_point(1.0),
-    T_grid=[1.0, 2.0, 5.0, 10.0, 20.0], N=20_000, seed=0, threads=4)
+    T_grid=[1.0, 2.0, 5.0, 10.0, 20.0], N=20_000, seed=0)
 
 print("=== Window-integral variance, signed_ou vs persistent control ===")
 print(f"{'T':>6}  {'Var (analytic)':>15}  {'Var (empirical)':>16}  "

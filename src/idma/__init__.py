@@ -23,7 +23,7 @@ from .simulate import (CfEvaluation, JumpSet, SimConfig, SimResult,
                        empirical_cf, eval_field, jump_set, limit_sum,
                        mirrored_limit_sum, monte_carlo, sample_jumps,
                        sample_limit, stream_for, window_integral,
-                       window_integral_grid, write_replicates_csv)
+                       window_integral_grid)
 from .verify import (ConvergenceReport, HyperReport, KsResult, McReport,
                      cf_convergence, hyperuniformity, ks_two_sample,
                      mc_consistency, variance_se)

@@ -192,7 +192,9 @@ def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
     H+(u) = sum_j z_j prod_k g_k(l_jk - u_k), an independent copy living at
     the trailing window edge. Both are integrals against the centered
     measure, so each carries the compensator drift -i (int H) c_nu; for
-    d = 1 the two drifts cancel exactly in the augmented variant.
+    d = 1 the two drifts cancel exactly in the augmented variant. One box
+    integral I = int K(H+) serves both layers: H = (-1)^d H+ and
+    K(-w) = conj K(w), so int K(H) is I at even d and conj(I) at odd d.
     """
     if variant not in ("claimed", "boundary_augmented"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -200,18 +202,19 @@ def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
     if setup is None:
         return 0.0 + 0.0j
     comps, kfun, boxes, breaks = setup
-    c_nu = measure.compensator_integral()
-    prod_int_g = math.prod(k.integral_g for k in comps)
-    total = 0.0 + 0.0j
-    signs = [float((-1) ** spec.d)]
+    last_vec = lambda prefix, xs: kfun(_profile(
+        comps, spec.ls, spec.zs, _corner_factor, prefix, xs))
+    I = integrate_box(last_vec, boxes, breaks, tol, max_evals).value
+    # + 0j keeps the imaginary part of a real I at +0.0
+    layers = [(float((-1) ** spec.d), I if spec.d % 2 == 0 else I.conjugate() + 0j)]
     if variant == "boundary_augmented":
-        signs.append(1.0)
-    for sign in signs:
-        last_vec = lambda prefix, xs, _s=sign: kfun(_profile(
-            comps, spec.ls, _s * spec.zs, _corner_factor, prefix, xs))
-        int_h = sign * float(np.sum(spec.zs)) * prod_int_g
-        total += -1j * c_nu * int_h
-        total += integrate_box(last_vec, boxes, breaks, tol, max_evals).value
+        layers.append((1.0, I))
+    int_h = float(np.sum(spec.zs)) * math.prod(k.integral_g for k in comps)
+    c_nu = measure.compensator_integral()
+    total = 0.0 + 0.0j
+    for sign, value in layers:
+        total += -1j * c_nu * (sign * int_h)
+        total += value
     return complex(total)
 
 

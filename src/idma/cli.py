@@ -3,9 +3,10 @@
 One JSON config document drives every subcommand; the flags --seed,
 --threads, --out, and --format replace the matching config fields before
 any check, so a bad flag value fails exactly like a bad config value. Every
-output CSV starts with a comment line carrying a digest of the effective
-config and the seed; JSON reports carry the same two values as their first
-fields so they stay parseable. The digest excludes the output directory,
+subcommand writes its files through _emit, in the one format the config
+names: each CSV starts with a comment line carrying a digest of the
+effective config and the seed, and each JSON document carries the same two
+values as its first fields. The digest excludes the output directory,
 format, and thread count, none of which affect the numbers (the thread
 count is accepted and ignored: the Monte Carlo runs on one thread).
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -154,54 +156,43 @@ def load_config(path: str, *, seed=None, threads=None, out=None,
     return cfg
 
 
-# -- output helpers ----------------------------------------------------------
+# -- output --------------------------------------------------------------------
 
-def _out_path(cfg: RunConfig, stem: str, ext: str) -> str:
+def _emit(cfg: RunConfig, stem: str, columns: list, rows, comments=(),
+          doc: dict | None = None) -> str:
+    """Write stem.csv, or stem.json when cfg.format is json; return the path.
+
+    The CSV has the digest/seed line, one '# ' line per comment, the header
+    and the rows; each column is formatted as its first cell asks: ints and
+    strings as they are, bools as true/false, everything else %.17g. The
+    JSON has config_digest and seed, then doc (by default the columns and
+    rows). rows is any iterable and is read once.
+    """
     os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, f"{stem}.{ext}")
-
-
-def _write_json(cfg: RunConfig, stem: str, data: dict) -> str:
-    path = _out_path(cfg, stem, "json")
-    doc = {"config_digest": cfg.digest, "seed": cfg.seed}
-    doc.update(data)
+    path = os.path.join(cfg.out, f"{stem}.{cfg.format}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        if cfg.format == "json":
+            json.dump({"config_digest": cfg.digest, "seed": cfg.seed,
+                       **(doc or {"columns": columns, "rows": list(rows)})},
+                      fh, indent=2)
+            fh.write("\n")
+            return path
+        fh.write(f"# config_digest={cfg.digest} seed={cfg.seed}\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(",".join(columns) + "\n")
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            return path
+        line = ",".join("%s" if isinstance(v, (int, str)) else "%.17g"
+                        for v in first) + "\n"
+        bools = [i for i, v in enumerate(first) if isinstance(v, bool)]
+        for row in itertools.chain([first], rows):
+            if bools:
+                row = [("true" if v else "false") if i in bools else v
+                       for i, v in enumerate(row)]
+            fh.write(line % tuple(row))
     return path
-
-
-def _write_csv(cfg: RunConfig, stem: str, columns: list, rows: list,
-               extra_comments=()) -> str:
-    path = _out_path(cfg, stem, "csv")
-    lines = [f"# config_digest={cfg.digest} seed={cfg.seed}"]
-    lines += [f"# {c}" for c in extra_comments]
-    lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, bool):
-                cells.append(str(v).lower())
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(f"{float(v):.17g}")
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
-def _emit_table(cfg: RunConfig, stem: str, columns: list, rows: list,
-                extra: dict | None = None) -> str:
-    if cfg.format == "json":
-        data = dict(extra or {})
-        data["columns"] = columns
-        data["rows"] = [[bool(v) if isinstance(v, bool) else float(v)
-                         for v in row] for row in rows]
-        return _write_json(cfg, stem, data)
-    comments = [f"{k}={v}" for k, v in (extra or {}).items()]
-    return _write_csv(cfg, stem, columns, rows, extra_comments=comments)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -210,12 +201,10 @@ def _cmd_conditions(cfg: RunConfig) -> list:
     rep = analytic.check_conditions(cfg.kernel, cfg.measure,
                                     quad_tol=cfg.quad_tol,
                                     budget=cfg.conditions_budget)
-    if cfg.format == "json":
-        return [_write_json(cfg, "conditions", rep.to_dict())]
-    row = [rep.c1, rep.c2, rep.c3, rep.c1_pass, rep.c2_pass, rep.c3_pass]
-    return [_write_csv(cfg, "conditions",
-                       ["c1", "c2", "c3", "c1_pass", "c2_pass", "c3_pass"],
-                       [row])]
+    return [_emit(cfg, "conditions",
+                  ["c1", "c2", "c3", "c1_pass", "c2_pass", "c3_pass"],
+                  [[rep.c1, rep.c2, rep.c3, rep.c1_pass, rep.c2_pass,
+                    rep.c3_pass]], doc=rep.to_dict())]
 
 
 def _cf_rows(cfg: RunConfig, log_fn) -> list:
@@ -237,23 +226,22 @@ def _cmd_cf(cfg: RunConfig) -> list:
     def spec_at(u, T):
         return analytic.fdd_spec(ls, u * zs_base, T)
 
-    paths = [
-        _emit_table(cfg, "cf_stationary", cols, _cf_rows(
+    return [
+        _emit(cfg, "cf_stationary", cols, _cf_rows(
             cfg, lambda u: analytic.log_cf_stationary(
                 pk, cfg.measure, u, tol=cfg.quad_tol))),
-        _emit_table(cfg, "cf_window", cols, _cf_rows(
+        _emit(cfg, "cf_window", cols, _cf_rows(
             cfg, lambda u: analytic.log_cf_window(
                 pk, cfg.measure, spec_at(u, cfg.T), tol=cfg.quad_tol))),
-        _emit_table(cfg, "cf_limit_claimed", cols, _cf_rows(
+        _emit(cfg, "cf_limit_claimed", cols, _cf_rows(
             cfg, lambda u: analytic.log_cf_limit(
                 pk, cfg.measure, spec_at(u, 0.0), "claimed",
                 tol=cfg.quad_tol))),
-        _emit_table(cfg, "cf_limit_boundary", cols, _cf_rows(
+        _emit(cfg, "cf_limit_boundary", cols, _cf_rows(
             cfg, lambda u: analytic.log_cf_limit(
                 pk, cfg.measure, spec_at(u, 0.0), "boundary_augmented",
                 tol=cfg.quad_tol))),
     ]
-    return paths
 
 
 def _cmd_cov(cfg: RunConfig) -> list:
@@ -266,11 +254,12 @@ def _cmd_cov(cfg: RunConfig) -> list:
             raise ConfigError(f"t_grid entries must have dimension {d}")
         c = analytic.covariance(pk, cfg.measure, t)
         rows.append(list(t) + [c])
-    exact = analytic.covariance_integral(pk, cfg.measure)
-    quad = analytic.covariance_integral_quadrature(pk, cfg.measure,
-                                                   tol=cfg.quad_tol)
-    extra = {"integral_exact": exact, "integral_quadrature": quad}
-    return [_emit_table(cfg, "cov", cols, rows, extra=extra)]
+    extra = {"integral_exact": analytic.covariance_integral(pk, cfg.measure),
+             "integral_quadrature": analytic.covariance_integral_quadrature(
+                 pk, cfg.measure, tol=cfg.quad_tol)}
+    return [_emit(cfg, "cov", cols, rows,
+                  comments=[f"{k}={v}" for k, v in extra.items()],
+                  doc={**extra, "columns": cols, "rows": rows})]
 
 
 def _cmd_simulate(cfg: RunConfig) -> list:
@@ -279,42 +268,37 @@ def _cmd_simulate(cfg: RunConfig) -> list:
         eps=cfg.eps, window_pad=cfg.window_pad, n_replicates=cfg.N,
         seed=cfg.seed)
     res = simulate.monte_carlo(sim_cfg)
-    path = _out_path(cfg, "replicates", "csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        simulate.write_replicates_csv(fh, res, cfg.digest, cfg.seed)
-    return [path]
+    # streamed: one tolist() per replicate, never a list of every row
+    rows = ((r, j, s, y) for r, (S_r, Y_r) in enumerate(zip(res.S, res.Y))
+            for j, (s, y) in enumerate(zip(S_r.tolist(), Y_r.tolist())))
+    return [_emit(cfg, "replicates",
+                  ["replicate", "l_index", "S_value", "Y_value"], rows)]
 
 
 def _cmd_converge(cfg: RunConfig) -> list:
     rep = verify.cf_convergence(
         cfg.kernel, cfg.measure, cfg.ls, cfg.T_grid, cfg.z_grid,
         zs_base=cfg.zs_base, threshold=cfg.threshold, tol=cfg.quad_tol)
-    if cfg.format == "json":
-        return [_write_json(cfg, "convergence", rep.to_dict())]
-    rows = [[t, c, b] for t, c, b in
-            zip(rep.T_grid, rep.dist_claimed, rep.dist_boundary)]
-    comments = [f"winner={rep.winner}",
-                f"monotone_claimed={rep.monotone_claimed}",
-                f"monotone_boundary={rep.monotone_boundary}",
-                f"threshold={rep.threshold:.17g}"]
-    return [_write_csv(cfg, "convergence",
-                       ["T", "dist_claimed", "dist_boundary"], rows,
-                       extra_comments=comments)]
+    return [_emit(cfg, "convergence", ["T", "dist_claimed", "dist_boundary"],
+                  zip(rep.T_grid, rep.dist_claimed, rep.dist_boundary),
+                  comments=[f"winner={rep.winner}",
+                            f"monotone_claimed={rep.monotone_claimed}",
+                            f"monotone_boundary={rep.monotone_boundary}",
+                            f"threshold={rep.threshold:.17g}"],
+                  doc=rep.to_dict())]
 
 
 def _cmd_hyper(cfg: RunConfig) -> list:
     rep = verify.hyperuniformity(
         cfg.kernel, cfg.measure, cfg.T_grid, cfg.N, seed=cfg.seed, eps=cfg.eps)
-    if cfg.format == "json":
-        return [_write_json(cfg, "hyper", rep.to_dict())]
-    rows = [[t, a, e, s, c] for t, a, e, s, c in
-            zip(rep.T_grid, rep.var_analytic, rep.var_empirical, rep.var_se,
-                rep.control_var)]
-    comments = [f"classification={rep.classification}",
-                f"control_slope={rep.control_slope:.17g}"]
-    return [_write_csv(cfg, "hyper",
-                       ["T", "var_analytic", "var_empirical", "var_se",
-                        "control_var"], rows, extra_comments=comments)]
+    return [_emit(cfg, "hyper",
+                  ["T", "var_analytic", "var_empirical", "var_se",
+                   "control_var"],
+                  zip(rep.T_grid, rep.var_analytic, rep.var_empirical,
+                      rep.var_se, rep.control_var),
+                  comments=[f"classification={rep.classification}",
+                            f"control_slope={rep.control_slope:.17g}"],
+                  doc=rep.to_dict())]
 
 
 _COMMANDS = {

@@ -33,7 +33,6 @@ class Kernel1D:
     _decay: callable = None
     _acf: callable = None          # closed-form autocorrelation of f, or None
     _acg: callable = None          # closed-form autocorrelation of g, or None
-    table: tuple | None = None     # (xs, gs) for user tables
 
     @property
     def has_g(self) -> bool:
@@ -195,8 +194,7 @@ def user_table(xs, gs) -> Kernel1D:
         l1_g=float(np.sum(seg_l1)),
         l2sq_g=float(np.sum(w * (a * a + a * b + b * b) / 3.0)),
         integral_f=0.0, integral_g=float(np.trapezoid(gs, xs)),
-        _decay=lambda tol: rmax,
-        table=(xs, gs))
+        _decay=lambda tol: rmax)
 
 
 def user_table_from_csv(path) -> Kernel1D:

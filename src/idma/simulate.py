@@ -17,6 +17,9 @@ jumps of a block of replicates, summing each replicate by the same dot
 product as a single call. Replicate r draws only its count and uniforms
 from its counter-based stream stream_for(seed, r); all else runs once per
 block, on one thread, so the output depends on (seed, r) alone.
+
+The module is numerics only: the command-line front end writes the
+replicate matrices of a SimResult to CSV or JSON.
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ class JumpSet:
     sizes: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    eps: float
     pad: float
 
     @property
@@ -99,7 +101,7 @@ class JumpSet:
         return self.sizes.shape[0]
 
 
-def jump_set(locations, sizes, lo=None, hi=None, eps=0.0, pad=0.0) -> JumpSet:
+def jump_set(locations, sizes, lo=None, hi=None, pad=0.0) -> JumpSet:
     """Hand-build a JumpSet (mostly for tests and demos)."""
     locations = np.asarray(locations, dtype=float)
     if locations.ndim == 1:
@@ -111,7 +113,7 @@ def jump_set(locations, sizes, lo=None, hi=None, eps=0.0, pad=0.0) -> JumpSet:
     if hi is None:
         hi = np.full(d, np.inf)
     return JumpSet(locations=locations, sizes=sizes, lo=np.asarray(lo, float),
-                   hi=np.asarray(hi, float), eps=float(eps), pad=float(pad))
+                   hi=np.asarray(hi, float), pad=float(pad))
 
 
 def stream_for(seed: int, replicate: int) -> np.random.Generator:
@@ -150,7 +152,7 @@ def _blocks(cfg: SimConfig, rngs, cap: int):
         u, v, block = np.concatenate(u_loc), np.concatenate(u_size), starts
         u_loc, u_size, starts = [], [], [0]
         u = lo + (hi - lo) * u
-        return JumpSet(u, cfg.measure.jump_quantile(v, cfg.eps), lo, hi, cfg.eps,
+        return JumpSet(u, cfg.measure.jump_quantile(v, cfg.eps), lo, hi,
                        cfg.window_pad), block
 
     for rng in rngs:
@@ -330,12 +332,12 @@ class SimResult:
     cfg: SimConfig
 
 
-def monte_carlo(cfg: SimConfig, threads: int = 1) -> SimResult:
+def monte_carlo(cfg: SimConfig) -> SimResult:
     """Run cfg.n_replicates independent replicates, each on its own stream.
 
     S uses the exact per-jump window integral when the kernel has
     antiderivatives, else the trapezoid grid fallback. Y needs g; it is NaN
-    without one. threads is accepted and ignored: one thread does the work.
+    without one.
     """
     pk, N, m = cfg.kernel, cfg.n_replicates, cfg.m
     a_sim = pk.integral_f * _truncated_mean(cfg.measure, cfg.eps)
@@ -369,18 +371,3 @@ def empirical_cf(samples, zs, c: float = 3.0) -> CfEvaluation:
     values = np.exp(1j * zs[:, None] * samples[None, :]).mean(axis=1)
     return CfEvaluation(zs=zs, values=values, band=c / math.sqrt(n))
 
-
-def write_replicates_csv(fh, result: SimResult, digest: str, seed: int) -> None:
-    """Write the replicate matrix as CSV behind a digest+seed comment line.
-
-    Columns: replicate, l_index, S_value, Y_value. Floats use repr-exact
-    %.17g, '.' decimals, ',' delimiters, LF endings; output depends only on
-    the simulated values, so equal configs give byte-identical files.
-    """
-    lines = [f"# config_digest={digest} seed={seed}",
-             "replicate,l_index,S_value,Y_value"]
-    S, Y = result.S, result.Y
-    for r in range(S.shape[0]):
-        for j in range(S.shape[1]):
-            lines.append(f"{r},{j},{S[r, j]:.17g},{Y[r, j]:.17g}")
-    fh.write("\n".join(lines) + "\n")

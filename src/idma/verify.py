@@ -12,7 +12,7 @@ identities (ks_two_sample), or summarizes variance growth (hyperuniformity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,8 +23,16 @@ from .kernels import ProductKernel, _normalize_ls, as_product, persistent_contro
 from .simulate import SimConfig, empirical_cf, monte_carlo
 
 
+class _Report:
+    """A report whose to_dict lists its fields in order, tuples as lists."""
+
+    def to_dict(self) -> dict:
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
+
+
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_Report):
     T_grid: tuple
     dist_claimed: tuple
     dist_boundary: tuple
@@ -33,16 +41,6 @@ class ConvergenceReport:
     monotone_boundary: bool
     threshold: float
     failed_T: tuple
-
-    def to_dict(self) -> dict:
-        return {"T_grid": list(self.T_grid),
-                "dist_claimed": list(self.dist_claimed),
-                "dist_boundary": list(self.dist_boundary),
-                "winner": self.winner,
-                "monotone_claimed": self.monotone_claimed,
-                "monotone_boundary": self.monotone_boundary,
-                "threshold": self.threshold,
-                "failed_T": list(self.failed_T)}
 
 
 def _qualifies(dists, threshold):
@@ -114,7 +112,7 @@ def cf_convergence(kernel, measure, ls, T_grid, z_grid, *, zs_base=None,
 
 
 @dataclass(frozen=True)
-class McReport:
+class McReport(_Report):
     zs: tuple
     cf_dist: tuple          # per l: sup over z of |phi_hat - phi_exact|
     cf_band: float
@@ -131,15 +129,6 @@ class McReport:
     def all_pass(self) -> bool:
         return self.cf_pass and self.var_pass and self.mean_pass
 
-    def to_dict(self) -> dict:
-        return {"zs": list(self.zs), "cf_dist": list(self.cf_dist),
-                "cf_band": self.cf_band,
-                "var_empirical": list(self.var_empirical),
-                "var_analytic": self.var_analytic, "var_se": list(self.var_se),
-                "mean_empirical": list(self.mean_empirical),
-                "mean_band": list(self.mean_band), "cf_pass": self.cf_pass,
-                "var_pass": self.var_pass, "mean_pass": self.mean_pass}
-
 
 def variance_se(samples) -> float:
     """Large-sample standard error of the sample variance."""
@@ -151,14 +140,13 @@ def variance_se(samples) -> float:
     return math.sqrt(max(m4 - v * v, 0.0) / n)
 
 
-def mc_consistency(cfg: SimConfig, z_grid, *, band_c=5.0, threads=1,
+def mc_consistency(cfg: SimConfig, z_grid, *, band_c=5.0,
                    tol=1e-9) -> McReport:
     """Simulator vs analytic engine: CF on a z-grid, variance, and mean.
 
     For each window offset l the empirical CF of S must sit within
     band_c/sqrt(N) of exp(log_cf_window), the sample variance within 4 SE of
     variance_window, and the sample mean within 4 sqrt(var/N) of zero.
-    threads is accepted and ignored, as in monte_carlo.
     """
     if cfg.n_replicates < 10_000:
         raise ValueError("mc_consistency needs N >= 1e4")
@@ -192,14 +180,10 @@ def mc_consistency(cfg: SimConfig, z_grid, *, band_c=5.0, threads=1,
 
 
 @dataclass(frozen=True)
-class KsResult:
+class KsResult(_Report):
     statistic: float
     critical_1pct: float
     reject: bool
-
-    def to_dict(self) -> dict:
-        return {"statistic": self.statistic,
-                "critical_1pct": self.critical_1pct, "reject": self.reject}
 
 
 def ks_two_sample(a, b) -> KsResult:
@@ -218,7 +202,7 @@ def ks_two_sample(a, b) -> KsResult:
 
 
 @dataclass(frozen=True)
-class HyperReport:
+class HyperReport(_Report):
     T_grid: tuple
     var_analytic: tuple
     var_empirical: tuple
@@ -227,18 +211,9 @@ class HyperReport:
     control_slope: float
     classification: str
 
-    def to_dict(self) -> dict:
-        return {"T_grid": list(self.T_grid),
-                "var_analytic": list(self.var_analytic),
-                "var_empirical": list(self.var_empirical),
-                "var_se": list(self.var_se),
-                "control_var": list(self.control_var),
-                "control_slope": self.control_slope,
-                "classification": self.classification}
 
-
-def hyperuniformity(kernel, measure, T_grid, N, *, seed=0, eps=1e-3,
-                    threads=1) -> HyperReport:
+def hyperuniformity(kernel, measure, T_grid, N, *, seed=0,
+                    eps=1e-3) -> HyperReport:
     """Variance growth of window integrals against the persistent control.
 
     The kernel's variance curve comes from the closed form (or quadrature
@@ -247,7 +222,7 @@ def hyperuniformity(kernel, measure, T_grid, N, *, seed=0, eps=1e-3,
     dimension) is fitted by least squares to expose its linear growth.
     Classification is "hyperuniform" when the kernel's curve plateaus (last
     two values within 10%) while the control slope is positive, else
-    "persistent". threads is accepted and ignored, as in monte_carlo.
+    "persistent".
     """
     pk = as_product(kernel)
     T_grid = [float(t) for t in T_grid]

@@ -28,7 +28,7 @@ def variance_study():
     # one N=1e5 variance sweep reused by criteria 3 and 4
     return verify.hyperuniformity(
         kernels.signed_ou(), levy.two_point(1.0),
-        T_grid=[1.0, 2.0, 5.0, 10.0, 20.0], N=100_000, seed=0, threads=4)
+        T_grid=[1.0, 2.0, 5.0, 10.0, 20.0], N=100_000, seed=0)
 
 
 def test_criterion_1_stationary_cf_closed_form():
@@ -47,7 +47,7 @@ def test_criterion_2_simulator_matches_window_cf():
     cfg = simulate.SimConfig(
         measure=levy.two_point(1.0), kernel=kernels.signed_ou(), T=10.0,
         ls=[0.0], eps=1e-3, n_replicates=100_000, seed=0)
-    res = simulate.monte_carlo(cfg, threads=4)
+    res = simulate.monte_carlo(cfg)
     zs = np.array([0.5, 1.0, 2.0])
     hat = simulate.empirical_cf(res.S[:, 0], zs)
     exact = np.array([np.exp(analytic.log_cf_window(

@@ -15,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from idma.analytic import (ConditionsReport, FddSpec, check_conditions,
+from idma.analytic import (ConditionsReport, FddSpec, _corner_factor,
+                           _profile, _window_boxes, check_conditions,
                            covariance, covariance_integral,
                            covariance_integral_quadrature, fdd_spec, j_t,
                            log_cf_limit, log_cf_stationary, log_cf_window,
@@ -25,7 +26,7 @@ from idma.errors import NotAvailableError
 from idma.kernels import (ProductKernel, gauss_deriv, persistent_control,
                           signed_ou)
 from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
-from idma.quadrature import integrate_line
+from idma.quadrature import integrate_box, integrate_line
 
 CIN1 = 0.23981174200056472594
 STAT_DICKMAN = -0.24486805759326125       # frozen independent quadrature
@@ -123,6 +124,44 @@ def test_limit_variants_dickman_drift():
     assert abs(lc.imag) > 1e-3
     assert abs(lb.imag) < 1e-9
     assert abs(lb.real - 2.0 * lc.real) < 1e-9
+
+
+def _limit_two_integrals(kernel, measure, spec, variant, tol):
+    # log_cf_limit as one box integral per corner layer, each with its drift
+    comps, kfun, boxes, breaks = _window_boxes(kernel, measure, spec, 0.0, tol)
+    c_nu = measure.compensator_integral()
+    prod_int_g = math.prod(k.integral_g for k in comps)
+    total = 0.0 + 0.0j
+    signs = [float((-1) ** spec.d)]
+    if variant == "boundary_augmented":
+        signs.append(1.0)
+    for sign in signs:
+        last_vec = lambda prefix, xs, _s=sign: kfun(_profile(
+            comps, spec.ls, _s * spec.zs, _corner_factor, prefix, xs))
+        int_h = sign * float(np.sum(spec.zs)) * prod_int_g
+        total += -1j * c_nu * int_h
+        total += integrate_box(last_vec, boxes, breaks, tol, 1_000_000).value
+    return complex(total)
+
+
+@pytest.mark.parametrize("measure", [two_point(1.0), dickman(),
+                                     truncated_stable(0.5, 1.0),
+                                     inner_truncated_stable(1.5, 1.0, 0.1)],
+                         ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_limit_one_corner_integral_matches_two(measure, d):
+    # the origin-corner layer is I or conj(I) of the far-corner integral I,
+    # bit for bit, in both variants
+    pk = ProductKernel((signed_ou(), gauss_deriv(), signed_ou())[:d])
+    ls = [[0.0] * d, [0.5] * d] if d < 3 else [[0.0] * d]
+    zs = [0.7, -0.3] if d < 3 else [0.7]
+    tol = 1e-7 if d < 3 else 1e-4
+    spec = fdd_spec(ls, zs, 0.0)
+    for variant in ("claimed", "boundary_augmented"):
+        got = log_cf_limit(pk, measure, spec, variant, tol=tol)
+        want = _limit_two_integrals(pk, measure, spec, variant, tol)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(),
+                                                    want.imag.hex())
 
 
 def test_covariance_values():

@@ -1,5 +1,6 @@
 """Command-line interface: configs, outputs, digests, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from idma import analytic, kernels, levy
 from idma.cli import load_config, main
 from idma.errors import ConfigError
+from idma.simulate import SimConfig, monte_carlo
 
 BASE = {"measure": {"kind": "two_point", "lambda": 1.0},
         "kernel": {"kind": "signed_ou"}}
@@ -200,6 +202,84 @@ def test_simulate_threads_identical(tmp_path):
     assert text.startswith("# config_digest=")
     assert text.splitlines()[1] == "replicate,l_index,S_value,Y_value"
     assert len(text.splitlines()) == 2 + 200
+
+
+def test_simulate_replicates_csv_and_json(tmp_path):
+    extra = {"T": 2.0, "ls": [0.0, 1.5], "N": 7, "eps": 0.5, "seed": 3,
+             "out": str(tmp_path / "o")}
+    cfg_path = write_config(tmp_path, extra)
+    cfg = load_config(cfg_path)
+    res = monte_carlo(SimConfig(measure=cfg.measure, kernel=cfg.kernel,
+                                T=cfg.T, ls=cfg.ls, eps=cfg.eps,
+                                n_replicates=cfg.N, seed=cfg.seed))
+    assert main(["simulate", "--config", cfg_path]) == 0
+    lines = (tmp_path / "o" / "replicates.csv").read_text().splitlines()
+    assert lines[0] == f"# config_digest={cfg.digest} seed=3"
+    assert lines[1] == "replicate,l_index,S_value,Y_value"
+    assert len(lines) == 2 + 7 * 2
+    cells = [line.split(",") for line in lines[2:]]
+    assert [(int(r), int(j)) for r, j, _, _ in cells] == [
+        (r, j) for r in range(7) for j in range(2)]
+    for r, j, s, y in cells:    # %.17g round-trips doubles
+        assert float(s) == res.S[int(r), int(j)]
+        assert float(y) == res.Y[int(r), int(j)]
+
+    assert main(["simulate", "--config", cfg_path, "--format", "json"]) == 0
+    doc = json.loads((tmp_path / "o" / "replicates.json").read_text())
+    assert list(doc) == ["config_digest", "seed", "columns", "rows"]
+    assert (doc["config_digest"], doc["seed"]) == (cfg.digest, 3)
+    assert doc["columns"] == ["replicate", "l_index", "S_value", "Y_value"]
+    assert len(doc["rows"]) == 7 * 2
+    for r, j, s, y in doc["rows"]:
+        assert type(r) is int and type(j) is int
+        assert s == res.S[r, j] and y == res.Y[r, j]
+
+    # a kernel without an antiderivative has no limit sum: Y is NaN
+    ctrl = write_config(tmp_path, {**extra, "kernel": {"kind": "persistent_control"}},
+                        name="ctrl.json")
+    assert main(["simulate", "--config", ctrl, "--format", "json"]) == 0
+    doc = json.loads((tmp_path / "o" / "replicates.json").read_text())
+    assert len(doc["rows"]) == 7 * 2
+    assert all(math.isnan(y) and math.isfinite(s) for _, _, s, y in doc["rows"])
+
+
+# sha256 of every file the six subcommands write for PIN_CONFIG; all but
+# replicates.json were computed with the writers that preceded the single
+# CLI emitter, which had no JSON form of the replicates
+PIN_CONFIG = {"T": 3.0, "T_grid": [2.0, 4.0, 8.0], "z_grid": [-1.0, 0.5, 1.0],
+              "t_grid": [0.0, 1.5], "N": 300, "ls": [0.0, 1.0],
+              "quad_tol": 1e-7, "seed": 5, "eps": 0.5}
+PINS = {
+    "cf_limit_boundary.csv": "74c67e2eb38138af0e1847729e1b41457d953bb58a7d0822fca5132bbb896dba",
+    "cf_limit_boundary.json": "0638b44d51c96f30d19ca2d4c0e9763e75b09272dc0b9531862ae3a7f2b8432a",
+    "cf_limit_claimed.csv": "e24fb1df761be4a8ebcedd15748550aafcd6e7da83cb3e280aea0d55d45f8dc7",
+    "cf_limit_claimed.json": "b537673e9969cb412cf9bcfcf5e4e0625bbcd8647aa1d6eaf3d2649c991e30e0",
+    "cf_stationary.csv": "0c507de474766a52c1af03b55d2651964673982bab6585a8de0ca9dfe635fc53",
+    "cf_stationary.json": "dd961e22f265b0e32e42ac7d955e0c264bde3862fd7ae5a8e3be7f3a6ddf5652",
+    "cf_window.csv": "230d2bc5cc3cb2f0e22dfe037a10267cd71c6cb0d4a5e9fda5f91f0f3feca45f",
+    "cf_window.json": "337dfef069db354050da2c81a89db422cbb976ef96a45442b6bf2eebc8b515ab",
+    "conditions.csv": "1c2dc98b9362421c609ccdd1b8215311fbe93d134c8cadb9e4e50842115c706b",
+    "conditions.json": "dd4f0e9ab75008f7f820f136c420d7a1921542caf7f49c931a66d708c4f3745e",
+    "convergence.csv": "5cd969d2fea6b553ae060011f0e2379c547fb44c146effa9250494979f2f0b6d",
+    "convergence.json": "d3c6b32a435ba5cf2cfcd26ec5a513ae5f2c99f5a12a7dc9c17a6af10b9a0821",
+    "cov.csv": "051f6502b101d53f5c225db71cdcf017946dd6a61d1a5b4adf653fa883f0a43e",
+    "cov.json": "81ab6b181b1d413881e259ad960f4cd16a3097cc1e6bca0f44b77a08af61f5b7",
+    "hyper.csv": "436dfb5c1638eb19c4f3ac5c074d240b0ad184da7d29739ae96d679ee832f119",
+    "hyper.json": "a1105a67898b9404b59fbad0ac90dfd1fe0a4cd26b1e3ac1883fa37b91350c36",
+    "replicates.csv": "c35c320a746adbfdcb7e2596b524f53122cb675f6b569ca3d50bdd59cc7d4ba5",
+    "replicates.json": "c4694c8ffa21f010219dcc018941a541dc3a22ebc9e3035970a7ab2d59d84a58",
+}
+
+
+def test_output_bytes_pinned(tmp_path):
+    out = tmp_path / "o"
+    cfg_path = write_config(tmp_path, dict(PIN_CONFIG, out=str(out)))
+    for sub in ("conditions", "cf", "cov", "simulate", "converge", "hyper"):
+        for fmt in ("csv", "json"):
+            assert main([sub, "--config", cfg_path, "--format", fmt]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir()}
+    assert got == PINS
 
 
 def test_converge_output(tmp_path):

@@ -22,7 +22,11 @@ def test_cf_convergence_identifies_boundary_variant():
     assert rep.failed_T == ()
     d = rep.to_dict()
     assert d["winner"] == "boundary_augmented"
-    assert len(d["dist_claimed"]) == 3
+    # the fields in declaration order, tuples as lists
+    assert list(d) == ["T_grid", "dist_claimed", "dist_boundary", "winner",
+                       "monotone_claimed", "monotone_boundary", "threshold",
+                       "failed_T"]
+    assert d["dist_claimed"] == list(rep.dist_claimed) and d["failed_T"] == []
 
 
 def test_cf_convergence_negative_grid_invariance():
@@ -83,7 +87,9 @@ def test_ks_two_sample():
     with pytest.raises(ValueError):
         ks_two_sample(a[:50], b)
     d = same.to_dict()
-    assert set(d) == {"statistic", "critical_1pct", "reject"}
+    assert d == {"statistic": same.statistic,
+                 "critical_1pct": same.critical_1pct, "reject": False}
+    assert list(d) == ["statistic", "critical_1pct", "reject"]
 
 
 def test_hyperuniformity_classifies_flat_curve():
