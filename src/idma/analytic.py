@@ -205,8 +205,10 @@ def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
     last_vec = lambda prefix, xs: kfun(_profile(
         comps, spec.ls, spec.zs, _corner_factor, prefix, xs))
     I = integrate_box(last_vec, boxes, breaks, tol, max_evals).value
-    # + 0j keeps the imaginary part of a real I at +0.0
-    layers = [(float((-1) ** spec.d), I if spec.d % 2 == 0 else I.conjugate() + 0j)]
+    # int K(H) for the origin corner; + 0j keeps the imaginary part of a
+    # real I at +0.0
+    origin = I if spec.d % 2 == 0 else I.conjugate() + 0j
+    layers = [(float((-1) ** spec.d), origin)]
     if variant == "boundary_augmented":
         layers.append((1.0, I))
     int_h = float(np.sum(spec.zs)) * math.prod(k.integral_g for k in comps)

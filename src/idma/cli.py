@@ -156,7 +156,7 @@ def load_config(path: str, *, seed=None, threads=None, out=None,
     return cfg
 
 
-# -- output --------------------------------------------------------------------
+# -- output ------------------------------------------------------------------
 
 def _emit(cfg: RunConfig, stem: str, columns: list, rows, comments=(),
           doc: dict | None = None) -> str:
@@ -181,9 +181,7 @@ def _emit(cfg: RunConfig, stem: str, columns: list, rows, comments=(),
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(",".join(columns) + "\n")
         rows = iter(rows)
-        first = next(rows, None)
-        if first is None:
-            return path
+        first = next(rows)
         line = ",".join("%s" if isinstance(v, (int, str)) else "%.17g"
                         for v in first) + "\n"
         bools = [i for i, v in enumerate(first) if isinstance(v, bool)]
@@ -268,7 +266,8 @@ def _cmd_simulate(cfg: RunConfig) -> list:
         eps=cfg.eps, window_pad=cfg.window_pad, n_replicates=cfg.N,
         seed=cfg.seed)
     res = simulate.monte_carlo(sim_cfg)
-    # streamed: one tolist() per replicate, never a list of every row
+    # streamed, one tolist() per replicate: a list of all N*m rows would
+    # raise the peak memory
     rows = ((r, j, s, y) for r, (S_r, Y_r) in enumerate(zip(res.S, res.Y))
             for j, (s, y) in enumerate(zip(S_r.tolist(), Y_r.tolist())))
     return [_emit(cfg, "replicates",
