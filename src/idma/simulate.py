@@ -370,4 +370,3 @@ def empirical_cf(samples, zs, c: float = 3.0) -> CfEvaluation:
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     values = np.exp(1j * zs[:, None] * samples[None, :]).mean(axis=1)
     return CfEvaluation(zs=zs, values=values, band=c / math.sqrt(n))
-
