@@ -31,8 +31,7 @@ for name, m in [("dickman", levy.dickman()),
 
 print("\n=== Window-integral CF against both candidate limits (z = 1) ===")
 spec0 = analytic.fdd_spec([0.0], [1.0], 0.0)
-lim_claimed = analytic.log_cf_limit(k, tp, spec0, "claimed")
-lim_boundary = analytic.log_cf_limit(k, tp, spec0, "boundary_augmented")
+lim_claimed, lim_boundary = analytic.log_cf_limits(k, tp, spec0)
 print(f"  claimed limit            {lim_claimed.real: .12f}")
 print(f"  boundary_augmented limit {lim_boundary.real: .12f}")
 for T in (2.0, 5.0, 10.0, 20.0, 40.0):

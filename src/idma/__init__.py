@@ -8,9 +8,9 @@ integrals actually approach as the window grows.
 
 from .analytic import (ConditionsReport, FddSpec, check_conditions, covariance,
                        covariance_integral, covariance_integral_quadrature,
-                       fdd_spec, j_t, log_cf_limit, log_cf_stationary,
-                       log_cf_window, shift_constant, variance_window,
-                       variance_window_quadrature)
+                       fdd_spec, j_t, log_cf_limit, log_cf_limits,
+                       log_cf_stationary, log_cf_window, shift_constant,
+                       variance_window, variance_window_quadrature)
 from .errors import (ConfigError, DivergentMomentError, EmptyTruncationError,
                      IdmaError, NonConvergenceError, NotAvailableError)
 from .kernels import (Kernel1D, ProductKernel, as_product, check_derivative,

@@ -9,7 +9,8 @@ infinitely divisible random measure with Levy measure nu:
   S_T = int_{[0,T]^d + l} X(t) dt as T grows ("claimed" keeps only the
   origin-corner boundary layer; "boundary_augmented" also keeps the
   far-corner layer at s ~ T, which carries an independent copy of the
-  same functional),
+  same functional); log_cf_limits returns both from one box integral,
+  and log_cf_limit picks one of them by name,
 * second-order quantities (covariance, its integral, window variance),
 * the three absolute-integrability conditions that make the window CF
   formula well defined, reported with quadrature error estimates.
@@ -144,7 +145,7 @@ def _window_boxes(kernel, measure, spec: FddSpec, T, tol):
 
     Each box is the windows' hull padded by the kernel decay radius, with
     the kernels' kinks at both window edges as breakpoints; None when every
-    z is 0. log_cf_limit takes T = 0.0, where 0.0 + x == x gives the same
+    z is 0. log_cf_limits takes T = 0.0, where 0.0 + x == x gives the same
     floats as leaving the T terms out.
     """
     pk = as_product(kernel)
@@ -183,24 +184,22 @@ def log_cf_window(kernel, measure, spec: FddSpec, *, tol=1e-9,
     return complex(integrate_box(last_vec, boxes, breaks, tol, max_evals).value)
 
 
-def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
-                 tol=1e-9, max_evals=1_000_000) -> complex:
-    """Log-CF of a candidate T -> inf limit of the window integrals.
+def log_cf_limits(kernel, measure, spec: FddSpec, *, tol=1e-9,
+                  max_evals=1_000_000) -> tuple:
+    """Log-CFs (claimed, boundary_augmented) of the two candidate limits.
 
     "claimed" uses H(s) = (-1)^d sum_j z_j prod_k g_k(l_jk - s_k), the
     origin-corner layer. "boundary_augmented" adds the far-corner layer
     H+(u) = sum_j z_j prod_k g_k(l_jk - u_k), an independent copy living at
     the trailing window edge. Both are integrals against the centered
-    measure, so each carries the compensator drift -i (int H) c_nu; for
-    d = 1 the two drifts cancel exactly in the augmented variant. One box
-    integral I = int K(H+) serves both layers: H = (-1)^d H+ and
-    K(-w) = conj K(w), so int K(H) is I at even d and conj(I) at odd d.
+    measure, so each layer carries the compensator drift -i (int H) c_nu;
+    for d = 1 the two drifts cancel exactly in the augmented law. One box
+    integral I = int K(H+) serves both layers and both laws: H = (-1)^d H+
+    and K(-w) = conj K(w), so int K(H) is I at even d and conj(I) at odd d.
     """
-    if variant not in ("claimed", "boundary_augmented"):
-        raise ValueError(f"unknown variant {variant!r}")
     setup = _window_boxes(kernel, measure, spec, 0.0, tol)
     if setup is None:
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j, 0.0 + 0.0j
     comps, kfun, boxes, breaks = setup
     last_vec = lambda prefix, xs: kfun(_profile(
         comps, spec.ls, spec.zs, _corner_factor, prefix, xs))
@@ -208,16 +207,25 @@ def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
     # int K(H) for the origin corner; + 0j keeps the imaginary part of a
     # real I at +0.0
     origin = I if spec.d % 2 == 0 else I.conjugate() + 0j
-    layers = [(float((-1) ** spec.d), origin)]
-    if variant == "boundary_augmented":
-        layers.append((1.0, I))
     int_h = float(np.sum(spec.zs)) * math.prod(k.integral_g for k in comps)
     c_nu = measure.compensator_integral()
-    total = 0.0 + 0.0j
-    for sign, value in layers:
+    # claimed is the origin layer; boundary_augmented adds the far layer to it
+    total, laws = 0.0 + 0.0j, []
+    for sign, value in ((float((-1) ** spec.d), origin), (1.0, I)):
         total += -1j * c_nu * (sign * int_h)
         total += value
-    return complex(total)
+        laws.append(complex(total))
+    return tuple(laws)
+
+
+def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
+                 tol=1e-9, max_evals=1_000_000) -> complex:
+    """log_cf_limits' "claimed" or "boundary_augmented" law, by name."""
+    names = ("claimed", "boundary_augmented")
+    if variant not in names:
+        raise ValueError(f"unknown variant {variant!r}")
+    return log_cf_limits(kernel, measure, spec, tol=tol,
+                         max_evals=max_evals)[names.index(variant)]
 
 
 # -- second-order quantities -------------------------------------------------

@@ -58,14 +58,19 @@ def _as_points(value, name):
     raise ConfigError(f"{name} must be all scalars or all lists")
 
 
-def _number(lo, integer=False):
+def _number(lo, integer=False, below=None):
     def parse(value, name):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number")
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+        # integral floats such as 1e4 are accepted; 10.7 is not cut to 10
+        if integer and value != int(value):
+            raise ConfigError(f"{name} must be an integer, got {value}")
         if value < lo:
             raise ConfigError(f"{name} must be >= {lo}")
+        if below is not None and value >= below:
+            raise ConfigError(f"{name} must be < {below}")
         return int(value) if integer else float(value)
     return parse
 
@@ -91,7 +96,7 @@ _SCHEMA = {
     "t_grid": ([0.0, 1.0, 2.0], _as_points, True),
     "eps": (1e-3, _number(0.0), True),
     "N": (10_000, _number(1, integer=True), True),
-    "seed": (0, _number(0, integer=True), True),
+    "seed": (0, _number(0, integer=True, below=2 ** 64), True),
     "quad_tol": (1e-9, _number(0.0), True),
     "conditions_budget": (2_000_000, _number(1, integer=True), True),
     "threshold": (1e-3, _number(0.0), True),
@@ -205,41 +210,28 @@ def _cmd_conditions(cfg: RunConfig) -> list:
                     rep.c3_pass]], doc=rep.to_dict())]
 
 
-def _cf_rows(cfg: RunConfig, log_fn) -> list:
-    rows = []
-    for u in cfg.z_grid:
-        lc = log_fn(float(u))
-        cf = np.exp(lc)
-        rows.append([u, lc.real, lc.imag, cf.real, cf.imag])
-    return rows
-
-
 def _cmd_cf(cfg: RunConfig) -> list:
-    cols = ["z", "log_re", "log_im", "cf_re", "cf_im"]
     pk = kernels.as_product(cfg.kernel)
     ls = np.asarray(cfg.ls, dtype=float)
     zs_base = (np.ones(ls.shape[0]) if cfg.zs_base is None
                else np.asarray(cfg.zs_base, dtype=float))
-
-    def spec_at(u, T):
-        return analytic.fdd_spec(ls, u * zs_base, T)
-
-    return [
-        _emit(cfg, "cf_stationary", cols, _cf_rows(
-            cfg, lambda u: analytic.log_cf_stationary(
-                pk, cfg.measure, u, tol=cfg.quad_tol))),
-        _emit(cfg, "cf_window", cols, _cf_rows(
-            cfg, lambda u: analytic.log_cf_window(
-                pk, cfg.measure, spec_at(u, cfg.T), tol=cfg.quad_tol))),
-        _emit(cfg, "cf_limit_claimed", cols, _cf_rows(
-            cfg, lambda u: analytic.log_cf_limit(
-                pk, cfg.measure, spec_at(u, 0.0), "claimed",
-                tol=cfg.quad_tol))),
-        _emit(cfg, "cf_limit_boundary", cols, _cf_rows(
-            cfg, lambda u: analytic.log_cf_limit(
-                pk, cfg.measure, spec_at(u, 0.0), "boundary_augmented",
-                tol=cfg.quad_tol))),
-    ]
+    # every spec is checked before any integral runs, and every integral
+    # runs before any file is written, so a failure leaves no partial output
+    specs = [(u, analytic.fdd_spec(ls, u * zs_base, cfg.T),
+              analytic.fdd_spec(ls, u * zs_base, 0.0)) for u in cfg.z_grid]
+    tables = ([], [], [], [])
+    for u, window, corner in specs:
+        lcs = (analytic.log_cf_stationary(pk, cfg.measure, u, tol=cfg.quad_tol),
+               analytic.log_cf_window(pk, cfg.measure, window, tol=cfg.quad_tol),
+               *analytic.log_cf_limits(pk, cfg.measure, corner,
+                                       tol=cfg.quad_tol))
+        for rows, lc in zip(tables, lcs):
+            cf = np.exp(lc)
+            rows.append([u, lc.real, lc.imag, cf.real, cf.imag])
+    stems = ("cf_stationary", "cf_window", "cf_limit_claimed",
+             "cf_limit_boundary")
+    return [_emit(cfg, stem, ["z", "log_re", "log_im", "cf_re", "cf_im"], rows)
+            for stem, rows in zip(stems, tables)]
 
 
 def _cmd_cov(cfg: RunConfig) -> list:

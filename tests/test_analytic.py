@@ -19,8 +19,8 @@ from idma.analytic import (ConditionsReport, FddSpec, _corner_factor,
                            _profile, _window_boxes, check_conditions,
                            covariance, covariance_integral,
                            covariance_integral_quadrature, fdd_spec, j_t,
-                           log_cf_limit, log_cf_stationary, log_cf_window,
-                           shift_constant, variance_window,
+                           log_cf_limit, log_cf_limits, log_cf_stationary,
+                           log_cf_window, shift_constant, variance_window,
                            variance_window_quadrature)
 from idma.errors import NotAvailableError
 from idma.kernels import (ProductKernel, gauss_deriv, persistent_control,
@@ -157,11 +157,12 @@ def test_limit_one_corner_integral_matches_two(measure, d):
     zs = [0.7, -0.3] if d < 3 else [0.7]
     tol = 1e-7 if d < 3 else 1e-4
     spec = fdd_spec(ls, zs, 0.0)
-    for variant in ("claimed", "boundary_augmented"):
-        got = log_cf_limit(pk, measure, spec, variant, tol=tol)
+    pair = log_cf_limits(pk, measure, spec, tol=tol)
+    for variant, both in zip(("claimed", "boundary_augmented"), pair):
         want = _limit_two_integrals(pk, measure, spec, variant, tol)
-        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(),
-                                                    want.imag.hex())
+        for got in (log_cf_limit(pk, measure, spec, variant, tol=tol), both):
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(),
+                                                        want.imag.hex())
 
 
 def test_covariance_values():

@@ -121,6 +121,25 @@ def test_load_config_rejects_bad_input(tmp_path, capsys):
         assert main([cmd, "--config", write_config(tmp_path, {key: [math.nan]}),
                      "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {key} must be finite" in capsys.readouterr().err
+    # integer keys refuse fractions instead of truncating them, but take 1e4
+    for key, value in (("N", 10.7), ("seed", 7.9), ("threads", 1.5),
+                       ("conditions_budget", 1e6 + 0.5)):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            load_config(write_config(tmp_path, {key: value}))
+    cfg = load_config(write_config(tmp_path, {"N": 1e4, "seed": 7.0}))
+    assert (cfg.N, cfg.seed) == (10_000, 7)
+    # a seed keys a 64-bit stream, in every subcommand
+    for value in (2 ** 64, 2.0 ** 64):
+        with pytest.raises(ConfigError, match=f"seed must be < {2 ** 64}$"):
+            load_config(write_config(tmp_path, {"seed": value}))
+    cfg = load_config(write_config(tmp_path, {"seed": 2 ** 64 - 1}))
+    assert cfg.seed == 2 ** 64 - 1
+    for key, value, cmd in (("seed", 2 ** 64, "cf"), ("N", 10.7, "simulate")):
+        capsys.readouterr()
+        assert main([cmd, "--config", write_config(tmp_path, {key: value}),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
     cfg = load_config(write_config(tmp_path, {"zs_base": None,
                                               "window_pad": None}))
     assert cfg.zs_base is None and cfg.window_pad is None
@@ -164,6 +183,36 @@ def test_cf_outputs(tmp_path):
     row = [r for r in rows if float(r[0]) == 1.0][0]
     assert abs(float(row[1]) - want.real) < 1e-12
     assert abs(float(row[3]) - np.exp(want).real) < 1e-12
+
+
+def test_cf_failure_writes_no_file(tmp_path, capsys):
+    # every spec and integral is done before the first file is written:
+    # zs_base of the wrong length, and d=2 windows for a d=1 kernel
+    out = tmp_path / "o"
+    for extra in ({"ls": [0.0, 1.0], "zs_base": [1.0]}, {"ls": [[0.0, 0.0]]}):
+        capsys.readouterr()
+        cfg_path = write_config(tmp_path, dict(extra, z_grid=[0.5],
+                                               out=str(out)))
+        assert main(["cf", "--config", cfg_path]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_one_corner_integral_per_z(tmp_path, monkeypatch):
+    # cf: stationary, window and one limit box integral per z; converge: one
+    # limit integral per distinct |u| plus one window integral per (T, |u|)
+    calls = []
+    box = analytic.integrate_box
+    monkeypatch.setattr(analytic, "integrate_box",
+                        lambda *a, **k: calls.append(1) or box(*a, **k))
+    cfg_path = write_config(tmp_path, {
+        "z_grid": [-1.0, 0.5, 1.0, 2.0], "T_grid": [2.0, 4.0], "T": 2.0,
+        "quad_tol": 1e-6, "out": str(tmp_path / "o")})
+    assert main(["cf", "--config", cfg_path]) == 0
+    assert len(calls) == 3 * 4
+    calls.clear()
+    assert main(["converge", "--config", cfg_path]) == 0
+    assert len(calls) == 3 * (1 + 2)
 
 
 def test_cov_output(tmp_path):
