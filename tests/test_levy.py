@@ -106,6 +106,42 @@ def test_quantile_edges_and_errors():
         two_point(1.0).jump_quantile(np.array([0.2, 0.8]), 0.5), [-1.0, 1.0])
 
 
+# jump_quantile(u, eps) at u = 0.3 and 0.8 as float.hex, frozen from the
+# out-of-place quantiles that preceded the in-place ones
+QUANTILE_PINS = [
+    (dickman(), 0.01, ["0x1.46211ff90ea2ap-5", "0x1.97a967f7524b4p-2"]),
+    (truncated_stable(0.5, 1.0), 0.04,
+     ["-0x1.6253443526171p-4", "0x1.2ef5657dba51ep-3"]),
+    (two_point(1.0), 0.5, ["-0x1.0000000000000p+0", "0x1.0000000000000p+0"]),
+    (inner_truncated_stable(1.5, 1.0, 0.01), 0.02,
+     ["-0x1.cca06ef2e0cdap-6", "0x1.2dcbbd814f685p-5"]),
+]
+
+
+@pytest.mark.parametrize("m, eps, want", QUANTILE_PINS,
+                         ids=[m.kind for m, _, _ in QUANTILE_PINS])
+def test_jump_quantile_contract(m, eps, want):
+    # a scalar gives a numpy float64 with the pinned bits
+    for u, w in zip((0.3, 0.8), want):
+        q = m.jump_quantile(u, eps)
+        assert type(q) is np.float64 and q.hex() == w
+    # an array result has the scalar bits, and the caller's array, a
+    # read-only one included, is left as it was
+    u = np.array([[0.3, 0.8], [0.8, 0.3]])
+    ro = u.copy()
+    ro.flags.writeable = False
+    for arr in (u, ro):
+        got = m.jump_quantile(arr, eps)
+        assert np.array_equal(arr, [[0.3, 0.8], [0.8, 0.3]])
+        assert [[v.hex() for v in row] for row in got.tolist()] == [want, want[::-1]]
+    assert [v.hex() for v in m.jump_quantile([0.3, 0.8], eps).tolist()] == want
+    for bad in (math.nan, 1.0, -0.1, [0.5, math.nan], [0.2, 1.0]):
+        with pytest.raises(ValueError, match="u must lie"):
+            m.jump_quantile(bad, eps)
+    empty = m.jump_quantile(np.empty(0), eps)
+    assert empty.shape == (0,) and empty.dtype == np.float64
+
+
 def test_sample_jump_sizes_ranges():
     rng = np.random.default_rng(7)
     ys = dickman().sample_jump_sizes(0.05, 2000, rng)

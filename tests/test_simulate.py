@@ -8,7 +8,8 @@ import pytest
 from idma import simulate
 from idma.errors import EmptyTruncationError, NotAvailableError
 from idma.kernels import ProductKernel, persistent_control, signed_ou
-from idma.levy import dickman, inner_truncated_stable, two_point
+from idma.levy import (dickman, inner_truncated_stable, truncated_stable,
+                       two_point)
 from idma.simulate import (CfEvaluation, SimConfig, empirical_cf, eval_field,
                            jump_set, limit_sum, mirrored_limit_sum,
                            monte_carlo, sample_jumps, sample_limit,
@@ -204,7 +205,8 @@ def test_monte_carlo_windows_match_single_window_calls(monkeypatch, block):
 
 
 # S and Y of the seed -> sample mapping as float.hex, frozen from the
-# per-replicate monte_carlo that preceded the batched one
+# per-replicate monte_carlo that preceded the batched one (the two stable
+# families: from the batched one, before the in-place jump quantiles)
 PINNED = {
     "two_point_d1": (
         SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=5.0,
@@ -240,6 +242,23 @@ PINNED = {
          ["-0x1.16ee8c78d5df8p-15", "-0x1.01a15fd16c21ap-12"],
          ["0x0.0p+0", "0x0.0p+0"],
          ["0x1.22ae91840ab65p-9", "0x1.0c7bad75e3c85p-6"]]),
+    # 7031 and 7129 jumps: each replicate is a block of its own, and its
+    # (2, 1, n) factors take two column blocks of _BLOCK // 2 jumps
+    "truncated_stable_d1": (
+        SimConfig(measure=truncated_stable(0.5, 1.0), kernel=signed_ou(),
+                  T=20.0, ls=[0.0], eps=1e-3, n_replicates=2, seed=21),
+        [["-0x1.42da8b9b206c3p+1"], ["0x1.340665a4a2658p+0"]],
+        [["-0x1.fdce141c42211p+0"], ["-0x1.213128f3f94fep-2"]]),
+    "inner_truncated_stable_d1": (
+        SimConfig(measure=inner_truncated_stable(1.5, 1.0, 0.01),
+                  kernel=signed_ou(), T=5.0, ls=[0.0, 1.0], eps=0.1,
+                  n_replicates=3, seed=13),
+        [["0x1.305109933c7a8p+2", "-0x1.a200e154a47bap+2"],
+         ["-0x1.2484f7d401b56p-1", "0x1.ed63386323640p+0"],
+         ["-0x1.b07d8241768e0p+2", "-0x1.2a833c5072da1p+0"]],
+        [["0x1.ea96e689e2ba8p+2", "0x1.0c94e3f32dd98p+1"],
+         ["-0x1.c0cbce3bf2365p+0", "0x1.3874c66e1c8d9p-5"],
+         ["-0x1.ac6688843d627p+2", "-0x1.5d8b954b50af4p-1"]]),
 }
 
 
@@ -256,6 +275,19 @@ def test_monte_carlo_pinned_bits(name):
             assert all(math.copysign(1.0, v) == 1.0 for v in res.Y[r])
     if name == "sparse":
         assert sample_jumps(cfg, stream_for(cfg.seed, 4)).n == 0
+
+
+def test_sample_limit_mirrored_pinned_bits():
+    # symmetric jumps folded from one uniform each, frozen as for PINNED
+    cfg = SimConfig(measure=truncated_stable(0.5, 1.0), kernel=signed_ou(),
+                    T=0.0, ls=[0.0, 0.5], eps=0.05, window_pad=8.0,
+                    n_replicates=1)
+    ys = sample_limit(cfg, stream_for(7, 0), mirrored=True, n=4)
+    assert [[v.hex() for v in row] for row in ys.tolist()] == [
+        ["0x1.2e2ea5ad33673p-1", "0x1.02090e9093960p+1"],
+        ["0x1.b31599bca0ad9p-1", "0x1.168d580e660abp+0"],
+        ["-0x1.bb2caefbad359p-2", "-0x1.0476d558ca694p+0"],
+        ["0x1.d6a2034779006p+0", "0x1.da1e37539d692p+0"]]
 
 
 def test_monte_carlo_checks_before_drawing(monkeypatch):
