@@ -281,7 +281,8 @@ def _cmd_converge(cfg: RunConfig) -> list:
 
 def _cmd_hyper(cfg: RunConfig) -> list:
     rep = verify.hyperuniformity(
-        cfg.kernel, cfg.measure, cfg.T_grid, cfg.N, seed=cfg.seed, eps=cfg.eps)
+        cfg.kernel, cfg.measure, cfg.T_grid, cfg.N, seed=cfg.seed, eps=cfg.eps,
+        window_pad=cfg.window_pad)
     return [_emit(cfg, "hyper",
                   ["T", "var_analytic", "var_empirical", "var_se",
                    "control_var"],

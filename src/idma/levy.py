@@ -26,7 +26,8 @@ where the defaults do not hold, ``symmetric``, ``support_bound`` and
 * _check(): the parameter ranges, raising ConfigError;
 * abs_moment() and second_moment();
 * _tail(eps), _small_variance(eps) and _magnitude(v, eps): the tail mass,
-  the small-jump variance and the quantile of |y| on arrays;
+  the small-jump variance and the quantile of |y| on arrays (_magnitude
+  writes into its 1-d argument and returns it);
 * _line(tol, h_sup): int h dnu as a proper integral on a bounded line,
   or, for an atomic measure, integrate() and exponent() themselves;
 * _series(): the power-series coefficients of K(w), unless it overrides
@@ -59,6 +60,12 @@ from .quadrature import QuadResult, integrate_line, integrate_rows
 
 def _scalar(out):
     return out if out.ndim else float(out)
+
+
+def _check_uniforms(u):
+    """Refuse an array with an entry outside [0, 1), NaN included."""
+    if u.size and not (0.0 <= u.min() and u.max() < 1.0):
+        raise ValueError("u must lie in [0, 1)")
 
 
 # K(w) is summed from its power series for |w| <= SERIES_MAX_W. A family's
@@ -151,20 +158,27 @@ class LevyMeasure:
 
         For the symmetric families u is folded: the sign comes from u < 1/2
         and |2u - 1| drives the magnitude quantile, so a single uniform per
-        jump suffices.
+        jump suffices. u is copied once and left as it was; a scalar u is
+        evaluated as a one-element array and returned as a numpy float64.
         """
-        u = np.asarray(u, dtype=float)
+        u = np.array(u, dtype=float)
         eps = float(eps)
-        if not np.all((0.0 <= u) & (u < 1.0)):
-            raise ValueError("u must lie in [0, 1)")
+        _check_uniforms(u)
         if eps <= 0.0 and not self.finite_mass:
             raise ValueError("eps must be positive: total mass is infinite")
         if eps > 0.0 and self.tail_mass(eps) <= 0.0:
             raise EmptyTruncationError(f"no jumps with |y| >= {eps}")
+        out = self._quantile(u.reshape(-1), eps).reshape(u.shape)
+        return out if out.ndim else out[()]
+
+    def _quantile(self, u, eps):
+        """jump_quantile on a checked 1-d u, which it may overwrite."""
         if not self.symmetric:
             return self._magnitude(u, eps)
-        w = 2.0 * u - 1.0
-        return np.where(w < 0.0, -1.0, 1.0) * self._magnitude(np.abs(w), eps)
+        u *= 2.0
+        u -= 1.0
+        mag = self._magnitude(np.abs(u), eps)
+        return np.copysign(mag, u, out=mag)
 
     def sample_jump_sizes(self, eps, n, rng):
         """Draw n jump sizes from nu conditioned on {|y| >= eps}."""
@@ -237,7 +251,8 @@ class Dickman(LevyMeasure):
         return np.maximum(0.0, np.minimum(hi, 1.0) - np.clip(lo, 0.0, 1.0))
 
     def _magnitude(self, u, eps):
-        return eps ** (1.0 - u)
+        np.subtract(1.0, u, out=u)
+        return np.power(eps, u, out=u)
 
     def _line(self, tol, h_sup):
         # h(y)/y directly, relying on h(0) = 0 with a linear bound (true
@@ -284,7 +299,9 @@ class TruncatedStable(LevyMeasure):
 
     def _magnitude(self, v, eps):
         a = eps ** -self.beta
-        return (a - v * (a - 1.0)) ** (-1.0 / self.beta)
+        v *= a - 1.0
+        np.subtract(a, v, out=v)
+        return np.power(v, -1.0 / self.beta, out=v)
 
     def _line(self, tol, h_sup):
         # y = t^p with p = 2/(1-beta) turns the |y|^{-1-beta} blow-up into
@@ -331,7 +348,8 @@ class TwoPoint(LevyMeasure):
         return np.where(eps > 1.0, self.lam, 0.0)
 
     def _magnitude(self, v, eps):
-        return np.ones_like(v)
+        v.fill(1.0)
+        return v
 
     def integrate(self, h, tol=1e-9, *, max_evals=1_000_000, h_sup=2.0):
         vals = np.asarray(h(np.array([1.0, -1.0])))
@@ -382,7 +400,10 @@ class InnerTruncatedStable(LevyMeasure):
                         * (np.maximum(eps, self.delta) ** ex - self.delta ** ex) / ex)
 
     def _magnitude(self, v, eps):
-        return max(eps, self.delta) * (1.0 - v) ** (-1.0 / self.alpha)
+        np.subtract(1.0, v, out=v)
+        np.power(v, -1.0 / self.alpha, out=v)
+        v *= max(eps, self.delta)
+        return v
 
     def _line(self, tol, h_sup):
         # the support is unbounded: the tail beyond the cut is dropped once

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import EmptyTruncationError, NotAvailableError
 from .kernels import ProductKernel, _normalize_ls, as_product
+from .levy import _check_uniforms
 
 
 def _truncated_mean(measure, eps):
@@ -143,25 +144,33 @@ def _blocks(cfg: SimConfig, rngs, cap: int):
             f"support_bound={cfg.measure.support_bound}")
     if not math.isfinite(tm):
         raise ValueError("jump intensity is infinite; raise eps")
+    measure, eps, d, mean = cfg.measure, cfg.eps, cfg.d, tm * cfg.window_volume
     u_loc, u_size, starts = [], [], [0]
 
     def flush():
         # the uniforms are let go as soon as they are stacked (peak memory),
-        # and lo + (hi - lo) * u is rng.uniform(lo, hi)'s own formula
+        # a single replicate's used as drawn, and turned into jumps in
+        # place: (hi - lo) * u + lo is rng.uniform(lo, hi)'s own formula, and
+        # _quantile skips jump_quantile's eps and tail mass checks, which
+        # SimConfig and the checks above make once per run
         nonlocal u_loc, u_size, starts
-        u, v, block = np.concatenate(u_loc), np.concatenate(u_size), starts
+        if len(u_loc) == 1:
+            (u,), (v,), block = u_loc, u_size, starts
+        else:
+            u, v, block = np.concatenate(u_loc), np.concatenate(u_size), starts
         u_loc, u_size, starts = [], [], [0]
-        u = lo + (hi - lo) * u
-        return JumpSet(u, cfg.measure.jump_quantile(v, cfg.eps), lo, hi,
-                       cfg.window_pad), block
+        u *= hi - lo
+        u += lo
+        _check_uniforms(v)
+        return JumpSet(u, measure._quantile(v, eps), lo, hi, cfg.window_pad), block
 
     for rng in rngs:
         # a replicate's draws, in this order: its count decides whether the
         # block so far is evaluated first (evaluation draws nothing)
-        k = int(rng.poisson(tm * cfg.window_volume))
+        k = int(rng.poisson(mean))
         if len(starts) > 1 and starts[-1] + k >= cap:
             yield flush()
-        u_loc.append(rng.random((k, cfg.d)))
+        u_loc.append(rng.random((k, d)))
         u_size.append(rng.random(k))
         starts.append(starts[-1] + k)
     yield flush()
@@ -186,14 +195,18 @@ def _jump_sums(jumps: JumpSet, pk, ls, factor, starts, nf: int = 1) -> np.ndarra
     # factor(comp, ls[:, k, None], locations of axis k) returns nf factors;
     # replicates split the jumps at starts as in _blocks, and one without
     # jumps sums to +0.0
-    prod = np.ones((nf, ls.shape[0], jumps.n))
+    # prod starts as the first component's factors: 1.0 * x = x exactly
+    prod = np.empty((nf, ls.shape[0], jumps.n))
     step = max(1, _BLOCK // (nf * ls.shape[0]))
     for lo in range(0, jumps.n, step):
         cols = slice(lo, lo + step)
         for k, comp in enumerate(pk.components):
             for p, fac in zip(prod, factor(comp, ls[:, k, None],
                                            jumps.locations[cols, k])):
-                p[:, cols] *= fac
+                if k:
+                    p[:, cols] *= fac
+                else:
+                    p[:, cols] = fac
     # as stacked (1 x n) @ (n x 1) products, every row is summed by the same
     # dot product as the sizes @ prod of a single window and replicate
     return np.array([(prod[:, :, None, a:b] @ jumps.sizes[a:b, None])[..., 0, 0]

@@ -209,13 +209,15 @@ class HyperReport(_Report):
 
 
 def hyperuniformity(kernel, measure, T_grid, N, *, seed=0,
-                    eps=1e-3) -> HyperReport:
+                    eps=1e-3, window_pad=None) -> HyperReport:
     """Variance growth of window integrals against the persistent control.
 
     The kernel's variance curve comes from the closed form (or quadrature
     when no antiderivative exists) plus an empirical check with N replicates
     per T; the control curve f = e^{-|x|}/2 (tensorized to the kernel's
     dimension) is fitted by least squares to expose its linear growth.
+    window_pad pads the simulated window as in SimConfig (None: its
+    default from the kernel's decay).
     Classification is "hyperuniform" when the kernel's curve plateaus (last
     two values within 10%) while the control slope is positive, else
     "persistent".
@@ -234,8 +236,8 @@ def hyperuniformity(kernel, measure, T_grid, N, *, seed=0,
         else:
             var_a.append(variance_window_quadrature(pk, measure, T))
         cfg = SimConfig(measure=measure, kernel=pk, T=T,
-                        ls=np.zeros((1, pk.d)), eps=eps, n_replicates=N,
-                        seed=seed)
+                        ls=np.zeros((1, pk.d)), eps=eps,
+                        window_pad=window_pad, n_replicates=N, seed=seed)
         s = monte_carlo(cfg).S[:, 0]
         var_e.append(float(np.var(s)))
         ses.append(variance_se(s))

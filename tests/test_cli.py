@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from idma import analytic, kernels, levy
+from idma import analytic, kernels, levy, verify
 from idma.cli import load_config, main
 from idma.errors import ConfigError
 from idma.simulate import SimConfig, monte_carlo
@@ -355,6 +355,24 @@ def test_hyper_output(tmp_path):
                       "control_var"]
     assert any("classification=hyperuniform" in c for c in comments)
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("pad", [None, 3.5])
+def test_hyper_passes_window_pad(tmp_path, monkeypatch, pad):
+    # every simulated T gets the configured pad, and null its default
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return monte_carlo(cfg)
+    monkeypatch.setattr(verify, "monte_carlo", capture)
+    cfg_path = write_config(tmp_path, {
+        "T_grid": [2.0, 5.0, 10.0], "N": 100, "eps": 0.5, "window_pad": pad,
+        "out": str(tmp_path / "o")})
+    assert main(["hyper", "--config", cfg_path]) == 0
+    want = kernels.signed_ou().decay_radius(1e-8) if pad is None else pad
+    assert [c.T for c in seen] == [2.0, 5.0, 10.0]
+    assert all(c.window_pad == want for c in seen)
 
 
 def test_exit_codes(tmp_path, capsys):
