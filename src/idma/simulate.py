@@ -16,7 +16,9 @@ factor_k(s_ik). _jump_sums evaluates it for all windows on the stacked
 jumps of a block of replicates, summing each replicate by the same dot
 product as a single call. Replicate r draws only its count and uniforms
 from its counter-based stream stream_for(seed, r); all else runs once per
-block, on one thread, so the output depends on (seed, r) alone.
+block, on one thread, so the output depends on (seed, r) alone. One block
+loop serves every entry point: window_integral_sweep evaluates several T
+on each replicate's one cloud, and monte_carlo is its case of one T.
 
 The module is numerics only: the command-line front end writes the
 replicate matrices of a SimResult to CSV or JSON.
@@ -61,8 +63,8 @@ class SimConfig:
         self.seed = int(self.seed)
         if not (self.T >= 0.0 and math.isfinite(self.T)):
             raise ValueError("T must be finite and nonnegative")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not (self.eps > 0.0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be finite and positive")
         if self.n_replicates < 1:
             raise ValueError("need at least one replicate")
         if not 0 <= self.seed < 2 ** 64:
@@ -213,11 +215,11 @@ def _jump_sums(jumps: JumpSet, pk, ls, factor, starts, nf: int = 1) -> np.ndarra
                      for a, b in zip(starts[:-1], starts[1:])])
 
 
-def _window_sums(jumps: JumpSet, pk, ls, starts, T=None, a: float = 0.0,
+def _window_sums(jumps: JumpSet, pk, ls, starts, Ts=(), a: float = 0.0,
                  mirrored: bool = False):
-    """(limit_sum, S_{T,l} - a T^d) per replicate and row l of ls."""
-    # both from one g(l - s); S is None without T, and mirrored gives
-    # mirrored_limit_sum instead of limit_sum
+    """(limit_sum, S_{T,l} - a T^d for each T of Ts) per replicate and row l."""
+    # all from one g(l - s): Y is (replicates, m) and S (replicates, len(Ts),
+    # m); mirrored gives mirrored_limit_sum instead of limit_sum
     if not pk.has_g:
         raise NotAvailableError(
             "window integrals and limit sums need every component's "
@@ -225,15 +227,13 @@ def _window_sums(jumps: JumpSet, pk, ls, starts, T=None, a: float = 0.0,
 
     def factor(c, l, s):
         g_ls = c.g(s - l) if mirrored else c.g(l - s)
-        return (g_ls,) if T is None else (g_ls, c.g(T + l - s) - g_ls)
-    sums = _jump_sums(jumps, pk, ls, factor, starts, nf=1 if T is None else 2)
+        return (g_ls, *(c.g(T + l - s) - g_ls for T in Ts))
+    sums = _jump_sums(jumps, pk, ls, factor, starts, nf=1 + len(Ts))
     Y = sums[:, 0] if mirrored else (-1.0) ** pk.d * sums[:, 0]
     empty = np.diff(starts) == 0
     Y[empty] = 0.0      # +0.0 whatever the sign (-1)^d
-    if T is None:
-        return Y, None
-    shift = float(a) * T ** pk.d
-    S = sums[:, 1] - shift
+    shift = np.array([float(a) * T ** pk.d for T in Ts])[:, None]
+    S = sums[:, 1:] - shift
     S[empty] = -shift
     return Y, S
 
@@ -269,7 +269,7 @@ def window_integral(jumps: JumpSet, kernel, T: float, l, a: float = 0.0) -> floa
     default covers them. Kernels without g must go through
     window_integral_grid instead.
     """
-    return float(_one_window(jumps, kernel, l, T=float(T), a=a)[1][0, 0])
+    return float(_one_window(jumps, kernel, l, Ts=(float(T),), a=a)[1][0, 0, 0])
 
 
 def window_integral_grid(jumps: JumpSet, kernel, T: float, l, a: float = 0.0,
@@ -320,6 +320,25 @@ def _limit_drift(cfg: SimConfig, mirrored: bool) -> float:
     return sign * cfg.kernel.integral_g * _truncated_mean(cfg.measure, cfg.eps)
 
 
+def _replicate_sums(cfg: SimConfig, rngs, Ts=(), mirrored: bool = False):
+    """Y_l and S_{T,l} - a T^d of one cloud per rng: (n, m) and (n, len(Ts), m).
+
+    The one block loop of the Monte Carlo. Kernels without g take S from
+    window_integral_grid per T and replicate, and Y is NaN; without any T
+    they reach _window_sums, which refuses them.
+    """
+    pk, m = cfg.kernel, cfg.m
+    a = pk.integral_f * _truncated_mean(cfg.measure, cfg.eps)
+    if Ts and not pk.has_g:
+        S = [[[window_integral_grid(jumps, pk, T, l, a)[0] for l in cfg.ls]
+              for T in Ts] for jumps, _ in _blocks(cfg, rngs, 0)]
+        return np.full((len(S), m), np.nan), np.array(S)
+    cap = max(1, _BLOCK // ((1 + len(Ts)) * m))
+    Y, S = zip(*(_window_sums(jumps, pk, cfg.ls, starts, Ts, a, mirrored)
+                 for jumps, starts in _blocks(cfg, rngs, cap)))
+    return np.concatenate(Y) - _limit_drift(cfg, mirrored), np.concatenate(S)
+
+
 def sample_limit(cfg: SimConfig, rng: np.random.Generator,
                  mirrored: bool = False, n: int | None = None) -> np.ndarray:
     """The limit values Y_l for every l in cfg.ls: one replicate, shape (m,).
@@ -329,10 +348,7 @@ def sample_limit(cfg: SimConfig, rng: np.random.Generator,
     """
     if n is not None and n < 1:
         raise ValueError("n must be at least 1")
-    blocks = _blocks(cfg, [rng] * (n or 1), max(1, _BLOCK // cfg.m))
-    ys = np.concatenate([_window_sums(jumps, cfg.kernel, cfg.ls, starts,
-                                      mirrored=mirrored)[0]
-                         for jumps, starts in blocks]) - _limit_drift(cfg, mirrored)
+    ys = _replicate_sums(cfg, [rng] * (n or 1), mirrored=mirrored)[0]
     return ys[0] if n is None else ys
 
 
@@ -352,17 +368,27 @@ def monte_carlo(cfg: SimConfig) -> SimResult:
     antiderivatives, else the trapezoid grid fallback. Y needs g; it is NaN
     without one.
     """
-    pk, N, m = cfg.kernel, cfg.n_replicates, cfg.m
-    a_sim = pk.integral_f * _truncated_mean(cfg.measure, cfg.eps)
-    rngs = _streams(cfg.seed, range(N))
-    if not pk.has_g:
-        S = [[window_integral_grid(jumps, pk, cfg.T, l, a_sim)[0] for l in cfg.ls]
-             for jumps, _ in _blocks(cfg, rngs, 0)]
-        return SimResult(S=np.array(S), Y=np.full((N, m), np.nan), cfg=cfg)
-    Y, S = zip(*(_window_sums(jumps, pk, cfg.ls, starts, cfg.T, a_sim) for jumps, starts
-                 in _blocks(cfg, rngs, max(1, _BLOCK // (2 * m)))))
-    return SimResult(S=np.concatenate(S), cfg=cfg,
-                     Y=np.concatenate(Y) - _limit_drift(cfg, mirrored=False))
+    Y, S = _replicate_sums(cfg, _streams(cfg.seed, range(cfg.n_replicates)),
+                           (cfg.T,))
+    return SimResult(S=S[:, 0], Y=Y, cfg=cfg)
+
+
+def window_integral_sweep(cfg: SimConfig, T_grid) -> np.ndarray:
+    """S_{T,l} - a T^d for every T of T_grid and l of cfg.ls: (N, len(T_grid), m).
+
+    Replicate r draws one cloud from stream_for(cfg.seed, r) on cfg's window
+    and evaluates every T on it, so the column of T = cfg.T is
+    monte_carlo(cfg).S bit for bit. A smaller T sees the restriction of
+    that cloud, itself a Poisson cloud (Kingman 1993, 2.2): its column
+    keeps the law of a run at that T up to the jumps beyond T + pad, whose
+    terms are bounded by the kernel's tail beyond the pad. The columns of
+    one replicate are correlated.
+    """
+    Ts = tuple(float(T) for T in T_grid)
+    if not Ts or not all(0.0 <= T <= cfg.T for T in Ts):
+        raise ValueError(f"T_grid needs one or more T in [0, cfg.T={cfg.T}]")
+    return _replicate_sums(cfg, _streams(cfg.seed, range(cfg.n_replicates)),
+                           Ts)[1]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from .analytic import (fdd_spec, log_cf_limits, log_cf_window,
                        variance_window, variance_window_quadrature)
 from .errors import NonConvergenceError
 from .kernels import ProductKernel, _normalize_ls, as_product, persistent_control
-from .simulate import SimConfig, empirical_cf, monte_carlo
+from .simulate import (SimConfig, empirical_cf, monte_carlo,
+                       window_integral_sweep)
 
 
 class _Report:
@@ -213,9 +214,14 @@ def hyperuniformity(kernel, measure, T_grid, N, *, seed=0,
     """Variance growth of window integrals against the persistent control.
 
     The kernel's variance curve comes from the closed form (or quadrature
-    when no antiderivative exists) plus an empirical check with N replicates
-    per T; the control curve f = e^{-|x|}/2 (tensorized to the kernel's
-    dimension) is fitted by least squares to expose its linear growth.
+    when no antiderivative exists) plus an empirical check with N
+    replicates: each draws one cloud on the largest window and evaluates
+    every T of the grid on it (window_integral_sweep). The empirical
+    columns are correlated across T, and each T keeps its marginal law up
+    to the jumps beyond T + pad, whose terms are at most |y| times the
+    largest |g| beyond the pad (|y| e^{-pad} for signed_ou). The
+    control curve f = e^{-|x|}/2 (tensorized to the kernel's dimension) is
+    fitted by least squares to expose its linear growth.
     window_pad pads the simulated window as in SimConfig (None: its
     default from the kernel's decay).
     Classification is "hyperuniform" when the kernel's curve plateaus (last
@@ -229,18 +235,17 @@ def hyperuniformity(kernel, measure, T_grid, N, *, seed=0,
     if sorted(T_grid) != T_grid:
         raise ValueError("T_grid must be increasing")
 
-    var_a, var_e, ses = [], [], []
-    for T in T_grid:
-        if pk.has_g:
-            var_a.append(variance_window(pk, measure, T))
-        else:
-            var_a.append(variance_window_quadrature(pk, measure, T))
-        cfg = SimConfig(measure=measure, kernel=pk, T=T,
-                        ls=np.zeros((1, pk.d)), eps=eps,
-                        window_pad=window_pad, n_replicates=N, seed=seed)
-        s = monte_carlo(cfg).S[:, 0]
-        var_e.append(float(np.var(s)))
-        ses.append(variance_se(s))
+    if pk.has_g:
+        var_a = [variance_window(pk, measure, T) for T in T_grid]
+    else:
+        var_a = [variance_window_quadrature(pk, measure, T) for T in T_grid]
+    cfg = SimConfig(measure=measure, kernel=pk, T=T_grid[-1],
+                    ls=np.zeros((1, pk.d)), eps=eps, window_pad=window_pad,
+                    n_replicates=N, seed=seed)
+    # one contiguous column per T, as a run at that T alone would give
+    columns = np.ascontiguousarray(window_integral_sweep(cfg, T_grid)[:, :, 0].T)
+    var_e = [float(np.var(s)) for s in columns]
+    ses = [variance_se(s) for s in columns]
 
     control = ProductKernel(tuple(persistent_control() for _ in range(pk.d)))
     ctrl_var = [variance_window_quadrature(control, measure, T) for T in T_grid]

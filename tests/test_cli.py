@@ -10,7 +10,7 @@ import pytest
 from idma import analytic, kernels, levy, verify
 from idma.cli import load_config, main
 from idma.errors import ConfigError
-from idma.simulate import SimConfig, monte_carlo
+from idma.simulate import SimConfig, monte_carlo, window_integral_sweep
 
 BASE = {"measure": {"kind": "two_point", "lambda": 1.0},
         "kernel": {"kind": "signed_ou"}}
@@ -294,7 +294,10 @@ def test_simulate_replicates_csv_and_json(tmp_path):
 
 # sha256 of every file the six subcommands write for PIN_CONFIG; all but
 # replicates.json were computed with the writers that preceded the single
-# CLI emitter, which had no JSON form of the replicates
+# CLI emitter, which had no JSON form of the replicates. hyper.{csv,json}
+# were re-pinned when hyper came to draw one cloud per replicate for all
+# T: the T = 8 row kept its bytes, and only var_empirical and var_se moved
+# at T = 2 and 4
 PIN_CONFIG = {"T": 3.0, "T_grid": [2.0, 4.0, 8.0], "z_grid": [-1.0, 0.5, 1.0],
               "t_grid": [0.0, 1.5], "N": 300, "ls": [0.0, 1.0],
               "quad_tol": 1e-7, "seed": 5, "eps": 0.5}
@@ -313,8 +316,8 @@ PINS = {
     "convergence.json": "d3c6b32a435ba5cf2cfcd26ec5a513ae5f2c99f5a12a7dc9c17a6af10b9a0821",
     "cov.csv": "051f6502b101d53f5c225db71cdcf017946dd6a61d1a5b4adf653fa883f0a43e",
     "cov.json": "81ab6b181b1d413881e259ad960f4cd16a3097cc1e6bca0f44b77a08af61f5b7",
-    "hyper.csv": "436dfb5c1638eb19c4f3ac5c074d240b0ad184da7d29739ae96d679ee832f119",
-    "hyper.json": "a1105a67898b9404b59fbad0ac90dfd1fe0a4cd26b1e3ac1883fa37b91350c36",
+    "hyper.csv": "c1cb4834cba827e1be0e75c0ca2d20c4d701f37ec9aeae6e33bfab27e51b97df",
+    "hyper.json": "acb328ab76c092331e2fa730bbf60f42682d337cfb6074657b5b2f64d8bc3fda",
     "replicates.csv": "c35c320a746adbfdcb7e2596b524f53122cb675f6b569ca3d50bdd59cc7d4ba5",
     "replicates.json": "c4694c8ffa21f010219dcc018941a541dc3a22ebc9e3035970a7ab2d59d84a58",
 }
@@ -359,20 +362,21 @@ def test_hyper_output(tmp_path):
 
 @pytest.mark.parametrize("pad", [None, 3.5])
 def test_hyper_passes_window_pad(tmp_path, monkeypatch, pad):
-    # every simulated T gets the configured pad, and null its default
+    # the one shared cloud gets the configured pad, and null its default
     seen = []
 
-    def capture(cfg):
-        seen.append(cfg)
-        return monte_carlo(cfg)
-    monkeypatch.setattr(verify, "monte_carlo", capture)
+    def capture(cfg, T_grid):
+        seen.append((cfg, list(T_grid)))
+        return window_integral_sweep(cfg, T_grid)
+    monkeypatch.setattr(verify, "window_integral_sweep", capture)
     cfg_path = write_config(tmp_path, {
         "T_grid": [2.0, 5.0, 10.0], "N": 100, "eps": 0.5, "window_pad": pad,
         "out": str(tmp_path / "o")})
     assert main(["hyper", "--config", cfg_path]) == 0
     want = kernels.signed_ou().decay_radius(1e-8) if pad is None else pad
-    assert [c.T for c in seen] == [2.0, 5.0, 10.0]
-    assert all(c.window_pad == want for c in seen)
+    [(cfg, T_grid)] = seen
+    assert T_grid == [2.0, 5.0, 10.0] and cfg.T == T_grid[-1]
+    assert cfg.window_pad == want and cfg.n_replicates == 100
 
 
 def test_exit_codes(tmp_path, capsys):

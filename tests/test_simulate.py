@@ -13,7 +13,8 @@ from idma.levy import (dickman, inner_truncated_stable, truncated_stable,
 from idma.simulate import (CfEvaluation, SimConfig, empirical_cf, eval_field,
                            jump_set, limit_sum, mirrored_limit_sum,
                            monte_carlo, sample_jumps, sample_limit,
-                           stream_for, window_integral, window_integral_grid)
+                           stream_for, window_integral, window_integral_grid,
+                           window_integral_sweep)
 
 
 def test_stream_for_determinism():
@@ -70,6 +71,11 @@ def test_sim_config_defaults_and_validation():
     with pytest.raises(ValueError):
         SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=1.0,
                   ls=[[0.0, 0.0]])
+    for eps in (math.nan, math.inf, -math.inf):
+        # nan used to pass and fail later as an empty truncation
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=1.0,
+                      ls=[0.0], eps=eps)
     for pad in (-3.0, -1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="window_pad"):
             SimConfig(measure=two_point(1.0),
@@ -309,6 +315,69 @@ def test_monte_carlo_checks_before_drawing(monkeypatch):
     for cfg in (empty, infinite):
         with pytest.raises((EmptyTruncationError, ValueError)):
             sample_limit(cfg, stream_for(0, 0), n=3)
+
+
+SWEEPS = {
+    "truncated_stable_d1": (
+        SimConfig(measure=truncated_stable(0.5, 1.0), kernel=signed_ou(),
+                  T=6.0, ls=[0.0, 1.0], eps=0.05, n_replicates=8, seed=21),
+        [1.0, 2.5, 6.0]),
+    "dickman_d2": (
+        SimConfig(measure=dickman(),
+                  kernel=ProductKernel((signed_ou(), signed_ou())), T=2.0,
+                  ls=[[0.0, 0.0], [1.0, -0.5]], eps=0.05, window_pad=5.0,
+                  n_replicates=5, seed=4),
+        [0.5, 1.25, 2.0]),
+    # replicate 4 has no jumps
+    "sparse": (
+        SimConfig(measure=two_point(0.02), kernel=signed_ou(), T=1.0,
+                  ls=[0.0, 2.0], n_replicates=6, seed=5),
+        [0.0, 0.25, 1.0]),
+    # no antiderivative: every T through window_integral_grid
+    "persistent_control": (
+        SimConfig(measure=two_point(1.0), kernel=persistent_control(), T=2.0,
+                  ls=[0.0], eps=0.5, window_pad=8.0, n_replicates=4, seed=3),
+        [0.5, 2.0]),
+}
+
+
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_window_integral_sweep_matches_single_T(monkeypatch, name, block):
+    # one cloud per replicate serves every T: the last column is
+    # monte_carlo's S, and each column the one-window functional of the
+    # cloud drawn at cfg.T, bit for bit (block 5 splits the jumps into
+    # column blocks of one jump)
+    cfg, T_grid = SWEEPS[name]
+    pk = cfg.kernel
+    a = pk.integral_f * simulate._truncated_mean(cfg.measure, cfg.eps)
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    got = window_integral_sweep(cfg, T_grid)
+    assert got.shape == (cfg.n_replicates, len(T_grid), cfg.m)
+    want = monte_carlo(cfg).S
+    assert np.array_equal(got[:, -1].view(np.int64), want.view(np.int64))
+    for r in range(cfg.n_replicates):
+        jumps = sample_jumps(cfg, stream_for(cfg.seed, r))
+        for j, T in enumerate(T_grid):
+            if pk.has_g:
+                one = [window_integral(jumps, pk, T, l, a) for l in cfg.ls]
+            else:
+                one = [window_integral_grid(jumps, pk, T, l, a)[0]
+                       for l in cfg.ls]
+            assert np.array_equal(np.array(one).view(np.int64),
+                                  got[r, j].view(np.int64))
+    if name == "sparse":
+        assert sample_jumps(cfg, stream_for(cfg.seed, 4)).n == 0
+        # -shift with shift = a T^d = +0.0 at every T
+        assert all(math.copysign(1.0, v) == -1.0 for v in got[4].ravel())
+
+
+def test_window_integral_sweep_refuses_T_beyond_window():
+    cfg, _ = SWEEPS["sparse"]
+    for T_grid in ([0.5, 1.5], [math.nan], [-0.5], []):
+        with pytest.raises(ValueError, match="T_grid"):
+            window_integral_sweep(cfg, T_grid)
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
