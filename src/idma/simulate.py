@@ -227,14 +227,15 @@ def _window_sums(jumps: JumpSet, pk, ls, starts, Ts=(), a: float = 0.0,
 
     def factor(c, l, s):
         g_ls = c.g(s - l) if mirrored else c.g(l - s)
-        return (g_ls, *(c.g(T + l - s) - g_ls for T in Ts))
+        return [g_ls] + [c.g(T + l - s) - g_ls for T in Ts]
     sums = _jump_sums(jumps, pk, ls, factor, starts, nf=1 + len(Ts))
     Y = sums[:, 0] if mirrored else (-1.0) ** pk.d * sums[:, 0]
-    empty = np.diff(starts) == 0
-    Y[empty] = 0.0      # +0.0 whatever the sign (-1)^d
     shift = np.array([float(a) * T ** pk.d for T in Ts])[:, None]
     S = sums[:, 1:] - shift
-    S[empty] = -shift
+    empty = [r for r, (lo, hi) in enumerate(zip(starts, starts[1:])) if lo == hi]
+    if empty:
+        Y[empty] = 0.0      # +0.0 whatever the sign (-1)^d
+        S[empty] = -shift
     return Y, S
 
 

@@ -242,8 +242,7 @@ def hyperuniformity(kernel, measure, T_grid, N, *, seed=0,
     cfg = SimConfig(measure=measure, kernel=pk, T=T_grid[-1],
                     ls=np.zeros((1, pk.d)), eps=eps, window_pad=window_pad,
                     n_replicates=N, seed=seed)
-    # one contiguous column per T, as a run at that T alone would give
-    columns = np.ascontiguousarray(window_integral_sweep(cfg, T_grid)[:, :, 0].T)
+    columns = window_integral_sweep(cfg, T_grid)[:, :, 0].T
     var_e = [float(np.var(s)) for s in columns]
     ses = [variance_se(s) for s in columns]
 
