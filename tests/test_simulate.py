@@ -7,7 +7,8 @@ import pytest
 
 from idma import simulate
 from idma.errors import EmptyTruncationError, NotAvailableError
-from idma.kernels import ProductKernel, persistent_control, signed_ou
+from idma.kernels import (ProductKernel, gauss_deriv, persistent_control,
+                          signed_ou, user_table)
 from idma.levy import (dickman, inner_truncated_stable, truncated_stable,
                        two_point)
 from idma.simulate import (CfEvaluation, SimConfig, empirical_cf, eval_field,
@@ -210,6 +211,8 @@ def test_monte_carlo_windows_match_single_window_calls(monkeypatch, block):
     assert np.array_equal(np.array(Y).view(np.int64), res.Y.view(np.int64))
 
 
+TABLE = user_table([-1.5, -0.5, 0.0, 0.75, 2.0], [0.0, 0.8, 1.0, -0.4, 0.0])
+
 # S and Y of the seed -> sample mapping as float.hex, frozen from the
 # per-replicate monte_carlo that preceded the batched one (the two stable
 # families: from the batched one, before the in-place jump quantiles)
@@ -265,6 +268,26 @@ PINNED = {
         [["0x1.ea96e689e2ba8p+2", "0x1.0c94e3f32dd98p+1"],
          ["-0x1.c0cbce3bf2365p+0", "0x1.3874c66e1c8d9p-5"],
          ["-0x1.ac6688843d627p+2", "-0x1.5d8b954b50af4p-1"]]),
+    # the other two g-kernels: a Gaussian and a table one ⊗ a Gaussian
+    "gauss_deriv_d1": (
+        SimConfig(measure=truncated_stable(0.5, 1.0), kernel=gauss_deriv(),
+                  T=3.0, ls=[0.0, 1.5], eps=0.05, window_pad=6.0,
+                  n_replicates=3, seed=17),
+        [["0x1.46bc84240b553p-4", "0x1.7ac875c4e7548p+1"],
+         ["-0x1.82cdf960928f3p+0", "0x1.6f3f57acd6a79p-1"],
+         ["0x1.189d7b1e5d29dp+2", "0x1.e65e655cf03c2p+1"]],
+        [["0x1.8fde527dc3496p+0", "0x1.6a5925b5bc843p+0"],
+         ["-0x1.608fa239b2edcp-4", "0x1.758402ab5060bp+0"],
+         ["0x1.130308ece88e8p+1", "0x1.253aca50e1ae2p+0"]]),
+    "user_table_gauss_deriv_d2": (
+        SimConfig(measure=dickman(),
+                  kernel=ProductKernel((TABLE, gauss_deriv())), T=1.5,
+                  ls=[[0.0, 0.0], [0.5, -1.0]], eps=0.05, window_pad=4.0,
+                  n_replicates=2, seed=8),
+        [["0x1.6529d66317930p-1", "0x1.b0527867c19f7p-1"],
+         ["0x1.1d2b04fe8ba32p+1", "-0x1.5063c9ef0f605p+0"]],
+        [["0x1.fe5eab97e5de6p+0", "0x1.708fefb17dba0p-4"],
+         ["0x1.c78fa1727207ap+0", "0x1.0f71d988fde68p+0"]]),
 }
 
 
@@ -294,6 +317,20 @@ def test_sample_limit_mirrored_pinned_bits():
         ["0x1.b31599bca0ad9p-1", "0x1.168d580e660abp+0"],
         ["-0x1.bb2caefbad359p-2", "-0x1.0476d558ca694p+0"],
         ["0x1.d6a2034779006p+0", "0x1.da1e37539d692p+0"]]
+
+
+def test_sample_limit_mirrored_product_pinned_bits():
+    # a table kernel ⊗ a Gaussian, frozen as for PINNED
+    cfg = SimConfig(measure=two_point(0.7),
+                    kernel=ProductKernel((TABLE, gauss_deriv())), T=0.0,
+                    ls=[[0.0, 0.0], [0.25, 0.5]], eps=0.5, window_pad=3.0,
+                    n_replicates=1)
+    ys = sample_limit(cfg, stream_for(5, 0), mirrored=True, n=4)
+    assert [[v.hex() for v in row] for row in ys.tolist()] == [
+        ["-0x1.28f4a6a5fb11ep-4", "-0x1.0738453a66c5ap+0"],
+        ["0x1.cdaf5799a1909p+0", "0x1.38c8ac92b587dp+0"],
+        ["0x1.01dacfea0daf6p+0", "0x1.a54783c0471fep-3"],
+        ["-0x1.7c54a4f57589bp-3", "0x1.701dd395d7ca8p-2"]]
 
 
 def test_monte_carlo_checks_before_drawing(monkeypatch):
