@@ -2,7 +2,9 @@
 
 Each 1-d kernel carries its antiderivative g with g(+-inf) = 0 whenever one
 exists in closed form; g is what makes window integrals of the shot-noise
-field exact. The persistent control kernel f(x) = e^{-|x|}/2 integrates to 1,
+field exact. g(x, out=None) may also write its values into a float array
+out of x's shape (x itself included) and return it; the Monte Carlo
+evaluates it in place that way. The persistent control kernel f(x) = e^{-|x|}/2 integrates to 1,
 has no vanishing antiderivative, and exists to give diagnostics a positive
 baseline; operations that need g refuse it.
 """
@@ -112,7 +114,8 @@ def check_derivative(kernel: Kernel1D, grid, h: float = 1e-5) -> float:
 def signed_ou() -> Kernel1D:
     """f(x) = -sgn(x) e^{-|x|}, the derivative of g(x) = e^{-|x|}."""
     f = lambda x: -np.sign(x) * np.exp(-np.abs(x))
-    g = lambda x: np.exp(-np.abs(x))
+    # copysign(x, -1) is -|x| bit for bit
+    g = lambda x, out=None: np.exp(np.copysign(x, -1.0, out=out), out=out)
     return Kernel1D(
         kind="signed_ou", f=f, g=g, nonsmooth=(0.0,),
         l1_f=2.0, l2sq_f=1.0, l1_g=2.0, l2sq_g=1.0,
@@ -125,7 +128,8 @@ def signed_ou() -> Kernel1D:
 def gauss_deriv() -> Kernel1D:
     """f(x) = -2x e^{-x^2}, the derivative of g(x) = e^{-x^2}."""
     f = lambda x: -2.0 * x * np.exp(-np.square(x))
-    g = lambda x: np.exp(-np.square(x))
+    g = lambda x, out=None: np.exp(np.negative(np.square(x, out=out), out=out),
+                                   out=out)
 
     def decay(tol):
         r = math.sqrt(max(math.log(1.0 / tol), 1.0))
@@ -177,8 +181,12 @@ def user_table(xs, gs) -> Kernel1D:
         inside = (x >= xs[0]) & (x < xs[-1])
         return np.where(inside, slopes[idx], 0.0)
 
-    def g(x):
-        return np.interp(np.asarray(x, dtype=float), xs, gs)
+    def g(x, out=None):
+        y = np.interp(np.asarray(x, dtype=float), xs, gs)
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
     w = np.diff(xs)
     a, b = gs[:-1], gs[1:]

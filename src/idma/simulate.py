@@ -13,12 +13,14 @@ finite window (tails of g beyond the pad).
 
 Each is one weighted product over the jumps, sum_i y_i prod_k
 factor_k(s_ik). _jump_sums evaluates it for all windows on the stacked
-jumps of a block of replicates, summing each replicate by the same dot
-product as a single call. Replicate r draws only its count and uniforms
-from its counter-based stream stream_for(seed, r); all else runs once per
-block, on one thread, so the output depends on (seed, r) alone. One block
-loop serves every entry point: window_integral_sweep evaluates several T
-on each replicate's one cloud, and monte_carlo is its case of one T.
+jumps of a block of replicates: one in-place pass per factor row over all
+of the block's jumps, in one workspace that every block of the run reuses,
+and each replicate summed by the same dot product as a single call.
+Replicate r draws only its count and uniforms from its counter-based stream
+stream_for(seed, r); all else runs once per block, on one thread, so the
+output depends on (seed, r) alone. One block loop serves every entry
+point: window_integral_sweep evaluates several T on each replicate's one
+cloud, and monte_carlo is its case of one T.
 
 The module is numerics only: the command-line front end writes the
 replicate matrices of a SimResult to CSV or JSON.
@@ -172,8 +174,10 @@ def _blocks(cfg: SimConfig, rngs, cap: int):
         k = int(rng.poisson(mean))
         if len(starts) > 1 and starts[-1] + k >= cap:
             yield flush()
-        u_loc.append(rng.random((k, d)))
-        u_size.append(rng.random(k))
+        # one draw: the same stream as random((k, d)) and then random(k)
+        u = rng.random(k * (d + 1))
+        u_loc.append(u[:k * d].reshape(k, d))
+        u_size.append(u[k * d:])
         starts.append(starts[-1] + k)
     yield flush()
 
@@ -183,32 +187,47 @@ def sample_jumps(cfg: SimConfig, rng: np.random.Generator) -> JumpSet:
     return next(_blocks(cfg, [rng], 0))[0]
 
 
-# _jump_sums evaluates the nf factors of m windows on column blocks of at most
-# _BLOCK // (nf m) jumps, so they hold at most _BLOCK doubles (96 KiB): glibc
-# malloc gives temporaries of 128 KiB and more back to the OS on free, so
-# larger ones page-fault anew on every call (twice the time at 4 windows and
-# 10^4 jumps). A block of replicates holds fewer than _BLOCK // (nf m) jumps
-# unless it is one replicate, so its (nf, m, n) products stay that size too.
+# _blocks stacks replicates into one block while it holds fewer than
+# _BLOCK // (nf m) jumps, so the (nf, m, n) factors of a block of several
+# replicates stay within _BLOCK doubles (96 KiB); a replicate with more jumps
+# is a block of its own. Every block of a run evaluates its factors in the
+# run's one _Workspace, which is never freed inside the run.
 _BLOCK = 12288
 
 
-def _jump_sums(jumps: JumpSet, pk, ls, factor, starts, nf: int = 1) -> np.ndarray:
+class _Workspace:
+    """A float buffer reused by every block of a run, grown to the largest."""
+
+    def __init__(self):
+        self.buf = np.empty(0)
+
+    def __call__(self, shape):
+        size = math.prod(shape)
+        if size > self.buf.size:
+            self.buf = np.empty(size)
+        return self.buf[:size].reshape(shape)
+
+
+def _jump_sums(jumps: JumpSet, pk, ls, factor, starts, nf: int = 1,
+               work=np.empty) -> np.ndarray:
     """sum_i y_i prod_k factor(comp_k, l_k, s_ik) as (replicates, nf, m)."""
-    # factor(comp, ls[:, k, None], locations of axis k) returns nf factors;
+    # factor(comp, ls[:, k, None], locations of axis k, rows) is a generator:
+    # it writes its nf (m, n) factors into rows[0], rows[1], ... in turn and
+    # yields each once written. Axis 0 writes straight into prod (1.0 * x = x
+    # exactly); a later axis writes into scratch rows, rows[1:] sharing one,
+    # and each row is multiplied into prod before the next is written.
+    # work(shape) gives prod and scratch, a run's _Workspace or np.empty;
     # replicates split the jumps at starts as in _blocks, and one without
     # jumps sums to +0.0
-    # prod starts as the first component's factors: 1.0 * x = x exactly
-    prod = np.empty((nf, ls.shape[0], jumps.n))
-    step = max(1, _BLOCK // (nf * ls.shape[0]))
-    for lo in range(0, jumps.n, step):
-        cols = slice(lo, lo + step)
-        for k, comp in enumerate(pk.components):
-            for p, fac in zip(prod, factor(comp, ls[:, k, None],
-                                           jumps.locations[cols, k])):
-                if k:
-                    p[:, cols] *= fac
-                else:
-                    p[:, cols] = fac
+    n_scratch = min(nf, 2) if pk.d > 1 else 0
+    buf = work((nf + n_scratch, ls.shape[0], jumps.n))
+    prod, scratch = buf[:nf], buf[nf:]
+    for k, comp in enumerate(pk.components):
+        rows = prod if k == 0 else [scratch[0]] + [scratch[-1]] * (nf - 1)
+        for p, row in zip(prod, factor(comp, ls[:, k, None],
+                                       jumps.locations[:, k], rows)):
+            if k:
+                p *= row
     # as stacked (1 x n) @ (n x 1) products, every row is summed by the same
     # dot product as the sizes @ prod of a single window and replicate
     return np.array([(prod[:, :, None, a:b] @ jumps.sizes[a:b, None])[..., 0, 0]
@@ -216,7 +235,7 @@ def _jump_sums(jumps: JumpSet, pk, ls, factor, starts, nf: int = 1) -> np.ndarra
 
 
 def _window_sums(jumps: JumpSet, pk, ls, starts, Ts=(), a: float = 0.0,
-                 mirrored: bool = False):
+                 mirrored: bool = False, work=np.empty):
     """(limit_sum, S_{T,l} - a T^d for each T of Ts) per replicate and row l."""
     # all from one g(l - s): Y is (replicates, m) and S (replicates, len(Ts),
     # m); mirrored gives mirrored_limit_sum instead of limit_sum
@@ -225,10 +244,18 @@ def _window_sums(jumps: JumpSet, pk, ls, starts, Ts=(), a: float = 0.0,
             "window integrals and limit sums need every component's "
             "antiderivative; use window_integral_grid for kernels without one")
 
-    def factor(c, l, s):
-        g_ls = c.g(s - l) if mirrored else c.g(l - s)
-        return [g_ls] + [c.g(T + l - s) - g_ls for T in Ts]
-    sums = _jump_sums(jumps, pk, ls, factor, starts, nf=1 + len(Ts))
+    def factor(c, l, s, rows):
+        # g(l - s), then g((T + l) - s) - g(l - s) per T, all in place
+        g_ls = rows[0]
+        if mirrored:
+            np.subtract(s, l, out=g_ls)
+        else:
+            np.subtract(l, s, out=g_ls)
+        yield c.g(g_ls, out=g_ls)
+        for T, row in zip(Ts, rows[1:]):
+            c.g(np.subtract(T + l, s, out=row), out=row)
+            yield np.subtract(row, g_ls, out=row)
+    sums = _jump_sums(jumps, pk, ls, factor, starts, 1 + len(Ts), work)
     Y = sums[:, 0] if mirrored else (-1.0) ** pk.d * sums[:, 0]
     shift = np.array([float(a) * T ** pk.d for T in Ts])[:, None]
     S = sums[:, 1:] - shift
@@ -259,8 +286,12 @@ def eval_field(jumps: JumpSet, kernel, a: float, t) -> float:
                       stacklevel=2)
     if jumps.n == 0:
         return -float(a)
-    return float(_jump_sums(jumps, pk, t[None, :], lambda c, t, s: (c.f(t - s),),
-                            (0, jumps.n))[0, 0, 0] - a)
+
+    def factor(c, t, s, rows):
+        rows[0][...] = c.f(t - s)
+        yield rows[0]
+    return float(_jump_sums(jumps, pk, t[None, :], factor, (0, jumps.n))[0, 0, 0]
+                 - a)
 
 
 def window_integral(jumps: JumpSet, kernel, T: float, l, a: float = 0.0) -> float:
@@ -334,8 +365,8 @@ def _replicate_sums(cfg: SimConfig, rngs, Ts=(), mirrored: bool = False):
         S = [[[window_integral_grid(jumps, pk, T, l, a)[0] for l in cfg.ls]
               for T in Ts] for jumps, _ in _blocks(cfg, rngs, 0)]
         return np.full((len(S), m), np.nan), np.array(S)
-    cap = max(1, _BLOCK // ((1 + len(Ts)) * m))
-    Y, S = zip(*(_window_sums(jumps, pk, cfg.ls, starts, Ts, a, mirrored)
+    cap, work = max(1, _BLOCK // ((1 + len(Ts)) * m)), _Workspace()
+    Y, S = zip(*(_window_sums(jumps, pk, cfg.ls, starts, Ts, a, mirrored, work)
                  for jumps, starts in _blocks(cfg, rngs, cap)))
     return np.concatenate(Y) - _limit_drift(cfg, mirrored), np.concatenate(S)
 

@@ -70,7 +70,8 @@ def cf_convergence(kernel, measure, ls, T_grid, z_grid, *, zs_base=None,
     T_grid = [float(t) for t in T_grid]
     if sorted(T_grid) != T_grid:
         raise ValueError("T_grid must be increasing")
-    us = np.unique(np.abs(np.asarray(z_grid, dtype=float)))
+    # np.unique's values, without the numpy.ma import it makes on first use
+    us = np.array(sorted({abs(float(z)) for z in z_grid}))
 
     # one corner integral per |u| gives both limits
     lims = [log_cf_limits(pk, measure, fdd_spec(base.ls, u * base.zs, 0.0),

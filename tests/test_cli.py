@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import idma
 from idma import analytic, kernels, levy, verify
 from idma.cli import load_config, main
 from idma.errors import ConfigError
@@ -358,6 +362,25 @@ def test_hyper_output(tmp_path):
                       "control_var"]
     assert any("classification=hyperuniform" in c for c in comments)
     assert len(rows) == 3
+
+
+def test_subcommands_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs 12-15 ms in every fresh interpreter that imports it,
+    # and np.unique does on its first call
+    cfg_path = write_config(tmp_path, {
+        "T": 2.0, "T_grid": [1.0, 1.5, 2.0], "z_grid": [-0.5, 0.5], "N": 200,
+        "eps": 0.5, "out": str(tmp_path / "o")})
+    code = ("import sys\n"
+            "from idma.cli import main\n"
+            "for sub in ('converge', 'hyper', 'simulate'):\n"
+            f"    assert main([sub, '--config', {cfg_path!r}]) == 0, sub\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idma.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("pad", [None, 3.5])

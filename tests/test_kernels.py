@@ -42,6 +42,25 @@ def test_gauss_deriv_norms():
     assert abs(k.autocorr_g(1.0) - RT_HALF_PI * math.exp(-0.5)) < 1e-15
 
 
+@pytest.mark.parametrize("make", [
+    signed_ou, gauss_deriv,
+    lambda: user_table([-1.5, -0.5, 0.0, 0.75, 2.0], [0.0, 0.8, 1.0, -0.4, 0.0])])
+def test_g_out_matches_g(make):
+    # g(x, out=buf) fills and returns buf with g(x)'s bits, aliased or not,
+    # and leaves x alone when buf is another array
+    g = make().g
+    rng = np.random.default_rng(0)
+    x = np.concatenate([[-0.0, 0.0, -1.5, 0.75, 2.0, 40.0, -np.inf, np.inf],
+                        rng.normal(0.0, 2.0, 40)]).reshape(6, 8)
+    keep, want = x.copy(), g(x)
+    buf = np.full_like(x, np.nan)
+    assert g(x, out=buf) is buf
+    assert np.array_equal(buf.view(np.int64), want.view(np.int64))
+    assert np.array_equal(x.view(np.int64), keep.view(np.int64))
+    assert g(x, out=x) is x
+    assert np.array_equal(x.view(np.int64), want.view(np.int64))
+
+
 def test_check_derivative():
     grid = np.linspace(-3.0, 3.0, 121)
     assert check_derivative(signed_ou(), grid) < 1e-9

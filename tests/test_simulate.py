@@ -189,8 +189,9 @@ def test_monte_carlo_seed_determinism():
 
 @pytest.mark.parametrize("block", [None, 5])
 def test_monte_carlo_windows_match_single_window_calls(monkeypatch, block):
-    # all windows of a replicate are evaluated in one pass, in column blocks
-    # of the jumps (block 5 gives 5 // 3 = 1 jump per block); each value must
+    # all windows of a replicate are evaluated in one pass per block, in the
+    # run's one workspace (block 5 makes each replicate a block of its own,
+    # so the workspace serves blocks of different sizes); each value must
     # equal the single-window functional bit for bit
     pk = ProductKernel((signed_ou(), signed_ou()))
     ls = [[0.0, 0.0], [1.0, -0.5], [2.5, 1.5]]
@@ -251,8 +252,8 @@ PINNED = {
          ["-0x1.16ee8c78d5df8p-15", "-0x1.01a15fd16c21ap-12"],
          ["0x0.0p+0", "0x0.0p+0"],
          ["0x1.22ae91840ab65p-9", "0x1.0c7bad75e3c85p-6"]]),
-    # 7031 and 7129 jumps: each replicate is a block of its own, and its
-    # (2, 1, n) factors take two column blocks of _BLOCK // 2 jumps
+    # 7031 and 7129 jumps: each replicate is a block of its own, and the
+    # second reuses the workspace grown for the first
     "truncated_stable_d1": (
         SimConfig(measure=truncated_stable(0.5, 1.0), kernel=signed_ou(),
                   T=20.0, ls=[0.0], eps=1e-3, n_replicates=2, seed=21),
@@ -383,8 +384,8 @@ SWEEPS = {
 def test_window_integral_sweep_matches_single_T(monkeypatch, name, block):
     # one cloud per replicate serves every T: the last column is
     # monte_carlo's S, and each column the one-window functional of the
-    # cloud drawn at cfg.T, bit for bit (block 5 splits the jumps into
-    # column blocks of one jump)
+    # cloud drawn at cfg.T, bit for bit (block 5 makes each replicate a
+    # block of its own, all evaluated in one reused workspace)
     cfg, T_grid = SWEEPS[name]
     pk = cfg.kernel
     a = pk.integral_f * simulate._truncated_mean(cfg.measure, cfg.eps)
