@@ -4,9 +4,10 @@ Each 1-d kernel carries its antiderivative g with g(+-inf) = 0 whenever one
 exists in closed form; g is what makes window integrals of the shot-noise
 field exact. g(x, out=None) may also write its values into a float array
 out of x's shape (x itself included) and return it; the Monte Carlo
-evaluates it in place that way. The persistent control kernel f(x) = e^{-|x|}/2 integrates to 1,
-has no vanishing antiderivative, and exists to give diagnostics a positive
-baseline; operations that need g refuse it.
+evaluates it in place that way. The persistent control kernel
+f(x) = e^{-|x|}/2 integrates to 1, has no vanishing antiderivative, and
+exists to give diagnostics a positive baseline; operations that need g
+refuse it.
 """
 
 from __future__ import annotations

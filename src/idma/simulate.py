@@ -191,7 +191,9 @@ def sample_jumps(cfg: SimConfig, rng: np.random.Generator) -> JumpSet:
 # _BLOCK // (nf m) jumps, so the (nf, m, n) factors of a block of several
 # replicates stay within _BLOCK doubles (96 KiB); a replicate with more jumps
 # is a block of its own. Every block of a run evaluates its factors in the
-# run's one _Workspace, which is never freed inside the run.
+# run's one _Workspace, which is only replaced to grow: blocks allocate no
+# large temporaries, whose return to the OS on free made every block
+# page-fault anew (glibc frees 128 KiB and more that way).
 _BLOCK = 12288
 
 
@@ -290,8 +292,8 @@ def eval_field(jumps: JumpSet, kernel, a: float, t) -> float:
     def factor(c, t, s, rows):
         rows[0][...] = c.f(t - s)
         yield rows[0]
-    return float(_jump_sums(jumps, pk, t[None, :], factor, (0, jumps.n))[0, 0, 0]
-                 - a)
+    sums = _jump_sums(jumps, pk, t[None, :], factor, (0, jumps.n))
+    return float(sums[0, 0, 0] - a)
 
 
 def window_integral(jumps: JumpSet, kernel, T: float, l, a: float = 0.0) -> float:
