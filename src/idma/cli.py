@@ -163,6 +163,11 @@ def load_config(path: str, *, seed=None, threads=None, out=None,
 
 # -- output ------------------------------------------------------------------
 
+# rows per CSV write: each chunk is formatted by one % call, and a streamed
+# source is held in memory one chunk at a time
+_CHUNK = 512
+
+
 def _emit(cfg: RunConfig, stem: str, columns: list, rows, comments=(),
           doc: dict | None = None) -> str:
     """Write stem.csv, or stem.json when cfg.format is json; return the path.
@@ -171,7 +176,8 @@ def _emit(cfg: RunConfig, stem: str, columns: list, rows, comments=(),
     and the rows; each column is formatted as its first cell asks: ints and
     strings as they are, bools as true/false, everything else %.17g. The
     JSON has config_digest and seed, then doc (by default the columns and
-    rows). rows is any iterable and is read once.
+    rows). rows is any iterable and is read once; without rows the CSV
+    ends after its header.
     """
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"{stem}.{cfg.format}")
@@ -185,16 +191,18 @@ def _emit(cfg: RunConfig, stem: str, columns: list, rows, comments=(),
         fh.write(f"# config_digest={cfg.digest} seed={cfg.seed}\n")
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(",".join(columns) + "\n")
-        rows = iter(rows)
-        first = next(rows)
-        line = ",".join("%s" if isinstance(v, (int, str)) else "%.17g"
-                        for v in first) + "\n"
-        bools = [i for i, v in enumerate(first) if isinstance(v, bool)]
-        for row in itertools.chain([first], rows):
+        rows, line = iter(rows), None
+        for chunk in iter(lambda: list(itertools.islice(rows, _CHUNK)), []):
+            if line is None:
+                line = ",".join("%s" if isinstance(v, (int, str)) else "%.17g"
+                                for v in chunk[0]) + "\n"
+                bools = [i for i, v in enumerate(chunk[0])
+                         if isinstance(v, bool)]
             if bools:
-                row = [("true" if v else "false") if i in bools else v
-                       for i, v in enumerate(row)]
-            fh.write(line % tuple(row))
+                chunk = [[("true" if v else "false") if i in bools else v
+                          for i, v in enumerate(row)] for row in chunk]
+            fh.write((line * len(chunk))
+                     % tuple(itertools.chain.from_iterable(chunk)))
     return path
 
 
@@ -258,10 +266,18 @@ def _cmd_simulate(cfg: RunConfig) -> list:
         eps=cfg.eps, window_pad=cfg.window_pad, n_replicates=cfg.N,
         seed=cfg.seed)
     res = simulate.monte_carlo(sim_cfg)
-    # streamed, one tolist() per replicate: a list of all N*m rows would
-    # raise the peak memory
-    rows = ((r, j, s, y) for r, (S_r, Y_r) in enumerate(zip(res.S, res.Y))
-            for j, (s, y) in enumerate(zip(S_r.tolist(), Y_r.tolist())))
+    # streamed a chunk of replicates at a time, each a zip over tolist()s
+    # that _emit reads without a Python frame per row: a list of all N*m
+    # rows would raise the peak memory
+    n, m = res.S.shape
+    step = max(1, _CHUNK // m)
+
+    def chunk(a):
+        S, Y = res.S[a:a + step], res.Y[a:a + step]
+        return zip(np.arange(a, a + len(S)).repeat(m).tolist(),
+                   [*range(m)] * len(S), S.ravel().tolist(),
+                   Y.ravel().tolist())
+    rows = itertools.chain.from_iterable(map(chunk, range(0, n, step)))
     return [_emit(cfg, "replicates",
                   ["replicate", "l_index", "S_value", "Y_value"], rows)]
 

@@ -17,8 +17,10 @@ jumps of a block of replicates: one in-place pass per factor row over all
 of the block's jumps, in one workspace that every block of the run reuses,
 and each replicate summed by the same dot product as a single call.
 Replicate r draws only its count and uniforms from its counter-based stream
-stream_for(seed, r); all else runs once per block, on one thread, so the
-output depends on (seed, r) alone. One block loop serves every entry
+stream_for(seed, r), straight into its rows of the block's one location
+array and one size array, both allocated per block and turned into jumps in
+place; all else runs once per block, on one thread, so the output depends
+on (seed, r) alone. One block loop serves every entry
 point: window_integral_sweep evaluates several T on each replicate's one
 cloud, and monte_carlo is its case of one T.
 
@@ -128,11 +130,19 @@ def stream_for(seed: int, replicate: int) -> np.random.Generator:
 
 
 def _streams(seed: int, replicates):
-    """stream_for(seed, r) for each r, re-keying one Philox (a fifth of the cost)."""
+    """stream_for(seed, r) for each r, from one re-keyed Philox."""
+    # the state Philox(key=[seed, r]) starts from: counter 0 and an empty
+    # buffer. It holds plain ints, which the state setter reads faster than
+    # numpy scalars, and only the key's replicate word changes: a twentieth
+    # of the cost of stream_for's new Philox
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    rng, state = np.random.Generator(bitgen), bitgen.state
+    rng, key = np.random.Generator(bitgen), [seed, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
     for r in replicates:
-        state["state"]["key"] = np.array([seed, r], dtype=np.uint64)
+        key[1] = r
         bitgen.state = state
         yield rng
 
@@ -149,20 +159,19 @@ def _blocks(cfg: SimConfig, rngs, cap: int):
     if not math.isfinite(tm):
         raise ValueError("jump intensity is infinite; raise eps")
     measure, eps, d, mean = cfg.measure, cfg.eps, cfg.d, tm * cfg.window_volume
-    u_loc, u_size, starts = [], [], [0]
+    loc = val = None
+    starts = [0]
 
     def flush():
-        # the uniforms are let go as soon as they are stacked (peak memory),
-        # a single replicate's used as drawn, and turned into jumps in
-        # place: (hi - lo) * u + lo is rng.uniform(lo, hi)'s own formula, and
-        # _quantile skips jump_quantile's eps and tail mass checks, which
-        # SimConfig and the checks above make once per run
-        nonlocal u_loc, u_size, starts
-        if len(u_loc) == 1:
-            (u,), (v,), block = u_loc, u_size, starts
-        else:
-            u, v, block = np.concatenate(u_loc), np.concatenate(u_size), starts
-        u_loc, u_size, starts = [], [], [0]
+        # the uniforms are turned into jumps in place: (hi - lo) * u + lo is
+        # rng.uniform(lo, hi)'s own formula, and _quantile skips
+        # jump_quantile's eps and tail mass checks, which SimConfig and the
+        # checks above make once per run
+        nonlocal loc, val, starts
+        n, block = starts[-1], starts
+        u, v = loc[:n], val[:n]
+        loc = val = None
+        starts = [0]
         u *= hi - lo
         u += lo
         _check_uniforms(v)
@@ -174,11 +183,16 @@ def _blocks(cfg: SimConfig, rngs, cap: int):
         k = int(rng.poisson(mean))
         if len(starts) > 1 and starts[-1] + k >= cap:
             yield flush()
-        # one draw: the same stream as random((k, d)) and then random(k)
-        u = rng.random(k * (d + 1))
-        u_loc.append(u[:k * d].reshape(k, d))
-        u_size.append(u[k * d:])
-        starts.append(starts[-1] + k)
+        if loc is None:
+            # fresh arrays per block, so no yielded JumpSet aliases a later
+            # one; a replicate with more than cap jumps gets its own
+            loc, val = np.empty((max(cap, k), d)), np.empty(max(cap, k))
+        a, b = starts[-1], starts[-1] + k
+        # each double takes one 64-bit output: the same stream as
+        # random(k * (d + 1)) split into locations and sizes
+        rng.random(out=loc[a:b].reshape(-1))
+        rng.random(out=val[a:b])
+        starts.append(b)
     yield flush()
 
 
@@ -189,12 +203,12 @@ def sample_jumps(cfg: SimConfig, rng: np.random.Generator) -> JumpSet:
 
 # _blocks stacks replicates into one block while it holds fewer than
 # _BLOCK // (nf m) jumps, so the (nf, m, n) factors of a block of several
-# replicates stay within _BLOCK doubles (96 KiB); a replicate with more jumps
-# is a block of its own. Every block of a run evaluates its factors in the
-# run's one _Workspace, which is only replaced to grow: blocks allocate no
-# large temporaries, whose return to the OS on free made every block
-# page-fault anew (glibc frees 128 KiB and more that way).
-_BLOCK = 12288
+# replicates stay within _BLOCK doubles (256 KiB); a replicate with more jumps
+# is a block of its own. A block costs a fixed number of numpy calls besides
+# its per-jump work, and every block of a run evaluates its factors in the
+# run's one _Workspace, which is only replaced to grow; a larger cap saves
+# calls but raises the peak memory.
+_BLOCK = 32768
 
 
 class _Workspace:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import idma
-from idma import analytic, kernels, levy, verify
+from idma import analytic, cli, kernels, levy, verify
 from idma.cli import load_config, main
 from idma.errors import ConfigError
 from idma.simulate import SimConfig, monte_carlo, window_integral_sweep
@@ -336,6 +336,35 @@ def test_output_bytes_pinned(tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.iterdir()}
     assert got == PINS
+
+
+def test_emit_without_rows(tmp_path):
+    cfg = load_config(write_config(tmp_path, {"out": str(tmp_path / "o")}))
+    path = tmp_path / "o" / "x.csv"
+    assert cli._emit(cfg, "x", ["a", "b"], [], comments=["c=1"]) == str(path)
+    assert path.read_text() == (
+        f"# config_digest={cfg.digest} seed=0\n# c=1\na,b\n")
+    cfg.format = "json"
+    cli._emit(cfg, "x", ["a", "b"], iter([]))
+    assert json.loads((tmp_path / "o" / "x.json").read_text())["rows"] == []
+
+
+def test_emit_chunks_match_rows(tmp_path):
+    # rows across two chunk boundaries, from a generator, equal the
+    # row-at-a-time formatting byte for byte
+    cfg = load_config(write_config(tmp_path, {"out": str(tmp_path / "o")}))
+    n = 2 * cli._CHUNK + 3
+    rows = [[r, f"s{r % 7}", r % 3 == 0, r / 7.0 - 50.0, (r % 5) > 2,
+             math.pi * r] for r in range(n)]
+    cols = ["i", "s", "b", "x", "c", "y"]
+    path = cli._emit(cfg, "x", cols, (row for row in rows))
+    line = "%s,%s,%s,%.17g,%s,%.17g\n"
+    want = f"# config_digest={cfg.digest} seed=0\n" + ",".join(cols) + "\n"
+    for i, s, b, x, c, y in rows:
+        want += line % (i, s, "true" if b else "false", x,
+                        "true" if c else "false", y)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == want
 
 
 def test_converge_output(tmp_path):

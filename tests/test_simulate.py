@@ -28,9 +28,10 @@ def test_stream_for_determinism():
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 def test_rekeyed_stream_matches_stream_for(seed):
-    # one Philox re-keyed per replicate; r = 0 comes back after 2^32 to show
-    # that re-keying also drops a half-used 32-bit buffer
-    rs = (0, 1, 2 ** 32, 0)
+    # one Philox re-keyed per replicate, up to the largest 64-bit key word;
+    # r = 0 comes back at the end to show that re-keying also drops a
+    # half-used 32-bit buffer
+    rs = (0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 0)
     for r, got in zip(rs, simulate._streams(seed, rs)):
         want = stream_for(seed, r)
         assert got.poisson(40.0) == want.poisson(40.0)
@@ -94,6 +95,37 @@ def test_sample_jumps_statistics():
     assert np.all((js.sizes >= 0.01) & (js.sizes <= 1.0))
     assert np.all((js.locations >= cfg.window_lo)
                   & (js.locations <= cfg.window_hi))
+
+
+def test_jump_sets_keep_their_own_arrays():
+    # every block draws into arrays of its own: a JumpSet keeps its jumps
+    # after later draws, whether from sample_jumps or a block of _blocks
+    cfg = SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=2.0,
+                    ls=[0.0], eps=0.5, window_pad=4.0, n_replicates=40, seed=6)
+    first = sample_jumps(cfg, stream_for(cfg.seed, 0))
+    kept = first.locations.copy(), first.sizes.copy()
+    second = sample_jumps(cfg, stream_for(cfg.seed, 1))
+    assert np.array_equal(first.locations, kept[0])
+    assert np.array_equal(first.sizes, kept[1])
+    assert not np.shares_memory(first.sizes, second.sizes)
+    want = [sample_jumps(cfg, stream_for(cfg.seed, r)) for r in range(40)]
+    shared = big = False
+    for cap in (12, 40):   # about 10 jumps per replicate
+        blocks = list(simulate._blocks(cfg, simulate._streams(cfg.seed,
+                                                              range(40)), cap))
+        assert len(blocks) > 5
+        rs = iter(want)
+        for jumps, starts in blocks:
+            shared |= len(starts) > 2
+            big |= starts[-1] > cap
+            for a, b in zip(starts, starts[1:]):
+                one = next(rs)
+                assert np.array_equal(jumps.locations[a:b], one.locations)
+                assert np.array_equal(jumps.sizes[a:b], one.sizes)
+        for (x, _), (y, _) in zip(blocks, blocks[1:]):
+            assert not np.shares_memory(x.locations, y.locations)
+            assert not np.shares_memory(x.sizes, y.sizes)
+    assert shared and big
 
 
 def test_sample_jumps_empty_truncation():
