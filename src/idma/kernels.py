@@ -115,8 +115,10 @@ def check_derivative(kernel: Kernel1D, grid, h: float = 1e-5) -> float:
 def signed_ou() -> Kernel1D:
     """f(x) = -sgn(x) e^{-|x|}, the derivative of g(x) = e^{-|x|}."""
     f = lambda x: -np.sign(x) * np.exp(-np.abs(x))
-    # copysign(x, -1) is -|x| bit for bit
-    g = lambda x, out=None: np.exp(np.copysign(x, -1.0, out=out), out=out)
+    # -|x| in place, bit for bit (NaN keeps its payload); two ufunc passes
+    # cost less than one copysign
+    g = lambda x, out=None: np.exp(np.negative(np.abs(x, out=out), out=out),
+                                   out=out)
     return Kernel1D(
         kind="signed_ou", f=f, g=g, nonsmooth=(0.0,),
         l1_f=2.0, l2sq_f=1.0, l1_g=2.0, l2sq_g=1.0,

@@ -16,13 +16,18 @@ factor_k(s_ik). _jump_sums evaluates it for all windows on the stacked
 jumps of a block of replicates: one in-place pass per factor row over all
 of the block's jumps, in one workspace that every block of the run reuses,
 and each replicate summed by the same dot product as a single call.
-Replicate r draws only its count and uniforms from its counter-based stream
-stream_for(seed, r), straight into its rows of the block's one location
-array and one size array, both allocated per block and turned into jumps in
-place; all else runs once per block, on one thread, so the output depends
-on (seed, r) alone. One block loop serves every entry
-point: window_integral_sweep evaluates several T on each replicate's one
-cloud, and monte_carlo is its case of one T.
+Replicates are keyed by block: the counter-based stream
+stream_for(seed, b) draws the Poisson counts of replicates 512 b to
+512 b + 511 in one call, then their uniforms, replicate after replicate,
+with one random call per key block in each block of evaluation; two index
+gathers split them into the block's locations and sizes, turned into jumps
+in place. All else runs once per block, on one thread, so replicate r
+depends on (seed, r) alone, and a run of more replicates keeps the first
+ones bit for bit. One block
+loop serves every entry point: window_integral_sweep evaluates several T on
+each replicate's one cloud, and monte_carlo is its case of one T;
+sample_jumps and sample_limit draw one replicate at a time from the stream
+they are given.
 
 The module is numerics only: the command-line front end writes the
 replicate matrices of a SimResult to CSV or JSON.
@@ -123,34 +128,48 @@ def jump_set(locations, sizes, lo=None, hi=None, pad=0.0) -> JumpSet:
                    hi=np.asarray(hi, float), pad=float(pad))
 
 
-def stream_for(seed: int, replicate: int) -> np.random.Generator:
-    """The counter-based stream owned by one replicate."""
-    key = np.array([seed, replicate], dtype=np.uint64)
+# replicates per key block (see stream_for): part of the seed -> sample
+# mapping, so a constant and not an option
+_KEY_BLOCK = 512
+
+
+def stream_for(seed: int, block: int) -> np.random.Generator:
+    """The counter-based stream keyed (seed, block).
+
+    monte_carlo and window_integral_sweep draw the replicates of key block
+    b, replicates b * _KEY_BLOCK to (b + 1) * _KEY_BLOCK - 1, from
+    stream_for(seed, b): first all _KEY_BLOCK Poisson counts in one call,
+    then each replicate's uniforms in turn, its locations and then its sizes.
+    """
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _streams(seed: int, replicates):
-    """stream_for(seed, r) for each r, from one re-keyed Philox."""
-    # the state Philox(key=[seed, r]) starts from: counter 0 and an empty
-    # buffer. It holds plain ints, which the state setter reads faster than
-    # numpy scalars, and only the key's replicate word changes: a twentieth
-    # of the cost of stream_for's new Philox
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    rng, key = np.random.Generator(bitgen), [seed, 0]
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
-             "uinteger": 0}
-    for r in replicates:
-        key[1] = r
-        bitgen.state = state
-        yield rng
+def _streams(seed: int, blocks):
+    """stream_for(seed, b) for each b of blocks, each made when first read."""
+    return (stream_for(seed, b) for b in blocks)
 
 
-def _blocks(cfg: SimConfig, rngs, cap: int):
-    """Draw one replicate from each of rngs, yield (jumps, starts) per block."""
+def _keyed_streams(cfg: SimConfig):
+    """cfg's replicates as (rng, used, drawn) entries, one per key block."""
+    n = cfg.n_replicates
+    keys = range(-(-n // _KEY_BLOCK))
+    for b, rng in zip(keys, _streams(cfg.seed, keys)):
+        yield rng, min(_KEY_BLOCK, n - b * _KEY_BLOCK), _KEY_BLOCK
+
+
+def _blocks(cfg: SimConfig, streams, cap: int):
+    """Draw the replicates of streams, yield (jumps, starts) per block.
+
+    Each (rng, used, drawn) entry of streams draws drawn Poisson counts in
+    one call and then the uniforms of the first used of them, replicate after
+    replicate, each its locations (row-major) and then its sizes.
+    """
     # a block holds fewer than cap jumps in all, or a single replicate; its
-    # replicate i owns jumps starts[i]:starts[i+1]
+    # replicate i owns jumps starts[i]:starts[i+1]. Each entry draws the
+    # uniforms of its replicates in a block with one random call, into the
+    # block's one fresh array, so no yielded JumpSet aliases a later one and
+    # cap changes no bit
     tm, lo, hi = cfg.tail_mass, cfg.window_lo, cfg.window_hi
     if tm <= 0.0:
         raise EmptyTruncationError(
@@ -159,46 +178,48 @@ def _blocks(cfg: SimConfig, rngs, cap: int):
     if not math.isfinite(tm):
         raise ValueError("jump intensity is infinite; raise eps")
     measure, eps, d, mean = cfg.measure, cfg.eps, cfg.d, tm * cfg.window_volume
-    loc = val = None
-    starts = [0]
+    w = d + 1           # uniforms per jump
 
-    def flush():
-        # the uniforms are turned into jumps in place: (hi - lo) * u + lo is
+    def split(u, starts):
+        # replicate i's uniforms start at w * starts[i]: its jump j's
+        # locations sit at d j + starts[i] on, its size at j + d starts[i+1].
+        # The uniforms are turned into jumps in place: (hi - lo) * u + lo is
         # rng.uniform(lo, hi)'s own formula, and _quantile skips
         # jump_quantile's eps and tail mass checks, which SimConfig and the
         # checks above make once per run
-        nonlocal loc, val, starts
-        n, block = starts[-1], starts
-        u, v = loc[:n], val[:n]
-        loc = val = None
-        starts = [0]
-        u *= hi - lo
-        u += lo
+        n = starts[-1]
+        if len(starts) == 2:
+            loc, v = u[:n * d].reshape(n, d), u[n * d:n * w]
+        else:
+            s = np.array(starts)
+            k = np.diff(s)
+            loc = u[np.arange(n * d) + np.repeat(s[:-1], k * d)].reshape(n, d)
+            v = u[np.arange(n) + d * np.repeat(s[1:], k)]
+        loc *= hi - lo
+        loc += lo
         _check_uniforms(v)
-        return JumpSet(u, measure._quantile(v, eps), lo, hi, cfg.window_pad), block
+        jumps = JumpSet(loc, measure._quantile(v, eps), lo, hi, cfg.window_pad)
+        return jumps, starts
 
-    for rng in rngs:
-        # a replicate's draws, in this order: its count decides whether the
-        # block so far is evaluated first (evaluation draws nothing)
-        k = int(rng.poisson(mean))
-        if len(starts) > 1 and starts[-1] + k >= cap:
-            yield flush()
-        if loc is None:
-            # fresh arrays per block, so no yielded JumpSet aliases a later
-            # one; a replicate with more than cap jumps gets its own
-            loc, val = np.empty((max(cap, k), d)), np.empty(max(cap, k))
-        a, b = starts[-1], starts[-1] + k
-        # each double takes one 64-bit output: the same stream as
-        # random(k * (d + 1)) split into locations and sizes
-        rng.random(out=loc[a:b].reshape(-1))
-        rng.random(out=val[a:b])
-        starts.append(b)
-    yield flush()
+    flat, starts = None, [0]
+    for rng, used, drawn in streams:
+        a = starts[-1]      # the entry's first jump in the block
+        for k in rng.poisson(mean, drawn)[:used].tolist():
+            if len(starts) > 1 and starts[-1] + k >= cap:
+                rng.random(out=flat[a * w:starts[-1] * w])
+                yield split(flat, starts)
+                flat, starts, a = None, [0], 0
+            if flat is None:
+                # a replicate with more than cap jumps gets its own block
+                flat = np.empty(max(cap, k) * w)
+            starts.append(starts[-1] + k)
+        rng.random(out=flat[a * w:starts[-1] * w])
+    yield split(flat, starts)
 
 
 def sample_jumps(cfg: SimConfig, rng: np.random.Generator) -> JumpSet:
     """Draw the Poisson cloud for one replicate over the padded window."""
-    return next(_blocks(cfg, [rng], 0))[0]
+    return next(_blocks(cfg, [(rng, 1, 1)], 0))[0]
 
 
 # _blocks stacks replicates into one block while it holds fewer than
@@ -244,9 +265,9 @@ def _jump_sums(jumps: JumpSet, pk, ls, factor, starts, nf: int = 1,
                                        jumps.locations[:, k], rows)):
             if k:
                 p *= row
-    # as stacked (1 x n) @ (n x 1) products, every row is summed by the same
-    # dot product as the sizes @ prod of a single window and replicate
-    return np.array([(prod[:, :, None, a:b] @ jumps.sizes[a:b, None])[..., 0, 0]
+    # vecdot sums every row by the same dot product as the sizes @ prod of a
+    # single window and replicate
+    return np.array([np.vecdot(prod[:, :, a:b], jumps.sizes[a:b])
                      for a, b in zip(starts[:-1], starts[1:])])
 
 
@@ -368,22 +389,23 @@ def _limit_drift(cfg: SimConfig, mirrored: bool) -> float:
     return sign * cfg.kernel.integral_g * _truncated_mean(cfg.measure, cfg.eps)
 
 
-def _replicate_sums(cfg: SimConfig, rngs, Ts=(), mirrored: bool = False):
-    """Y_l and S_{T,l} - a T^d of one cloud per rng: (n, m) and (n, len(Ts), m).
+def _replicate_sums(cfg: SimConfig, streams, Ts=(), mirrored: bool = False):
+    """Y_l and S_{T,l} - a T^d per replicate: (n, m) and (n, len(Ts), m).
 
-    The one block loop of the Monte Carlo. Kernels without g take S from
-    window_integral_grid per T and replicate, and Y is NaN; without any T
-    they reach _window_sums, which refuses them.
+    The one block loop of the Monte Carlo, over the replicates of the
+    (rng, used, drawn) entries of streams (see _blocks). Kernels without g
+    take S from window_integral_grid per T and replicate, and Y is NaN;
+    without any T they reach _window_sums, which refuses them.
     """
     pk, m = cfg.kernel, cfg.m
     a = pk.integral_f * _truncated_mean(cfg.measure, cfg.eps)
     if Ts and not pk.has_g:
         S = [[[window_integral_grid(jumps, pk, T, l, a)[0] for l in cfg.ls]
-              for T in Ts] for jumps, _ in _blocks(cfg, rngs, 0)]
+              for T in Ts] for jumps, _ in _blocks(cfg, streams, 0)]
         return np.full((len(S), m), np.nan), np.array(S)
     cap, work = max(1, _BLOCK // ((1 + len(Ts)) * m)), _Workspace()
     Y, S = zip(*(_window_sums(jumps, pk, cfg.ls, starts, Ts, a, mirrored, work)
-                 for jumps, starts in _blocks(cfg, rngs, cap)))
+                 for jumps, starts in _blocks(cfg, streams, cap)))
     return np.concatenate(Y) - _limit_drift(cfg, mirrored), np.concatenate(S)
 
 
@@ -396,7 +418,7 @@ def sample_limit(cfg: SimConfig, rng: np.random.Generator,
     """
     if n is not None and n < 1:
         raise ValueError("n must be at least 1")
-    ys = _replicate_sums(cfg, [rng] * (n or 1), mirrored=mirrored)[0]
+    ys = _replicate_sums(cfg, [(rng, 1, 1)] * (n or 1), mirrored=mirrored)[0]
     return ys[0] if n is None else ys
 
 
@@ -410,21 +432,20 @@ class SimResult:
 
 
 def monte_carlo(cfg: SimConfig) -> SimResult:
-    """Run cfg.n_replicates independent replicates, each on its own stream.
+    """Run cfg.n_replicates independent replicates, keyed by block of 512.
 
     S uses the exact per-jump window integral when the kernel has
     antiderivatives, else the trapezoid grid fallback. Y needs g; it is NaN
     without one.
     """
-    Y, S = _replicate_sums(cfg, _streams(cfg.seed, range(cfg.n_replicates)),
-                           (cfg.T,))
+    Y, S = _replicate_sums(cfg, _keyed_streams(cfg), (cfg.T,))
     return SimResult(S=S[:, 0], Y=Y, cfg=cfg)
 
 
 def window_integral_sweep(cfg: SimConfig, T_grid) -> np.ndarray:
     """S_{T,l} - a T^d for every T of T_grid and l of cfg.ls: (N, len(T_grid), m).
 
-    Replicate r draws one cloud from stream_for(cfg.seed, r) on cfg's window
+    Replicate r draws one cloud from its key block's stream on cfg's window
     and evaluates every T on it, so the column of T = cfg.T is
     monte_carlo(cfg).S bit for bit. A smaller T sees the restriction of
     that cloud, itself a Poisson cloud (Kingman 1993, 2.2): its column
@@ -435,8 +456,7 @@ def window_integral_sweep(cfg: SimConfig, T_grid) -> np.ndarray:
     Ts = tuple(float(T) for T in T_grid)
     if not Ts or not all(0.0 <= T <= cfg.T for T in Ts):
         raise ValueError(f"T_grid needs one or more T in [0, cfg.T={cfg.T}]")
-    return _replicate_sums(cfg, _streams(cfg.seed, range(cfg.n_replicates)),
-                           Ts)[1]
+    return _replicate_sums(cfg, _keyed_streams(cfg), Ts)[1]
 
 
 @dataclass(frozen=True)

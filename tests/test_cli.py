@@ -301,7 +301,8 @@ def test_simulate_replicates_csv_and_json(tmp_path):
 # CLI emitter, which had no JSON form of the replicates. hyper.{csv,json}
 # were re-pinned when hyper came to draw one cloud per replicate for all
 # T: the T = 8 row kept its bytes, and only var_empirical and var_se moved
-# at T = 2 and 4
+# at T = 2 and 4. replicates.{csv,json} and hyper.{csv,json} were re-pinned
+# when the replicates were keyed by block of 512 (stream_for(seed, r // 512))
 PIN_CONFIG = {"T": 3.0, "T_grid": [2.0, 4.0, 8.0], "z_grid": [-1.0, 0.5, 1.0],
               "t_grid": [0.0, 1.5], "N": 300, "ls": [0.0, 1.0],
               "quad_tol": 1e-7, "seed": 5, "eps": 0.5}
@@ -320,10 +321,10 @@ PINS = {
     "convergence.json": "d3c6b32a435ba5cf2cfcd26ec5a513ae5f2c99f5a12a7dc9c17a6af10b9a0821",
     "cov.csv": "051f6502b101d53f5c225db71cdcf017946dd6a61d1a5b4adf653fa883f0a43e",
     "cov.json": "81ab6b181b1d413881e259ad960f4cd16a3097cc1e6bca0f44b77a08af61f5b7",
-    "hyper.csv": "c1cb4834cba827e1be0e75c0ca2d20c4d701f37ec9aeae6e33bfab27e51b97df",
-    "hyper.json": "acb328ab76c092331e2fa730bbf60f42682d337cfb6074657b5b2f64d8bc3fda",
-    "replicates.csv": "c35c320a746adbfdcb7e2596b524f53122cb675f6b569ca3d50bdd59cc7d4ba5",
-    "replicates.json": "c4694c8ffa21f010219dcc018941a541dc3a22ebc9e3035970a7ab2d59d84a58",
+    "hyper.csv": "20686078f615140b8c5370a64b304c81848f2095b87622d9ff4c9d47edec122f",
+    "hyper.json": "e710f579fde344f88018772b6a8f28d77836afc2b2e1fe45432f20ff181f7421",
+    "replicates.csv": "596aab871d54dd48ca4d10261966829384b64089882ef0166fb8170ccd16b1c8",
+    "replicates.json": "7e717a7a531e1172f38e6e2ec23eb38b3b36224fdaa3608e5472cea856040f4d",
 }
 
 

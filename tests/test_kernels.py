@@ -47,12 +47,19 @@ def test_gauss_deriv_norms():
     lambda: user_table([-1.5, -0.5, 0.0, 0.75, 2.0], [0.0, 0.8, 1.0, -0.4, 0.0])])
 def test_g_out_matches_g(make):
     # g(x, out=buf) fills and returns buf with g(x)'s bits, aliased or not,
-    # and leaves x alone when buf is another array
+    # and leaves x alone when buf is another array; signed_ou's g is
+    # exp(-|x|) bit for bit, at ±0, ±inf, NaN and subnormals too
     g = make().g
     rng = np.random.default_rng(0)
-    x = np.concatenate([[-0.0, 0.0, -1.5, 0.75, 2.0, 40.0, -np.inf, np.inf],
-                        rng.normal(0.0, 2.0, 40)]).reshape(6, 8)
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.concatenate([[-0.0, 0.0, -1.5, 0.75, 2.0, 40.0, -np.inf, np.inf,
+                         np.nan, -np.nan, tiny, -tiny, 1e-310, -1e-310,
+                         745.5, -745.5],
+                        rng.normal(0.0, 2.0, 40)]).reshape(7, 8)
     keep, want = x.copy(), g(x)
+    if make is signed_ou:
+        assert np.array_equal(want.view(np.int64),
+                              np.exp(-np.abs(x)).view(np.int64))
     buf = np.full_like(x, np.nan)
     assert g(x, out=buf) is buf
     assert np.array_equal(buf.view(np.int64), want.view(np.int64))

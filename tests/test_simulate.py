@@ -18,6 +18,21 @@ from idma.simulate import (CfEvaluation, SimConfig, empirical_cf, eval_field,
                            window_integral_sweep)
 
 
+def keyed_jumps(cfg, r):
+    # replicate r of monte_carlo and window_integral_sweep, drawn by hand:
+    # stream (seed, r // 512) draws the 512 counts of its key block, then
+    # each replicate's locations and sizes in turn; the uniforms of the
+    # replicates before r are skipped
+    rng = stream_for(cfg.seed, r // 512)
+    counts = rng.poisson(cfg.tail_mass * cfg.window_volume, 512)
+    rng.random(int(counts[:r % 512].sum()) * (cfg.d + 1))
+    k = int(counts[r % 512])
+    locations = rng.uniform(cfg.window_lo, cfg.window_hi, size=(k, cfg.d))
+    sizes = cfg.measure.sample_jump_sizes(cfg.eps, k, rng)
+    return jump_set(locations, sizes, cfg.window_lo, cfg.window_hi,
+                    cfg.window_pad)
+
+
 def test_stream_for_determinism():
     a = stream_for(3, 17).random(4)
     b = stream_for(3, 17).random(4)
@@ -28,9 +43,8 @@ def test_stream_for_determinism():
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 def test_rekeyed_stream_matches_stream_for(seed):
-    # one Philox re-keyed per replicate, up to the largest 64-bit key word;
-    # r = 0 comes back at the end to show that re-keying also drops a
-    # half-used 32-bit buffer
+    # _streams makes stream_for's streams, up to the largest 64-bit key
+    # word; r = 0 comes back at the end as a fresh stream
     rs = (0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 0)
     for r, got in zip(rs, simulate._streams(seed, rs)):
         want = stream_for(seed, r)
@@ -99,7 +113,8 @@ def test_sample_jumps_statistics():
 
 def test_jump_sets_keep_their_own_arrays():
     # every block draws into arrays of its own: a JumpSet keeps its jumps
-    # after later draws, whether from sample_jumps or a block of _blocks
+    # after later draws, whether from sample_jumps or a block of _blocks,
+    # and a block of several streams draws each as sample_jumps does
     cfg = SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=2.0,
                     ls=[0.0], eps=0.5, window_pad=4.0, n_replicates=40, seed=6)
     first = sample_jumps(cfg, stream_for(cfg.seed, 0))
@@ -111,8 +126,8 @@ def test_jump_sets_keep_their_own_arrays():
     want = [sample_jumps(cfg, stream_for(cfg.seed, r)) for r in range(40)]
     shared = big = False
     for cap in (12, 40):   # about 10 jumps per replicate
-        blocks = list(simulate._blocks(cfg, simulate._streams(cfg.seed,
-                                                              range(40)), cap))
+        streams = [(stream_for(cfg.seed, r), 1, 1) for r in range(40)]
+        blocks = list(simulate._blocks(cfg, streams, cap))
         assert len(blocks) > 5
         rs = iter(want)
         for jumps, starts in blocks:
@@ -233,7 +248,7 @@ def test_monte_carlo_windows_match_single_window_calls(monkeypatch, block):
     y_drift = pk.integral_g * dickman().signed_moment_interval(0.05, 1.0)
     S, Y = [], []
     for r in range(cfg.n_replicates):
-        jumps = sample_jumps(cfg, stream_for(cfg.seed, r))
+        jumps = keyed_jumps(cfg, r)
         S.append([window_integral(jumps, pk, cfg.T, l, a_sim) for l in ls])
         Y.append([limit_sum(jumps, pk, l) - y_drift for l in ls])
     if block is not None:
@@ -244,83 +259,111 @@ def test_monte_carlo_windows_match_single_window_calls(monkeypatch, block):
     assert np.array_equal(np.array(Y).view(np.int64), res.Y.view(np.int64))
 
 
+@pytest.mark.parametrize("block", [None, 5])
+def test_monte_carlo_keeps_prefix_across_key_blocks(monkeypatch, block):
+    # a run of more replicates keeps the first ones bit for bit: 700 and 1100
+    # replicates share key block 0 and 188 replicates of key block 1, and the
+    # replicates on either side of the boundary are keyed_jumps' clouds (at
+    # about 7 jumps each, the default cap puts all 1100 in one block, which
+    # draws from all three key blocks; block 5 makes each replicate a block
+    # of its own)
+    def run(n):
+        return monte_carlo(SimConfig(measure=two_point(1.0), kernel=signed_ou(),
+                                     T=2.0, ls=[0.0, 1.0], eps=0.5,
+                                     window_pad=2.0, n_replicates=n, seed=3))
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    short, long = run(700), run(1100)
+    assert np.array_equal(short.S.view(np.int64), long.S[:700].view(np.int64))
+    assert np.array_equal(short.Y.view(np.int64), long.Y[:700].view(np.int64))
+    cfg = long.cfg
+    a = cfg.kernel.integral_f * simulate._truncated_mean(cfg.measure, cfg.eps)
+    drift = simulate._limit_drift(cfg, False)
+    for r in (0, 511, 512, 699, 1099):
+        jumps = keyed_jumps(cfg, r)
+        S = [window_integral(jumps, cfg.kernel, cfg.T, l, a) for l in cfg.ls]
+        Y = [limit_sum(jumps, cfg.kernel, l) - drift for l in cfg.ls]
+        assert np.array_equal(np.array(S).view(np.int64), long.S[r].view(np.int64))
+        assert np.array_equal(np.array(Y).view(np.int64), long.Y[r].view(np.int64))
+
+
 TABLE = user_table([-1.5, -0.5, 0.0, 0.75, 2.0], [0.0, 0.8, 1.0, -0.4, 0.0])
 
-# S and Y of the seed -> sample mapping as float.hex, frozen from the
-# per-replicate monte_carlo that preceded the batched one (the two stable
-# families: from the batched one, before the in-place jump quantiles)
+# S and Y of the seed -> sample mapping as float.hex, frozen when the
+# replicates were first keyed by block of 512, and then equal bit for bit to
+# the single-window functionals of keyed_jumps
 PINNED = {
     "two_point_d1": (
         SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=5.0,
                   ls=[0.0, 1.0], eps=0.5, n_replicates=3, seed=11),
-        [["0x1.1635a7ba9fbbfp+0", "0x1.92c9e8cbd432fp-1"],
-         ["-0x1.008658b462dafp+0", "-0x1.df3ca9cb9386ep+0"],
-         ["0x1.0a7a94eab566ap-3", "-0x1.9945bb49c1178p-1"]],
-        [["0x1.a293c31bd64b6p-1", "0x1.9d2d11e69ac41p-1"],
-         ["-0x1.f470ce8f1ee24p-2", "-0x1.4441df0411a12p+0"],
-         ["0x1.9e92a232ea8ccp-1", "-0x1.b63864f9b1048p-2"]]),
+        [["0x1.14cafe299cd71p-8", "0x1.2a2009b590dbap+0"],
+         ["0x1.d4bb618970c3fp-1", "0x1.1f01442dc2f06p+1"],
+         ["-0x1.25fe047dcae58p+0", "-0x1.d04e67203dc61p-1"]],
+        [["-0x1.b53d8f040b70ap-1", "0x1.39317036247d4p-1"],
+         ["-0x1.0aacb176b8891p-1", "-0x1.eabaa788ab6c2p-2"],
+         ["-0x1.e6afc7f79c7a9p-1", "-0x1.8ea023fa67097p-1"]]),
     "dickman_d2": (
         SimConfig(measure=dickman(),
                   kernel=ProductKernel((signed_ou(), signed_ou())), T=2.0,
                   ls=[[0.0, 0.0], [1.0, -0.5], [2.5, 1.5]], eps=0.05,
                   window_pad=5.0, n_replicates=2, seed=4),
-        [["-0x1.4591fe20bd2afp+1", "0x1.3be80868455dcp-1", "0x1.e3d63e1523d68p-1"],
-         ["0x1.036f8fb263d92p+0", "0x1.53978966122a2p-1", "-0x1.b7c75de061e28p-1"]],
-        [["-0x1.5e90a55bd3e30p-3", "0x1.ee87ea6df5f40p-2", "-0x1.3d13a259d0b50p-2"],
-         ["-0x1.7d7f56b2dadecp+0", "-0x1.2191c999de5c8p+0", "-0x1.fb74d776688b8p-2"]]),
-    # replicate 4 has no jumps
+        [["-0x1.b8bbc336c1372p-1", "-0x1.33d4cae12589fp+0", "-0x1.193ba7280d5bdp-1"],
+         ["0x1.a2490f7da689fp-2", "-0x1.a3a63b3df24d8p-2", "0x1.b61d8a5796065p-2"]],
+        [["0x1.3fc9a6a26b9c0p-1", "0x1.24df8abd42710p-2", "0x1.74fefb74b2ec8p-1"],
+         ["-0x1.3a23d53a18be0p-4", "-0x1.a9fda2a7df600p-4", "-0x1.e12a82e3b8fe8p-1"]]),
+    # replicates 1 to 3 have no jumps
     "sparse": (
         SimConfig(measure=two_point(0.02), kernel=signed_ou(), T=1.0,
                   ls=[0.0, 2.0], n_replicates=6, seed=5),
-        [["0x1.a20937bd83cfap-16", "0x1.c499a4cf4102dp-19"],
-         ["0x1.7c0f4e5a50b1ap-17", "0x1.5f090f3096f20p-14"],
-         ["0x1.0011329f4dd09p-14", "0x1.27317458f1ce0p-17"],
-         ["0x1.df48933986196p-15", "0x1.baae7c0c92656p-12"],
+        [["0x1.684cc69c4c318p-18", "0x1.86171f1716de6p-21"],
          ["-0x0.0p+0", "-0x0.0p+0"],
-         ["-0x1.f37933607409fp-9", "-0x1.cd5464831927dp-6"]],
-        [["0x1.4aa95f72d21e4p-15", "0x1.66005ff2d515ap-18"],
-         ["-0x1.ba5f342179da5p-18", "-0x1.9896be1a4ffe3p-15"],
-         ["0x1.946c3d2626e24p-14", "0x1.ab69a7bac51e9p-17"],
-         ["-0x1.16ee8c78d5df8p-15", "-0x1.01a15fd16c21ap-12"],
+         ["-0x0.0p+0", "-0x0.0p+0"],
+         ["-0x0.0p+0", "-0x0.0p+0"],
+         ["-0x1.dff7e38c4d19ep-10", "-0x1.058c1f660c179p-12"],
+         ["-0x1.278c627a832a2p-26", "-0x1.10fa5a75cf7acp-23"]],
+        [["0x1.1cfe3726acf1cp-17", "0x1.348e90e578e69p-20"],
          ["0x0.0p+0", "0x0.0p+0"],
-         ["0x1.22ae91840ab65p-9", "0x1.0c7bad75e3c85p-6"]]),
-    # 7031 and 7129 jumps: each replicate is a block of its own, and the
+         ["0x0.0p+0", "0x0.0p+0"],
+         ["0x0.0p+0", "0x0.0p+0"],
+         ["-0x1.7b95ce5a4f5aep-9", "-0x1.99f7fcab8e38fp-12"],
+         ["0x1.580129bcaddefp-27", "0x1.3dbbcdc2cc4a0p-24"]]),
+    # 7031 and 7020 jumps: each replicate is a block of its own, and the
     # second reuses the workspace grown for the first
     "truncated_stable_d1": (
         SimConfig(measure=truncated_stable(0.5, 1.0), kernel=signed_ou(),
                   T=20.0, ls=[0.0], eps=1e-3, n_replicates=2, seed=21),
-        [["-0x1.42da8b9b206c3p+1"], ["0x1.340665a4a2658p+0"]],
-        [["-0x1.fdce141c42211p+0"], ["-0x1.213128f3f94fep-2"]]),
+        [["-0x1.8c75d99a0e663p+0"], ["0x1.d80b977c616b1p+0"]],
+        [["-0x1.cdc464d2af0cbp-1"], ["0x1.638f2a50b0e90p+0"]]),
     "inner_truncated_stable_d1": (
         SimConfig(measure=inner_truncated_stable(1.5, 1.0, 0.01),
                   kernel=signed_ou(), T=5.0, ls=[0.0, 1.0], eps=0.1,
                   n_replicates=3, seed=13),
-        [["0x1.305109933c7a8p+2", "-0x1.a200e154a47bap+2"],
-         ["-0x1.2484f7d401b56p-1", "0x1.ed63386323640p+0"],
-         ["-0x1.b07d8241768e0p+2", "-0x1.2a833c5072da1p+0"]],
-        [["0x1.ea96e689e2ba8p+2", "0x1.0c94e3f32dd98p+1"],
-         ["-0x1.c0cbce3bf2365p+0", "0x1.3874c66e1c8d9p-5"],
-         ["-0x1.ac6688843d627p+2", "-0x1.5d8b954b50af4p-1"]]),
+        [["0x1.a716c59444fe6p+2", "0x1.2cbe32abad61fp+2"],
+         ["0x1.205476bf8efbfp+2", "0x1.925b8b7dcdd0dp+1"],
+         ["0x1.6de903d25b820p+3", "-0x1.314a98d6ed626p-2"]],
+        [["0x1.262b5b613433fp+2", "0x1.e15da24dd1eabp-1"],
+         ["0x1.17fa5ebe6524fp+3", "0x1.8fa75c050d9a0p+2"],
+         ["0x1.69f011aaa6f8cp+2", "-0x1.bc6d6b9e15b61p+1"]]),
     # the other two g-kernels: a Gaussian and a table one ⊗ a Gaussian
     "gauss_deriv_d1": (
         SimConfig(measure=truncated_stable(0.5, 1.0), kernel=gauss_deriv(),
                   T=3.0, ls=[0.0, 1.5], eps=0.05, window_pad=6.0,
                   n_replicates=3, seed=17),
-        [["0x1.46bc84240b553p-4", "0x1.7ac875c4e7548p+1"],
-         ["-0x1.82cdf960928f3p+0", "0x1.6f3f57acd6a79p-1"],
-         ["0x1.189d7b1e5d29dp+2", "0x1.e65e655cf03c2p+1"]],
-        [["0x1.8fde527dc3496p+0", "0x1.6a5925b5bc843p+0"],
-         ["-0x1.608fa239b2edcp-4", "0x1.758402ab5060bp+0"],
-         ["0x1.130308ece88e8p+1", "0x1.253aca50e1ae2p+0"]]),
+        [["0x1.bb5d94fbb00cbp-4", "-0x1.b5d04b18c94abp+0"],
+         ["0x1.bb317aa755c4fp+0", "-0x1.96aabc52cb963p-4"],
+         ["0x1.8332e858a0d93p-4", "-0x1.659bc374244fep+0"]],
+        [["-0x1.888104c3ab618p-1", "-0x1.1ecbb5fb17ac5p+0"],
+         ["0x1.6f1591539b329p+0", "-0x1.1df2ad45a1cadp-1"],
+         ["-0x1.29534df4256a5p-3", "-0x1.7bc2597d359ccp-1"]]),
     "user_table_gauss_deriv_d2": (
         SimConfig(measure=dickman(),
                   kernel=ProductKernel((TABLE, gauss_deriv())), T=1.5,
                   ls=[[0.0, 0.0], [0.5, -1.0]], eps=0.05, window_pad=4.0,
                   n_replicates=2, seed=8),
-        [["0x1.6529d66317930p-1", "0x1.b0527867c19f7p-1"],
-         ["0x1.1d2b04fe8ba32p+1", "-0x1.5063c9ef0f605p+0"]],
-        [["0x1.fe5eab97e5de6p+0", "0x1.708fefb17dba0p-4"],
-         ["0x1.c78fa1727207ap+0", "0x1.0f71d988fde68p+0"]]),
+        [["-0x1.a8cea2f095271p-3", "-0x1.693c8ba41c556p-4"],
+         ["-0x1.0cb1523b8e623p+0", "0x1.65ea174989d06p+1"]],
+        [["0x1.3f48cf26be498p-1", "0x1.5269d5e13c584p-2"],
+         ["-0x1.31fdcaa537ae7p+0", "-0x1.23e076cbac8afp-1"]]),
 }
 
 
@@ -331,12 +374,12 @@ def test_monte_carlo_pinned_bits(name):
     assert [[v.hex() for v in row] for row in res.S.tolist()] == S
     assert [[v.hex() for v in row] for row in res.Y.tolist()] == Y
     for r in range(cfg.n_replicates):
-        if sample_jumps(cfg, stream_for(cfg.seed, r)).n == 0:
+        if keyed_jumps(cfg, r).n == 0:
             # -shift with shift = a T^d = +0.0, and Y = +0.0 - drift = +0.0
             assert all(math.copysign(1.0, v) == -1.0 for v in res.S[r])
             assert all(math.copysign(1.0, v) == 1.0 for v in res.Y[r])
     if name == "sparse":
-        assert sample_jumps(cfg, stream_for(cfg.seed, 4)).n == 0
+        assert keyed_jumps(cfg, 1).n == 0
 
 
 def test_sample_limit_mirrored_pinned_bits():
@@ -398,7 +441,7 @@ SWEEPS = {
                   ls=[[0.0, 0.0], [1.0, -0.5]], eps=0.05, window_pad=5.0,
                   n_replicates=5, seed=4),
         [0.5, 1.25, 2.0]),
-    # replicate 4 has no jumps
+    # replicates 1 to 3 have no jumps
     "sparse": (
         SimConfig(measure=two_point(0.02), kernel=signed_ou(), T=1.0,
                   ls=[0.0, 2.0], n_replicates=6, seed=5),
@@ -428,7 +471,7 @@ def test_window_integral_sweep_matches_single_T(monkeypatch, name, block):
     want = monte_carlo(cfg).S
     assert np.array_equal(got[:, -1].view(np.int64), want.view(np.int64))
     for r in range(cfg.n_replicates):
-        jumps = sample_jumps(cfg, stream_for(cfg.seed, r))
+        jumps = keyed_jumps(cfg, r)
         for j, T in enumerate(T_grid):
             if pk.has_g:
                 one = [window_integral(jumps, pk, T, l, a) for l in cfg.ls]
@@ -438,9 +481,9 @@ def test_window_integral_sweep_matches_single_T(monkeypatch, name, block):
             assert np.array_equal(np.array(one).view(np.int64),
                                   got[r, j].view(np.int64))
     if name == "sparse":
-        assert sample_jumps(cfg, stream_for(cfg.seed, 4)).n == 0
+        assert keyed_jumps(cfg, 1).n == 0
         # -shift with shift = a T^d = +0.0 at every T
-        assert all(math.copysign(1.0, v) == -1.0 for v in got[4].ravel())
+        assert all(math.copysign(1.0, v) == -1.0 for v in got[1].ravel())
 
 
 def test_window_integral_sweep_refuses_T_beyond_window():
