@@ -18,7 +18,7 @@ from .kernels import (Kernel1D, ProductKernel, as_product, check_derivative,
                       user_table_from_csv)
 from .levy import (LevyMeasure, dickman, inner_truncated_stable, truncated_stable,
                    two_point)
-from .quadrature import QuadResult, integrate_levy, integrate_line
+from .quadrature import QuadResult, integrate_line
 from .simulate import (CfEvaluation, JumpSet, SimConfig, SimResult,
                        empirical_cf, eval_field, jump_set, limit_sum,
                        mirrored_limit_sum, monte_carlo, sample_jumps,

@@ -85,7 +85,7 @@ def log_cf_stationary(kernel, measure, z, *, tol=1e-9, max_evals=1_000_000) -> c
     z = float(z)
     if z == 0.0:
         return 0.0 + 0.0j
-    kfun = measure.exponent(tol)
+    kfun = measure.exponent()
     r = _radius(pk, measure, 1, abs(z), tol)
     comps = pk.components
     last_vec = lambda prefix, xs: kfun(_f_prod(comps, z, prefix, xs))
@@ -153,7 +153,7 @@ def _window_boxes(kernel, measure, spec: FddSpec, T, tol):
     if spec.d != pk.d:
         raise ValueError(f"spec has d={spec.d}, kernel has d={pk.d}")
     comps = pk.components
-    kfun = measure.exponent(tol)
+    kfun = measure.exponent()
     zmax = float(np.max(np.abs(spec.zs)))
     if zmax == 0.0:
         return None

@@ -183,9 +183,10 @@ def _emit(cfg: RunConfig, stem: str, columns: list, rows, comments=(),
     path = os.path.join(cfg.out, f"{stem}.{cfg.format}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if cfg.format == "json":
-            json.dump({"config_digest": cfg.digest, "seed": cfg.seed,
-                       **(doc or {"columns": columns, "rows": list(rows)})},
-                      fh, indent=2)
+            # one dumps and one write: json.dump writes chunk by chunk
+            fh.write(json.dumps({"config_digest": cfg.digest, "seed": cfg.seed,
+                                 **(doc or {"columns": columns, "rows": list(rows)})},
+                                indent=2))
             fh.write("\n")
             return path
         fh.write(f"# config_digest={cfg.digest} seed={cfg.seed}\n")

@@ -1,4 +1,4 @@
-"""Deterministic adaptive quadrature on the line and against Levy measures.
+"""Deterministic adaptive quadrature on the line and over boxes.
 
 The engine is a fixed-order nested Gauss-Legendre pair (15 against 7 nodes)
 with worst-first adaptive bisection. Everything is deterministic: the
@@ -12,7 +12,6 @@ panel edges, each exactly as integrate_line alone. Each integrand call
 evaluates one panel slot of all active rows, as one (rows x 22) array pass on
 the 22 nodes (the 15, then the 7): one call per initial panel, then one for
 the left and one for the right halves of each step. integrate_line is R = 1;
-integrate_rows is one row per parameter on the single panel [a, b];
 integrate_box batches a box in R^d by levels, passing the leading
 coordinates to the innermost axis as (rows, 1) columns.
 """
@@ -177,18 +176,6 @@ def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
     return QuadResult(v[0].item(), float(e[0]), n)
 
 
-def integrate_rows(h, rows, a, b, tol=1e-9):
-    """Integrate ``h(row, x)`` over the finite [a, b] for every entry of ``rows``.
-
-    ``h(rows[idx][:, None], xs)`` gets the (rows, 22) nodes of the rows idx
-    still refining and returns that shape. Each row's value, and any error it
-    raises, are those of its own integrate_line call. Returns a 1-d array.
-    """
-    rows = np.asarray(rows, dtype=float)
-    return _adapt(lambda idx, xs: (h(rows[idx][:, None], xs), None), len(rows),
-                  _edges(a, b, (), 0.0), tol, 1_000_000)[0]
-
-
 def integrate_box(last_vec, boxes, breaks, tol=1e-9, max_evals=1_000_000):
     """Iterated integral over a box, batched by levels.
 
@@ -219,14 +206,3 @@ def integrate_box(last_vec, boxes, breaks, tol=1e-9, max_evals=1_000_000):
     v, e = level(0, (), 1)
     return QuadResult(v[0].item(), float(e[0]), sum(evals))
 
-
-def integrate_levy(h, measure, tol=1e-9, *, max_evals=1_000_000, h_sup=2.0):
-    """Integrate ``h`` against a Levy measure, handling its singularities.
-
-    Atomic measures are summed exactly. Absolutely continuous ones are
-    reduced to a proper integral on a bounded interval first, each family
-    by its own substitution (idma.levy). ``h_sup`` is the caller's bound on
-    |h| (2 covers any e^{i...}-1 integrand); a measure with unbounded
-    support drops its tail once sup|h| times the tail mass is <= tol/2.
-    """
-    return measure.integrate(h, tol, max_evals=max_evals, h_sup=h_sup)

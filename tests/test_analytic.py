@@ -274,7 +274,7 @@ def test_claimed_limit_layer_cake_oracle(measure, d):
     # so for signed_ou^d the claimed limit is a 1-d integral in t; symmetric
     # nu makes K even and the drift vanish
     z, tol = 0.5, 1e-6
-    kfun = measure.exponent(1e-13)
+    kfun = measure.exponent()
     dens = 2.0 ** d / math.factorial(d - 1)
     want = integrate_line(lambda t: kfun(z * np.exp(-t)) * dens * t ** (d - 1),
                           0.0, np.inf, 1e-13).value

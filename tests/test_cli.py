@@ -189,6 +189,18 @@ def test_cf_outputs(tmp_path):
     assert abs(float(row[3]) - np.exp(want).real) < 1e-12
 
 
+def test_cf_inner_truncated_stable_near_alpha_2(tmp_path):
+    # alpha = 1.99: the former head quadrature of K overflowed on this config
+    # and the run exited 2 with "integrand returned a non-finite value"
+    cfg_path = write_config(tmp_path, {
+        "measure": {"kind": "inner_truncated_stable", "alpha": 1.99,
+                    "c": 1.0, "delta": 0.01},
+        "z_grid": [0.5], "T": 5.0, "out": str(tmp_path / "o")})
+    assert main(["cf", "--config", cfg_path]) == 0
+    _, _, rows = read_csv(tmp_path / "o" / "cf_window.csv")
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 def test_cf_failure_writes_no_file(tmp_path, capsys):
     # every spec and integral is done before the first file is written:
     # zs_base of the wrong length, and d=2 windows for a d=1 kernel

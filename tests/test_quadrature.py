@@ -1,4 +1,4 @@
-"""Quadrature engine: golden integrals, error reporting, measure dispatch."""
+"""Quadrature engine: golden integrals, error reporting, boxes."""
 
 import math
 
@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from idma.errors import NonConvergenceError
-from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
-from idma.quadrature import (integrate_box, integrate_levy, integrate_line,
-                              integrate_rows)
+from idma.quadrature import integrate_box, integrate_line
 
 # entire cosine integral Cin(1) = int_0^1 (1 - cos u)/u du
 CIN1 = 0.23981174200056472594
@@ -101,31 +99,6 @@ def test_panel_calls_integrand_once():
     assert set(sizes) == {22}
 
 
-def test_rows_match_per_row_quadrature():
-    # w = 1 is accepted on the first panel, w = 40 and -2.5 are refined
-    ws = np.array([1.0, 40.0, -2.5])
-    h = lambda w, x: np.cos(w * x) * np.exp(-x)
-    got = integrate_rows(h, ws, 0.0, 3.0, 1e-10)
-    for w, v in zip(ws, got):
-        assert v == integrate_line(lambda x: h(w, x), 0.0, 3.0, 1e-10).value
-    with pytest.raises(ValueError, match="non-finite"):
-        integrate_rows(lambda w, x: np.where(x > 0.5, np.inf, w * x), ws, 0.0, 1.0)
-
-
-def test_rows_roundoff_floor_fails_after_one_call():
-    # every row misses tol = 1e-16 on the shared first panel, whose roundoff
-    # floor lies above it, so no row is integrated a second time
-    shapes = []
-
-    def h(w, x):
-        shapes.append(x.shape)
-        return w * np.abs(x - 1.0 / 3.0)
-
-    with pytest.raises(NonConvergenceError, match="roundoff floor"):
-        integrate_rows(h, [1.0, 2.0, 3.0], 0.0, 1.0, 1e-16)
-    assert shapes == [(3, 22)]
-
-
 def _nested(last_vec, boxes, breaks, tol, count, prefix=()):
     """integrate_box as one integrate_line per outer node, counting evaluations."""
     k = len(prefix)
@@ -184,31 +157,3 @@ def test_box_inner_failures_propagate():
         integrate_box(kink, boxes, breaks, 1e-16)
     with pytest.raises(NonConvergenceError, match="budget"):
         integrate_box(kink, boxes, breaks, 1e-12, max_evals=200)
-
-
-def test_levy_two_point_exact():
-    r = integrate_levy(lambda y: y ** 2, two_point(1.5))
-    assert r.value == 1.5
-    assert r.error_estimate == 0.0
-
-
-def test_levy_dickman_moments():
-    # int y * (1/y) dy = 1 and int y^2 * (1/y) dy = 1/2 on (0,1)
-    assert abs(integrate_levy(lambda y: y, dickman()).value - 1.0) < 1e-10
-    assert abs(integrate_levy(lambda y: y * y, dickman()).value - 0.5) < 1e-10
-
-
-def test_levy_truncated_stable_second_moment():
-    ts = truncated_stable(0.5, 1.0)
-    r = integrate_levy(lambda y: y * y, ts)
-    assert abs(r.value - ts.second_moment()) < 1e-9
-
-
-def test_levy_inner_truncated_stable_vs_scipy():
-    si = pytest.importorskip("scipy.integrate")
-    its = inner_truncated_stable(1.5, 1.0, 0.01)
-    h = lambda y: 1.0 - np.exp(-np.square(y))
-    got = integrate_levy(h, its, 1e-8, h_sup=1.0)
-    want, _ = si.quad(lambda y: (1.0 - math.exp(-y * y)) * 2.0 * y ** -2.5,
-                      0.01, np.inf, limit=500)
-    assert abs(got.value - want) < 1e-6
