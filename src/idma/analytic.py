@@ -17,6 +17,17 @@ infinitely divisible random measure with Levy measure nu:
 
 Throughout, f must factor over coordinates (ProductKernel); window
 integrals need each component's antiderivative g with g(+-inf) = 0.
+
+Every integral over R^d here (the marginal, window and limit log-CFs and
+the three conditions) is one _box_integral of one form,
+int outer(sum_j coef_j prod_k phi_k(l_jk, s_k)) ds, with outer = K for
+the log-CFs. The per-axis factor phi_k is g_k(T + l - s) - g_k(l - s) for
+windows, g_k(l - s) for the limit corner, f_k(s) for the marginal and
+|f_k(s)| for the conditions (_profile). The box is the windows
+[l, l + T]^d padded by a decay radius and broken at every kernel kink
+shifted to both window edges: [-r, r]^d broken at the kinks when l = 0
+and T = 0.0. Each of its quadrature rows gets MAX_EVALS evaluations, or
+check_conditions' budget.
 """
 
 from __future__ import annotations
@@ -73,32 +84,16 @@ def shift_constant(kernel, measure) -> float:
     return as_product(kernel).integral_f * measure.compensator_integral()
 
 
-def _radius(pk, measure, spec_m, zmax, tol):
+# Evaluation budget of every analytic integral but check_conditions', per
+# row of each quadrature level (see integrate_box)
+MAX_EVALS = 1_000_000
+
+
+def _radius(pk, measure, zs, tol):
     # kernel tails only matter once |z| * abs_moment * m * |g| drops below tol
-    scale = max(1.0, measure.abs_moment() * spec_m * max(zmax, 1e-12))
+    scale = max(1.0, measure.abs_moment() * len(zs)
+                * max(float(np.max(np.abs(zs))), 1e-12))
     return pk.decay_radius(tol / scale)
-
-
-def log_cf_stationary(kernel, measure, z, *, tol=1e-9, max_evals=1_000_000) -> complex:
-    """log E exp(izX(0)) = -iza + int K(z f(s)) ds over R^d."""
-    pk = as_product(kernel)
-    z = float(z)
-    if z == 0.0:
-        return 0.0 + 0.0j
-    kfun = measure.exponent()
-    r = _radius(pk, measure, 1, abs(z), tol)
-    comps = pk.components
-    last_vec = lambda prefix, xs: kfun(_f_prod(comps, z, prefix, xs))
-    val = integrate_box(last_vec, [(-r, r)] * pk.d, [k.nonsmooth for k in comps],
-                        tol, max_evals).value
-    return complex(-1j * z * shift_constant(pk, measure) + val)
-
-
-def _f_prod(comps, w, prefix, xs, op=lambda f: f):
-    """w * prod_k op(f_k(s_k)), s_k the prefix columns and then xs."""
-    for comp, x in zip(comps, prefix):
-        w = w * op(comp.f(x))
-    return w * op(comps[-1].f(xs))
 
 
 def _require_g(pk):
@@ -108,25 +103,65 @@ def _require_g(pk):
 
 
 def _window_factor(T):
-    return lambda g, l, s: g(T + l - s) - g(l - s)
+    return lambda c, l, s: c.g(T + l - s) - c.g(l - s)
 
 
-def _corner_factor(g, l, s):
-    return g(l - s)
+def _corner_factor(c, l, s):
+    return c.g(l - s)
+
+
+def _f_factor(c, l, s):
+    return c.f(s)
+
+
+def _abs_f_factor(c, l, s):
+    return np.abs(c.f(s))
 
 
 def _profile(comps, ls, coef, factor, prefix, xs):
-    """coef @ prod_k factor(g_k, ls[:, k], s_k) along the last axis.
+    """coef @ prod_k factor(comp_k, ls[:, k], s_k) along the last axis.
 
     The leading coordinates s_k are the (rows, 1) columns in prefix and the
     last one is the (rows, n) array xs. _window_factor(T) gives J_T
-    (coef = zs); _corner_factor gives the limit profile
-    sum_j coef[j] prod_k g_k(l_jk - s_k).
+    (coef = zs); _corner_factor the limit profile
+    sum_j coef[j] prod_k g_k(l_jk - s_k); _f_factor and _abs_f_factor, with
+    one row of ls, coef[0] f(s) and coef[0] |f(s)|.
     """
     for i, x in enumerate(prefix):
-        coef = coef * factor(comps[i].g, ls[:, i], x)
-    last = factor(comps[-1].g, ls[:, -1][:, None], xs[:, None, :])
+        coef = coef * factor(comps[i], ls[:, i], x)
+    last = factor(comps[-1], ls[:, -1][:, None], xs[:, None, :])
     return (coef[..., None, :] @ last)[..., 0, :]
+
+
+def _box_integral(pk, ls, T, r, coef, factor, outer, tol, budget=MAX_EVALS):
+    """int outer(_profile(..., coef, factor, s)) ds over the windows' box.
+
+    Axis k spans the windows [l, l + T] padded by r on both sides, broken
+    at every kink of component k shifted to both window edges. With one
+    row of zeros in ls and T = 0.0 this is [-r, r]^d broken at the kinks:
+    0.0 + x == x, so the T terms add nothing.
+    """
+    comps = pk.components
+    boxes, breaks = [], []
+    for k, comp in enumerate(comps):
+        lk = ls[:, k]
+        boxes.append((float(lk.min()) - r, T + float(lk.max()) + r))
+        breaks.append([e + l + p for e in (0.0, T) for l in lk
+                       for p in comp.nonsmooth])
+    integrand = lambda prefix, xs: outer(_profile(comps, ls, coef, factor, prefix, xs))
+    return integrate_box(integrand, boxes, breaks, tol, budget)
+
+
+def log_cf_stationary(kernel, measure, z, *, tol=1e-9) -> complex:
+    """log E exp(izX(0)) = -iza + int K(z f(s)) ds over R^d."""
+    pk = as_product(kernel)
+    z = float(z)
+    if z == 0.0:
+        return 0.0 + 0.0j
+    zs = np.array([z])
+    val = _box_integral(pk, np.zeros((1, pk.d)), 0.0, _radius(pk, measure, zs, tol),
+                        zs, _f_factor, measure.exponent(), tol).value
+    return complex(-1j * z * shift_constant(pk, measure) + val)
 
 
 def j_t(kernel, spec: FddSpec, s) -> float:
@@ -140,52 +175,33 @@ def j_t(kernel, spec: FddSpec, s) -> float:
                           tuple(s[:-1].reshape(-1, 1, 1)), s[-1:, None])[0, 0])
 
 
-def _window_boxes(kernel, measure, spec: FddSpec, T, tol):
-    """(components, K(w), boxes, breakpoints) of the windows [l, l + T]^d.
+def _spec_integral(kernel, measure, spec: FddSpec, T, factor, tol):
+    """int K(_profile(spec.zs, factor)) over the windows [l, l + T]^d.
 
-    Each box is the windows' hull padded by the kernel decay radius, with
-    the kernels' kinks at both window edges as breakpoints; None when every
-    z is 0. log_cf_limits takes T = 0.0, where 0.0 + x == x gives the same
-    floats as leaving the T terms out.
+    None when every z is 0. log_cf_limits takes T = 0.0, which gives the
+    box of the windows' corners.
     """
     pk = as_product(kernel)
     _require_g(pk)
     if spec.d != pk.d:
         raise ValueError(f"spec has d={spec.d}, kernel has d={pk.d}")
-    comps = pk.components
-    kfun = measure.exponent()
-    zmax = float(np.max(np.abs(spec.zs)))
-    if zmax == 0.0:
+    if not np.any(spec.zs):
         return None
-    r = _radius(pk, measure, spec.m, zmax, tol)
-    boxes, breaks = [], []
-    for k in range(pk.d):
-        lk = spec.ls[:, k]
-        boxes.append((float(lk.min()) - r, T + float(lk.max()) + r))
-        pts = [l + p for l in lk for p in comps[k].nonsmooth]
-        pts += [T + l + p for l in lk for p in comps[k].nonsmooth]
-        breaks.append(tuple(sorted(set(pts))))
-    return comps, kfun, boxes, breaks
+    return _box_integral(pk, spec.ls, T, _radius(pk, measure, spec.zs, tol), spec.zs,
+                         factor, measure.exponent(), tol).value
 
 
-def log_cf_window(kernel, measure, spec: FddSpec, *, tol=1e-9,
-                  max_evals=1_000_000) -> complex:
+def log_cf_window(kernel, measure, spec: FddSpec, *, tol=1e-9) -> complex:
     """Joint log-CF of window integrals: int (e^{iyJ_T(s)} - 1) ds nu(dy).
 
     No drift term appears: int J_T = 0 exactly because every g vanishes at
     infinity, so the compensator contribution cancels identically.
     """
-    setup = _window_boxes(kernel, measure, spec, spec.T, tol)
-    if setup is None:
-        return 0.0 + 0.0j
-    comps, kfun, boxes, breaks = setup
-    last_vec = lambda prefix, xs: kfun(_profile(
-        comps, spec.ls, spec.zs, _window_factor(spec.T), prefix, xs))
-    return complex(integrate_box(last_vec, boxes, breaks, tol, max_evals).value)
+    val = _spec_integral(kernel, measure, spec, spec.T, _window_factor(spec.T), tol)
+    return 0.0 + 0.0j if val is None else complex(val)
 
 
-def log_cf_limits(kernel, measure, spec: FddSpec, *, tol=1e-9,
-                  max_evals=1_000_000) -> tuple:
+def log_cf_limits(kernel, measure, spec: FddSpec, *, tol=1e-9) -> tuple:
     """Log-CFs (claimed, boundary_augmented) of the two candidate limits.
 
     "claimed" uses H(s) = (-1)^d sum_j z_j prod_k g_k(l_jk - s_k), the
@@ -197,17 +213,13 @@ def log_cf_limits(kernel, measure, spec: FddSpec, *, tol=1e-9,
     integral I = int K(H+) serves both layers and both laws: H = (-1)^d H+
     and K(-w) = conj K(w), so int K(H) is I at even d and conj(I) at odd d.
     """
-    setup = _window_boxes(kernel, measure, spec, 0.0, tol)
-    if setup is None:
+    I = _spec_integral(kernel, measure, spec, 0.0, _corner_factor, tol)
+    if I is None:
         return 0.0 + 0.0j, 0.0 + 0.0j
-    comps, kfun, boxes, breaks = setup
-    last_vec = lambda prefix, xs: kfun(_profile(
-        comps, spec.ls, spec.zs, _corner_factor, prefix, xs))
-    I = integrate_box(last_vec, boxes, breaks, tol, max_evals).value
     # int K(H) for the origin corner; + 0j keeps the imaginary part of a
     # real I at +0.0
     origin = I if spec.d % 2 == 0 else I.conjugate() + 0j
-    int_h = float(np.sum(spec.zs)) * math.prod(k.integral_g for k in comps)
+    int_h = float(np.sum(spec.zs)) * as_product(kernel).integral_g
     c_nu = measure.compensator_integral()
     # claimed is the origin layer; boundary_augmented adds the far layer to it
     total, laws = 0.0 + 0.0j, []
@@ -219,13 +231,12 @@ def log_cf_limits(kernel, measure, spec: FddSpec, *, tol=1e-9,
 
 
 def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
-                 tol=1e-9, max_evals=1_000_000) -> complex:
+                 tol=1e-9) -> complex:
     """log_cf_limits' "claimed" or "boundary_augmented" law, by name."""
     names = ("claimed", "boundary_augmented")
     if variant not in names:
         raise ValueError(f"unknown variant {variant!r}")
-    return log_cf_limits(kernel, measure, spec, tol=tol,
-                         max_evals=max_evals)[names.index(variant)]
+    return log_cf_limits(kernel, measure, spec, tol=tol)[names.index(variant)]
 
 
 # -- second-order quantities -------------------------------------------------
@@ -340,14 +351,10 @@ def check_conditions(kernel, measure, *, quad_tol=1e-9,
     vanishes (the conditions only constrain s with f(s) != 0).
     """
     pk = as_product(kernel)
-    comps = pk.components
     r = pk.decay_radius(1e-12)
-    boxes = [(-r, r)] * pk.d
-    breaks = [k.nonsmooth for k in comps]
 
     def masked(fn):
-        def vec(prefix, xs):
-            af = _f_prod(comps, 1.0, prefix, xs, np.abs)
+        def vec(af):
             out = np.zeros_like(af)
             pos = af > 0.0
             if np.any(pos):
@@ -355,7 +362,8 @@ def check_conditions(kernel, measure, *, quad_tol=1e-9,
             return out
         return vec
 
-    res = [integrate_box(masked(fn), boxes, breaks, quad_tol, budget) for fn in (
+    res = [_box_integral(pk, np.zeros((1, pk.d)), 0.0, r, np.ones(1), _abs_f_factor,
+                         masked(fn), quad_tol, budget) for fn in (
         lambda rr, af: af * np.abs(
             measure.signed_moment_interval(1.0, np.maximum(rr, 1.0))
             - measure.signed_moment_interval(np.minimum(rr, 1.0), 1.0)),

@@ -340,10 +340,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed, threads=args.threads,
                           out=args.out, fmt=args.fmt)
         paths = _COMMANDS[args.subcommand](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (NotAvailableError, EmptyTruncationError, ValueError) as exc:
+    except (ConfigError, NotAvailableError, EmptyTruncationError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:

@@ -271,11 +271,12 @@ def _jump_sums(jumps: JumpSet, pk, ls, factor, starts, nf: int = 1,
                      for a, b in zip(starts[:-1], starts[1:])])
 
 
-def _window_sums(jumps: JumpSet, pk, ls, starts, Ts=(), a: float = 0.0,
-                 mirrored: bool = False, work=np.empty):
-    """(limit_sum, S_{T,l} - a T^d for each T of Ts) per replicate and row l."""
+def _window_sums(jumps: JumpSet, pk, ls, starts, Ts=(), mirrored: bool = False,
+                 work=np.empty):
+    """(limit_sum, S_{T,l} for each T of Ts) per replicate and row l."""
     # all from one g(l - s): Y is (replicates, m) and S (replicates, len(Ts),
-    # m); mirrored gives mirrored_limit_sum instead of limit_sum
+    # m); mirrored gives mirrored_limit_sum instead of limit_sum. No drift:
+    # with every g, int f = +0.0, so a = +0.0 and S - a T^d == S bit for bit
     if not pk.has_g:
         raise NotAvailableError(
             "window integrals and limit sums need every component's "
@@ -294,12 +295,11 @@ def _window_sums(jumps: JumpSet, pk, ls, starts, Ts=(), a: float = 0.0,
             yield np.subtract(row, g_ls, out=row)
     sums = _jump_sums(jumps, pk, ls, factor, starts, 1 + len(Ts), work)
     Y = sums[:, 0] if mirrored else (-1.0) ** pk.d * sums[:, 0]
-    shift = np.array([float(a) * T ** pk.d for T in Ts])[:, None]
-    S = sums[:, 1:] - shift
+    S = sums[:, 1:]
     empty = [r for r, (lo, hi) in enumerate(zip(starts, starts[1:])) if lo == hi]
     if empty:
         Y[empty] = 0.0      # +0.0 whatever the sign (-1)^d
-        S[empty] = -shift
+        S[empty] = -0.0     # -(a T^d) at a = +0.0
     return Y, S
 
 
@@ -338,7 +338,9 @@ def window_integral(jumps: JumpSet, kernel, T: float, l, a: float = 0.0) -> floa
     default covers them. Kernels without g must go through
     window_integral_grid instead.
     """
-    return float(_one_window(jumps, kernel, l, Ts=(float(T),), a=a)[1][0, 0, 0])
+    T = float(T)
+    s = float(_one_window(jumps, kernel, l, Ts=(T,))[1][0, 0, 0])
+    return s - float(a) * T ** as_product(kernel).d
 
 
 def window_integral_grid(jumps: JumpSet, kernel, T: float, l, a: float = 0.0,
@@ -398,13 +400,13 @@ def _replicate_sums(cfg: SimConfig, streams, Ts=(), mirrored: bool = False):
     without any T they reach _window_sums, which refuses them.
     """
     pk, m = cfg.kernel, cfg.m
-    a = pk.integral_f * _truncated_mean(cfg.measure, cfg.eps)
     if Ts and not pk.has_g:
+        a = pk.integral_f * _truncated_mean(cfg.measure, cfg.eps)
         S = [[[window_integral_grid(jumps, pk, T, l, a)[0] for l in cfg.ls]
               for T in Ts] for jumps, _ in _blocks(cfg, streams, 0)]
         return np.full((len(S), m), np.nan), np.array(S)
     cap, work = max(1, _BLOCK // ((1 + len(Ts)) * m)), _Workspace()
-    Y, S = zip(*(_window_sums(jumps, pk, cfg.ls, starts, Ts, a, mirrored, work)
+    Y, S = zip(*(_window_sums(jumps, pk, cfg.ls, starts, Ts, mirrored, work)
                  for jumps, starts in _blocks(cfg, streams, cap)))
     return np.concatenate(Y) - _limit_drift(cfg, mirrored), np.concatenate(S)
 

@@ -138,13 +138,17 @@ def variance_se(samples) -> float:
     return math.sqrt(max(m4 - v * v, 0.0) / n)
 
 
-def mc_consistency(cfg: SimConfig, z_grid, *, band_c=5.0,
-                   tol=1e-9) -> McReport:
+# the empirical CF band of mc_consistency is _MC_BAND_C / sqrt(N)
+_MC_BAND_C = 5.0
+
+
+def mc_consistency(cfg: SimConfig, z_grid) -> McReport:
     """Simulator vs analytic engine: CF on a z-grid, variance, and mean.
 
     For each window offset l the empirical CF of S must sit within
-    band_c/sqrt(N) of exp(log_cf_window), the sample variance within 4 SE of
-    variance_window, and the sample mean within 4 sqrt(var/N) of zero.
+    _MC_BAND_C/sqrt(N) of exp(log_cf_window), the sample variance within
+    4 SE of variance_window, and the sample mean within 4 sqrt(var/N) of
+    zero.
     """
     if cfg.n_replicates < 10_000:
         raise ValueError("mc_consistency needs N >= 1e4")
@@ -153,13 +157,13 @@ def mc_consistency(cfg: SimConfig, z_grid, *, band_c=5.0,
     exact = np.array([
         [1.0 + 0.0j if z == 0.0 else
          np.exp(log_cf_window(cfg.kernel, cfg.measure,
-                              fdd_spec(cfg.ls[j], [z], cfg.T), tol=tol))
+                              fdd_spec(cfg.ls[j], [z], cfg.T)))
          for z in zs]
         for j in range(cfg.m)])
-    band = band_c / math.sqrt(cfg.n_replicates)
+    band = _MC_BAND_C / math.sqrt(cfg.n_replicates)
     dists, var_emp, ses, means, mean_bands = [], [], [], [], []
     for j in range(cfg.m):
-        hat = empirical_cf(res.S[:, j], zs, c=band_c)
+        hat = empirical_cf(res.S[:, j], zs, c=_MC_BAND_C)
         dists.append(float(np.max(np.abs(hat.values - exact[j]))))
         x = res.S[:, j]
         v = float(np.var(x))

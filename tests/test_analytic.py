@@ -14,19 +14,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idma.analytic import (ConditionsReport, FddSpec, _corner_factor,
-                           _profile, _window_boxes, check_conditions,
+from idma.analytic import (ConditionsReport, FddSpec, _corner_factor, _radius,
+                           _spec_integral, check_conditions,
                            covariance, covariance_integral,
                            covariance_integral_quadrature, fdd_spec, j_t,
                            log_cf_limit, log_cf_limits, log_cf_stationary,
                            log_cf_window, shift_constant, variance_window,
                            variance_window_quadrature)
 from idma.errors import NotAvailableError
-from idma.kernels import (ProductKernel, gauss_deriv, persistent_control,
-                          signed_ou)
+from idma.kernels import (ProductKernel, as_product, gauss_deriv,
+                          persistent_control, signed_ou, user_table)
 from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
-from idma.quadrature import integrate_box, integrate_line
+from idma.quadrature import integrate_line
 
 CIN1 = 0.23981174200056472594
 STAT_DICKMAN = -0.24486805759326125       # frozen independent quadrature
@@ -128,19 +130,17 @@ def test_limit_variants_dickman_drift():
 
 def _limit_two_integrals(kernel, measure, spec, variant, tol):
     # log_cf_limit as one box integral per corner layer, each with its drift
-    comps, kfun, boxes, breaks = _window_boxes(kernel, measure, spec, 0.0, tol)
     c_nu = measure.compensator_integral()
-    prod_int_g = math.prod(k.integral_g for k in comps)
+    prod_int_g = as_product(kernel).integral_g
     total = 0.0 + 0.0j
     signs = [float((-1) ** spec.d)]
     if variant == "boundary_augmented":
         signs.append(1.0)
     for sign in signs:
-        last_vec = lambda prefix, xs, _s=sign: kfun(_profile(
-            comps, spec.ls, _s * spec.zs, _corner_factor, prefix, xs))
+        layer = fdd_spec(spec.ls, sign * spec.zs, 0.0)
         int_h = sign * float(np.sum(spec.zs)) * prod_int_g
         total += -1j * c_nu * int_h
-        total += integrate_box(last_vec, boxes, breaks, tol, 1_000_000).value
+        total += _spec_integral(kernel, measure, layer, 0.0, _corner_factor, tol)
     return complex(total)
 
 
@@ -300,3 +300,69 @@ def test_product_kernel_window_cf_factorizes():
     v = log_cf_window(pk, two_point(1.0), spec, tol=1e-7)
     assert abs(v.imag) < 1e-7
     assert v.real < 0.0
+
+
+# -- invariants across families (hypothesis) ---------------------------------
+
+PROP_MEASURES = (two_point(1.0), dickman(), truncated_stable(0.5, 1.0),
+                 inner_truncated_stable(1.5, 1.0, 0.1))
+PROP_COMPONENTS = (signed_ou(), gauss_deriv(),
+                   user_table([-1.0, -0.3, 0.4, 1.2], [0.0, 1.0, -0.6, 0.0]))
+
+
+@st.composite
+def cf_cases(draw):
+    """(measure, d = 1 or 2 product kernel, spec, tol).
+
+    Up to two windows at d = 1 and one at d = 2, where a user_table
+    component's kinks at both edges of two windows make one window CF take
+    about a second.
+    """
+    measure = draw(st.sampled_from(PROP_MEASURES))
+    d = draw(st.integers(1, 2))
+    pk = ProductKernel(tuple(draw(st.sampled_from(PROP_COMPONENTS))
+                             for _ in range(d)))
+    m = draw(st.integers(1, 3 - d))
+    ls = draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d),
+                       min_size=m, max_size=m))
+    zs = draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m))
+    T = draw(st.floats(0.5, 5.0))
+    return measure, pk, fdd_spec(ls, zs, T), 1e-9 if d == 1 else 1e-6
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(cf_cases())
+def test_log_cfs_hermitian_and_bounded(case):
+    # phi(-z) = conj phi(z) bit for bit, as K(-w) = conj K(w), and |phi| <= 1
+    measure, pk, spec, tol = case
+    flip = fdd_spec(spec.ls, -spec.zs, spec.T)
+    z = float(spec.zs[0])
+    pairs = [(log_cf_stationary(pk, measure, z, tol=tol),
+              log_cf_stationary(pk, measure, -z, tol=tol)),
+             (log_cf_window(pk, measure, spec, tol=tol),
+              log_cf_window(pk, measure, flip, tol=tol))]
+    pairs += zip(log_cf_limits(pk, measure, spec, tol=tol),
+                 log_cf_limits(pk, measure, flip, tol=tol))
+    for v, w in pairs:
+        assert w == v.conjugate()
+        assert v.real <= 0.0
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(cf_cases(), st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2))
+def test_window_cf_stationary_in_l(case, shift):
+    # one common shift of every window leaves the joint law unchanged. At
+    # d = 1 the two values agree within tol, as the panel error estimates
+    # overstate the error by orders of magnitude. At d = 2 every inner row
+    # converges to the whole tol, so each value may miss by tol per unit
+    # length of the outer axis plus the outer tol; two differ by twice that
+    measure, pk, spec, tol = case
+    moved = fdd_spec(spec.ls + shift[:spec.d], spec.zs, spec.T)
+    diff = abs(log_cf_window(pk, measure, moved, tol=tol)
+               - log_cf_window(pk, measure, spec, tol=tol))
+    if spec.d == 1:
+        assert diff <= tol
+    else:
+        outer = (spec.T + float(np.ptp(spec.ls[:, 0]))
+                 + 2.0 * _radius(pk, measure, spec.zs, tol))
+        assert diff <= 2.0 * tol * (1.0 + outer)

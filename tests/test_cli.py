@@ -465,6 +465,21 @@ def test_exit_codes(tmp_path, capsys):
         "measure": {"kind": "dickman"}, "eps": 1.0, "N": 10,
         "out": str(tmp_path / "o")}, name="empty.json")
     assert main(["simulate", "--config", empty]) == 2
+    assert "config error" in capsys.readouterr().err
+
+    # a window CF needs an antiderivative the persistent control lacks
+    no_g = write_config(tmp_path, {
+        "kernel": {"kind": "persistent_control"}, "z_grid": [1.0],
+        "out": str(tmp_path / "o")}, name="no_g.json")
+    assert main(["cf", "--config", no_g]) == 2
+    assert "config error: operation needs an antiderivative" in capsys.readouterr().err
+
+    # a T grid out of order reaches cf_convergence's ValueError
+    unsorted = write_config(tmp_path, {
+        "T_grid": [10.0, 5.0, 20.0], "z_grid": [1.0],
+        "out": str(tmp_path / "o")}, name="unsorted.json")
+    assert main(["converge", "--config", unsorted]) == 2
+    assert "config error: T_grid must be increasing" in capsys.readouterr().err
 
     # the variance curve of the heavy-tailed family does not exist
     heavy = write_config(tmp_path, {
