@@ -27,7 +27,10 @@ windows, g_k(l - s) for the limit corner, f_k(s) for the marginal and
 [l, l + T]^d padded by a decay radius and broken at every kernel kink
 shifted to both window edges: [-r, r]^d broken at the kinks when l = 0
 and T = 0.0. Each of its quadrature rows gets MAX_EVALS evaluations, or
-check_conditions' budget.
+check_conditions' budget. _log_cf_rows runs the three log-CFs at every z
+of a grid as the top rows of one engine run; each row keeps the bits of
+its single-spec function, because K picks its series length per slot id
+(see quadrature) rather than per call.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import NotAvailableError
 from .kernels import _normalize_ls, as_product
-from .quadrature import integrate_box, integrate_line
+from .quadrature import _box_rows, integrate_line
 
 
 @dataclass(frozen=True)
@@ -133,35 +136,129 @@ def _profile(comps, ls, coef, factor, prefix, xs):
     return (coef[..., None, :] @ last)[..., 0, :]
 
 
-def _box_integral(pk, ls, T, r, coef, factor, outer, tol, budget=MAX_EVALS):
-    """int outer(_profile(..., coef, factor, s)) ds over the windows' box.
+def _box_integral(pk, groups, tol, budget=MAX_EVALS):
+    """int outer(_profile(..., coef, factor, s)) ds for every row of groups.
 
-    Axis k spans the windows [l, l + T] padded by r on both sides, broken
-    at every kink of component k shifted to both window edges. With one
-    row of zeros in ls and T = 0.0 this is [-r, r]^d broken at the kinks:
-    0.0 + x == x, so the T terms add nothing.
+    A group (ls, T, rs, coefs, factor, outer) has one row per radius r in
+    rs and row of coefs. Its axis k spans the windows [l, l + T] padded by
+    r on both sides, broken at every kink of component k shifted to both
+    window edges. With one row of zeros in ls and T = 0.0 this is [-r, r]^d
+    broken at the kinks: 0.0 + x == x, so the T terms add nothing. Every
+    row of every group is a top row of one engine run. Returns each group's
+    values and errors and the evaluation count of the run.
     """
     comps = pk.components
-    boxes, breaks = [], []
-    for k, comp in enumerate(comps):
-        lk = ls[:, k]
-        boxes.append((float(lk.min()) - r, T + float(lk.max()) + r))
-        breaks.append([e + l + p for e in (0.0, T) for l in lk
-                       for p in comp.nonsmooth])
-    integrand = lambda prefix, xs: outer(_profile(comps, ls, coef, factor, prefix, xs))
-    return integrate_box(integrand, boxes, breaks, tol, budget)
+    boxes, breaks, first = [], [], [0]
+    for ls, T, rs, *_ in groups:
+        lo, hi = ls.min(axis=0).tolist(), ls.max(axis=0).tolist()
+        brk = [[e + l + p for e in (0.0, T) for l in ls[:, k] for p in comp.nonsmooth]
+               for k, comp in enumerate(comps)]
+        boxes += [[(a - r, T + b + r) for a, b in zip(lo, hi)] for r in rs]
+        breaks += [brk] * len(rs)
+        first.append(len(boxes))
+    group = np.repeat(np.arange(len(groups)), np.diff(first))
+
+    def integrand(top, slot, prefix, xs):
+        # outer(w, slot) may pick its series length per slot (LevyMeasure.exponent)
+        if len(groups) == 1:
+            ls, T, rs, coefs, factor, outer = groups[0]
+            return outer(_profile(comps, ls, coefs[top], factor, prefix, xs), slot)
+        g, parts = group[top], []
+        for i, (ls, T, rs, coefs, factor, outer) in enumerate(groups):
+            sel = (g == i).nonzero()[0]
+            if sel.size:
+                parts.append((sel, outer(_profile(
+                    comps, ls, coefs[top[sel] - first[i]], factor,
+                    tuple(c[sel] for c in prefix), xs[sel]), slot[sel])))
+        out = np.empty(xs.shape, np.result_type(*(v for _, v in parts)))
+        for sel, v in parts:
+            out[sel] = v
+        return out
+
+    v, e, n = _box_rows(integrand, boxes, breaks, tol, budget)
+    return [(v[a:b], e[a:b]) for a, b in zip(first, first[1:])], n
+
+
+def _integrals(pk, measure, parts, tol):
+    """int K(_profile(spec.zs, factor)) over [l, l + T]^d for every spec.
+
+    parts lists (specs, T, factor); the specs of a part share their
+    windows. Each spec with a nonzero z is one top row of one engine run
+    for all parts, and None stands for a spec whose every z is 0. Returns
+    one list per part.
+    """
+    kfun, groups, rows = measure.exponent(), [], []
+    for specs, T, factor in parts:
+        ls = specs[0].ls if specs else None
+        for spec in specs:
+            if spec.d != pk.d:
+                raise ValueError(f"spec has d={spec.d}, kernel has d={pk.d}")
+            if not np.array_equal(spec.ls, ls):
+                raise ValueError("batched specs must share their windows")
+        rows.append([i for i, spec in enumerate(specs) if np.any(spec.zs)])
+        if rows[-1]:
+            zss = np.array([specs[i].zs for i in rows[-1]])
+            groups.append((ls, T, [_radius(pk, measure, zs, tol) for zs in zss],
+                           zss, factor, kfun))
+    values = iter(_box_integral(pk, groups, tol)[0] if groups else ())
+    out = []
+    for (specs, _, _), live in zip(parts, rows):
+        out.append([None] * len(specs))
+        for i, v in zip(live, next(values)[0].tolist() if live else ()):
+            out[-1][i] = v
+    return out
+
+
+def _log_cf_rows(kernel, measure, zs=(), windows=(), corners=(), *, tol=1e-9):
+    """Batched log_cf_stationary, log_cf_window and log_cf_limits.
+
+    Returns the stationary log-CF at every z of zs, the window log-CF at
+    every spec of windows (one T) and the (claimed, boundary_augmented)
+    pair at every spec of corners, as rows of one engine run. A z of 0
+    gives exact zeros. Each row refines, and evaluates K, as it would
+    alone, so every value keeps the bits of its single-spec function.
+    """
+    pk = as_product(kernel)
+    if windows or corners:
+        _require_g(pk)
+    T = windows[0].T if windows else 0.0
+    if any(spec.T != T for spec in windows):
+        raise ValueError("batched specs must share T")
+    zs = [float(z) for z in zs]
+    flat = np.zeros((1, pk.d))
+    stationary = [FddSpec(flat, np.array([z]), 0.0) for z in zs]
+    stat, win, corner = _integrals(pk, measure, [
+        (stationary, 0.0, _f_factor), (windows, T, _window_factor(T)),
+        (corners, 0.0, _corner_factor)], tol)
+    a = shift_constant(pk, measure)
+    stat = [0.0 + 0.0j if v is None else complex(-1j * z * a + v)
+            for z, v in zip(zs, stat)]
+    win = [0.0 + 0.0j if v is None else complex(v) for v in win]
+    return stat, win, [_limit_laws(pk, measure, spec, I)
+                       for spec, I in zip(corners, corner)]
+
+
+def _limit_laws(pk, measure, spec, I):
+    """(claimed, boundary_augmented) from the far-corner integral I."""
+    if I is None:
+        return 0.0 + 0.0j, 0.0 + 0.0j
+    # int K(H) for the origin corner; + 0j keeps the imaginary part of a
+    # real I at +0.0
+    origin = I if spec.d % 2 == 0 else I.conjugate() + 0j
+    int_h = float(np.sum(spec.zs)) * pk.integral_g
+    c_nu = measure.compensator_integral()
+    # claimed is the origin layer; boundary_augmented adds the far layer to it
+    total, laws = 0.0 + 0.0j, []
+    for sign, value in ((float((-1) ** spec.d), origin), (1.0, I)):
+        total += -1j * c_nu * (sign * int_h)
+        total += value
+        laws.append(complex(total))
+    return tuple(laws)
 
 
 def log_cf_stationary(kernel, measure, z, *, tol=1e-9) -> complex:
     """log E exp(izX(0)) = -iza + int K(z f(s)) ds over R^d."""
-    pk = as_product(kernel)
-    z = float(z)
-    if z == 0.0:
-        return 0.0 + 0.0j
-    zs = np.array([z])
-    val = _box_integral(pk, np.zeros((1, pk.d)), 0.0, _radius(pk, measure, zs, tol),
-                        zs, _f_factor, measure.exponent(), tol).value
-    return complex(-1j * z * shift_constant(pk, measure) + val)
+    return _log_cf_rows(kernel, measure, zs=[z], tol=tol)[0][0]
 
 
 def j_t(kernel, spec: FddSpec, s) -> float:
@@ -175,30 +272,13 @@ def j_t(kernel, spec: FddSpec, s) -> float:
                           tuple(s[:-1].reshape(-1, 1, 1)), s[-1:, None])[0, 0])
 
 
-def _spec_integral(kernel, measure, spec: FddSpec, T, factor, tol):
-    """int K(_profile(spec.zs, factor)) over the windows [l, l + T]^d.
-
-    None when every z is 0. log_cf_limits takes T = 0.0, which gives the
-    box of the windows' corners.
-    """
-    pk = as_product(kernel)
-    _require_g(pk)
-    if spec.d != pk.d:
-        raise ValueError(f"spec has d={spec.d}, kernel has d={pk.d}")
-    if not np.any(spec.zs):
-        return None
-    return _box_integral(pk, spec.ls, T, _radius(pk, measure, spec.zs, tol), spec.zs,
-                         factor, measure.exponent(), tol).value
-
-
 def log_cf_window(kernel, measure, spec: FddSpec, *, tol=1e-9) -> complex:
     """Joint log-CF of window integrals: int (e^{iyJ_T(s)} - 1) ds nu(dy).
 
     No drift term appears: int J_T = 0 exactly because every g vanishes at
     infinity, so the compensator contribution cancels identically.
     """
-    val = _spec_integral(kernel, measure, spec, spec.T, _window_factor(spec.T), tol)
-    return 0.0 + 0.0j if val is None else complex(val)
+    return _log_cf_rows(kernel, measure, windows=[spec], tol=tol)[1][0]
 
 
 def log_cf_limits(kernel, measure, spec: FddSpec, *, tol=1e-9) -> tuple:
@@ -213,21 +293,7 @@ def log_cf_limits(kernel, measure, spec: FddSpec, *, tol=1e-9) -> tuple:
     integral I = int K(H+) serves both layers and both laws: H = (-1)^d H+
     and K(-w) = conj K(w), so int K(H) is I at even d and conj(I) at odd d.
     """
-    I = _spec_integral(kernel, measure, spec, 0.0, _corner_factor, tol)
-    if I is None:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    # int K(H) for the origin corner; + 0j keeps the imaginary part of a
-    # real I at +0.0
-    origin = I if spec.d % 2 == 0 else I.conjugate() + 0j
-    int_h = float(np.sum(spec.zs)) * as_product(kernel).integral_g
-    c_nu = measure.compensator_integral()
-    # claimed is the origin layer; boundary_augmented adds the far layer to it
-    total, laws = 0.0 + 0.0j, []
-    for sign, value in ((float((-1) ** spec.d), origin), (1.0, I)):
-        total += -1j * c_nu * (sign * int_h)
-        total += value
-        laws.append(complex(total))
-    return tuple(laws)
+    return _log_cf_rows(kernel, measure, corners=[spec], tol=tol)[2][0]
 
 
 def log_cf_limit(kernel, measure, spec: FddSpec, variant="claimed", *,
@@ -348,29 +414,35 @@ def check_conditions(kernel, measure, *, quad_tol=1e-9,
     """Evaluate the three integrability conditions over R^d.
 
     The integrands are driven by r(s) = 1/|f(s)| and set to 0 where f
-    vanishes (the conditions only constrain s with f(s) != 0).
+    vanishes (the conditions only constrain s with f(s) != 0), and where
+    |f(s)| is so small that r overflows: every integrand tends to 0 there.
     """
     pk = as_product(kernel)
     r = pk.decay_radius(1e-12)
 
     def masked(fn):
-        def vec(af):
+        def vec(af, slots):
             out = np.zeros_like(af)
-            pos = af > 0.0
+            with np.errstate(divide="ignore", over="ignore"):
+                rr = 1.0 / af
+            pos = rr < math.inf
             if np.any(pos):
-                out[pos] = fn(1.0 / af[pos], af[pos])
+                out[pos] = fn(rr[pos], af[pos])
             return out
         return vec
 
-    res = [_box_integral(pk, np.zeros((1, pk.d)), 0.0, r, np.ones(1), _abs_f_factor,
-                         masked(fn), quad_tol, budget) for fn in (
+    # one engine run each: an outer error estimate sums the inner ones by a
+    # matrix-vector product, which rounds a row by the rows that share it
+    runs = [_box_integral(pk, [(np.zeros((1, pk.d)), 0.0, [r], np.ones((1, 1)),
+                                _abs_f_factor, masked(fn))], quad_tol, budget)
+            for fn in (
         lambda rr, af: af * np.abs(
             measure.signed_moment_interval(1.0, np.maximum(rr, 1.0))
             - measure.signed_moment_interval(np.minimum(rr, 1.0), 1.0)),
         lambda rr, af: measure.tail_mass(rr),
         lambda rr, af: af * af * measure.small_jump_variance(rr))]
-    values = [float(r.value) for r in res]
+    values = [float(groups[0][0][0]) for groups, _ in runs]
     return ConditionsReport(
         *values, *(math.isfinite(v) for v in values),
-        errors=tuple(float(r.error_estimate) for r in res),
-        evaluations=sum(r.evaluations for r in res))
+        errors=tuple(float(groups[0][1][0]) for groups, _ in runs),
+        evaluations=sum(n for _, n in runs))

@@ -228,13 +228,14 @@ def _cmd_cf(cfg: RunConfig) -> list:
     # runs before any file is written, so a failure leaves no partial output
     specs = [(u, analytic.fdd_spec(ls, u * zs_base, cfg.T),
               analytic.fdd_spec(ls, u * zs_base, 0.0)) for u in cfg.z_grid]
+    # the three laws at every z are the rows of one engine run
+    us, windows, corners = zip(*specs)
+    stationary, window, limits = analytic._log_cf_rows(
+        pk, cfg.measure, us, windows, corners, tol=cfg.quad_tol)
+    laws = (stationary, window, *zip(*limits))
     tables = ([], [], [], [])
-    for u, window, corner in specs:
-        lcs = (analytic.log_cf_stationary(pk, cfg.measure, u, tol=cfg.quad_tol),
-               analytic.log_cf_window(pk, cfg.measure, window, tol=cfg.quad_tol),
-               *analytic.log_cf_limits(pk, cfg.measure, corner,
-                                       tol=cfg.quad_tol))
-        for rows, lc in zip(tables, lcs):
+    for rows, lcs in zip(tables, laws):
+        for u, lc in zip(us, lcs):
             cf = np.exp(lc)
             rows.append([u, lc.real, lc.imag, cf.real, cf.imag])
     stems = ("cf_stationary", "cf_window", "cf_limit_claimed",

@@ -104,10 +104,43 @@ SERIES_W = _series_table(SERIES_MAX_W)
 N_TERMS = len(SERIES_W)
 
 
-def _series_sum(coef, ws):
-    """K at the 1-d ws, all |w| <= SERIES_MAX_W, from _series() coefficients."""
+def _series_sum(coef, ws, slots=None):
+    """K at the 1-d ws, all |w| <= SERIES_MAX_W, from _series() coefficients.
+
+    The series stops after the terms that the largest |w| needs: of all ws,
+    or of each run of ws that share a label in slots (equal labels are
+    adjacent).
+    """
     x2 = ws * ws
-    n = 1 + int(np.searchsorted(SERIES_W, math.sqrt(float(x2.max(initial=0.0)))))
+    if slots is None or not ws.size:
+        starts = [0]
+        n_run = [1 + int(np.searchsorted(SERIES_W, math.sqrt(float(x2.max(initial=0.0)))))]
+    else:
+        starts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()]
+        top = np.maximum.reduceat(x2, starts)
+        n_run = (1 + np.searchsorted(SERIES_W, np.sqrt(top))).tolist()
+    ends = [*starts[1:], ws.size]
+    # stretches of adjacent runs of one length, each summed as a slice, or
+    # one masked sum per length when the lengths alternate
+    cuts = [0, *(i for i in range(1, len(n_run)) if n_run[i] != n_run[i - 1])]
+    lengths = set(n_run)
+    if len(cuts) == 1:
+        return _sum_terms(coef, ws, x2, n_run[0])
+    out = np.empty(ws.size, dtype=complex)
+    if len(cuts) <= 3 * len(lengths):
+        for a, b in zip(cuts, [*cuts[1:], len(n_run)]):
+            lo, hi = starts[a], ends[b - 1]
+            out[lo:hi] = _sum_terms(coef, ws[lo:hi], x2[lo:hi], n_run[a])
+        return out
+    n_of = np.repeat(n_run, np.subtract(ends, starts))
+    for n in lengths:
+        sel = n_of == n
+        out[sel] = _sum_terms(coef, ws[sel], x2[sel], n)
+    return out
+
+
+def _sum_terms(coef, ws, x2, n):
+    """The first n terms of the series at ws, x2 = ws * ws."""
     s = (x2[:, None] ** np.arange(1, n + 1)) @ coef[1:n + 1]
     if coef.shape[1] == 1:
         return s[:, 0] + 0j
@@ -241,25 +274,31 @@ class LevyMeasure:
 
         Closed forms at every w: the family's power series (_near) where
         |w| <= _reach, to rounding, and _far beyond. Every series term
-        vanishes at w = 0, so K(0) = 0 exactly.
+        vanishes at w = 0, so K(0) = 0 exactly. The callable takes an
+        optional ``slots``, one label per row of ws: the series length is
+        chosen per label, as if each label's rows came in a call of their
+        own (see _series_sum).
         """
         coef, reach = self._series(), self._reach
 
-        def kfun(ws):
+        def kfun(ws, slots=None):
             ws = np.atleast_1d(np.asarray(ws, dtype=float))
             flat = ws.ravel()
+            if slots is not None:
+                slots = np.repeat(slots, flat.size // len(slots))
             near = np.abs(flat) <= reach
             if near.all():
-                return self._near(coef, flat).reshape(ws.shape)
+                return self._near(coef, flat, slots).reshape(ws.shape)
             out = np.empty(flat.shape, dtype=complex)
-            out[near] = self._near(coef, flat[near])
+            out[near] = self._near(coef, flat[near],
+                                   None if slots is None else slots[near])
             out[~near] = self._far(flat[~near])
             return out.reshape(ws.shape)
 
         return kfun
 
-    def _near(self, coef, ws):
-        return _series_sum(coef, ws)
+    def _near(self, coef, ws, slots):
+        return _series_sum(coef, ws, slots)
 
 
 @dataclass(frozen=True)
@@ -381,7 +420,7 @@ class TwoPoint(LevyMeasure):
 
     def exponent(self):
         lam = self.lam
-        return lambda ws: lam * (np.cos(ws) - 1.0)
+        return lambda ws, slots=None: lam * (np.cos(ws) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -437,7 +476,7 @@ class InnerTruncatedStable(LevyMeasure):
         # the head int_0^1 (cos xt - 1) t^{-1-alpha} dt in x = |w| delta
         return _power_series(self.alpha, 1.0)
 
-    def _near(self, coef, ws):
+    def _near(self, coef, ws, slots):
         # 2c delta^-alpha (int_0^inf - int_0^1) (cos xt - 1) t^{-1-alpha} dt;
         # the two cancel (see HEAD_MAX_X), so the head is summed by Horner's
         # rule in x^2, which rounds less than _series_sum's power sum

@@ -7,13 +7,16 @@ runs left to right, so results are bit-stable across runs and thread counts.
 Integrands must be elementwise: they accept a numpy array of abscissas and
 return an array of values (real or complex) of the same shape.
 
-One engine runs R independent bisections (rows) that share their initial
-panel edges, each exactly as integrate_line alone. Each integrand call
-evaluates one panel slot of all active rows, as one (rows x 22) array pass on
-the 22 nodes (the 15, then the 7): one call per initial panel, then one for
-the left and one for the right halves of each step. integrate_line is R = 1;
-integrate_box batches a box in R^d by levels, passing the leading
-coordinates to the innermost axis as (rows, 1) columns.
+One engine run refines R independent bisections (rows), each from its own
+initial panel edges and exactly as integrate_line alone. Each step makes
+one integrand call, on the 22 nodes (the 15, then the 7) of every panel the
+step evaluates: first every initial panel of every row, then, per step, the
+left and the right half of the panel each refining row splits.
+integrate_line is R = 1. integrate_box batches a box in R^d by levels,
+passing the leading coordinates to the innermost axis as (rows, 1) columns,
+so each step of an outer level starts one engine run of the next; _box_rows
+does the same for many boxes at once, one top row each, and labels every
+node with the panel slot it came from at every level (its slot id).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -67,54 +71,59 @@ def _edges(a, b, breakpoints, radius):
     return edges + [hi] if hi > lo else []
 
 
-def _adapt(h, n, edges, tol, max_evals):
-    """n worst-first bisections over the same initial edges, one call per slot.
+def _adapt(h, edges, tol, max_evals):
+    """Worst-first bisections of the rows of ``edges``, one integrand call a step.
 
-    h(idx, xs) gets the (rows, 22) nodes of rows idx and returns (values, aux),
-    aux None or the per-node error estimates of inner integrals. Each row
-    refines as integrate_line does, with its own heap and ``max_evals``.
-    Returns per-row values and errors (aux integrated over the surviving
-    panels added) and the evaluation count of all rows.
+    Row r starts from the panels between its initial edges edges[r] (a
+    (rows, k) array). h(idx, xs) gets the nodes of a step as the
+    (slots, len(idx), 22) array xs, slot p holding one panel of each row
+    idx[j], and returns (values, aux) of as many elements, aux None or the
+    per-node error estimates of inner integrals. Each row refines as
+    integrate_line does, with its own heap and ``max_evals``. Returns
+    per-row values and errors (aux integrated over the surviving panels
+    added) and the evaluation count of all rows.
     """
-    if not edges:
+    n = len(edges)
+    if edges.shape[1] < 2:
         return np.zeros(n), np.zeros(n), 0
 
-    def evaluate(idx, spans):
-        # one call per slot p; row idx[j] has panel spans[p][j] (spans[p][0] if shared)
-        hm = np.array([f for row in spans for a, b in row for f in
-                       (0.5 * (b - a), 0.5 * (a + b))]).reshape(len(spans), -1, 2)
-        half, xs = hm[..., 0], hm[..., 1:] + hm[..., :1] * _NODES
-        xs = xs if xs.shape[1] == len(idx) else xs.repeat(len(idx), 1)
-        out = [h(idx, xs[p]) for p in range(len(spans))]
-        y = out[0][0][None] if len(out) == 1 else np.array([o[0] for o in out])
+    def evaluate(idx, a, b):
+        # slot p of row idx[j] is the panel [a[p, j], b[p, j]]; every slot in one call
+        half = 0.5 * (b - a)
+        xs = 0.5 * (a + b)[..., None] + half[..., None] * _NODES
+        y, aux = h(idx, xs)
+        y = y.reshape(xs.shape)
         if not np.isfinite(y).all():
             p, j = np.argwhere(~np.isfinite(y).all(axis=-1))[0]
             raise ValueError("integrand returned a non-finite value on "
-                             f"{list(spans[p][j % len(spans[p])])}")
+                             f"{[float(a[p, j]), float(b[p, j])]}")
         v, e = _rule(y, half)
-        if out[0][1] is None:
+        if aux is None:
             return v, e, 0.0 * e
-        return v, e, half * (np.array([o[1] for o in out])[..., :_N_HI] @ _WEIGHTS_HI)
+        return v, e, half * (aux.reshape(xs.shape)[..., :_N_HI] @ _WEIGHTS_HI)
 
     # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
     # a row made 22 evaluations per panel, and a sorted list is a heap
-    slots = list(zip(edges[:-1], edges[1:]))
-    v, e, aux = evaluate(range(n), [[s] for s in slots])
+    n_slots = edges.shape[1] - 1
+    v, e, aux = evaluate(np.arange(n), edges[:, :-1].T, edges[:, 1:].T)
     # left-to-right sums over the slots, as integrate_line's final sum
     value, err = sum(v[1:], 0.0 + v[0]), sum(e[1:], e[0])
     inner = sum(aux[1:], aux[0].copy())
-    evals, rows = n * len(slots) * _PANEL_EVALS, {}
+    evals, rows = n * n_slots * _PANEL_EVALS, {}
     live = (err > tol).nonzero()[0].tolist()
     sel = live if len(live) < n else slice(None)
-    cols = [a[:, sel].T.tolist() for a in (v, e, aux)] if live else ()
-    for r, vs, es, auxs in zip(live, *cols):
-        floor = _ROUNDOFF * sum(abs(x) for x in vs)
-        if tol < floor:
+    cols = [a[:, sel].T.tolist() for a in (v, e, aux)] + [edges[sel].tolist()] if live else ()
+    if live:
+        # each refining row's floor, summed left to right over its slots
+        floor = _ROUNDOFF * sum(abs(v[1:, sel]), abs(v[0, sel]))
+        if (floor > tol).any():
+            j = int((floor > tol).nonzero()[0][0])
             raise NonConvergenceError(
-                f"tol {tol:.3e} is below the roundoff floor {floor:.3e} of this "
-                f"integral (running error {err[r]:.3e})",
-                evaluations=len(slots) * _PANEL_EVALS, error_estimate=float(err[r]))
-        ps = [[*s, *p] for s, p in zip(slots, zip(vs, es, auxs))]
+                f"tol {tol:.3e} is below the roundoff floor {floor[j]:.3e} of this "
+                f"integral (running error {err[live[j]]:.3e})",
+                evaluations=n_slots * _PANEL_EVALS, error_estimate=float(err[live[j]]))
+    for r, vs, es, auxs, x in zip(live, *cols):
+        ps = [[*s, *p] for s, p in zip(zip(x[:-1], x[1:]), zip(vs, es, auxs))]
         rows[r] = [float(err[r]), 0.0, ps, sorted((-p[3], i) for i, p in enumerate(ps))]
     while live:
         split = []
@@ -141,7 +150,8 @@ def _adapt(h, n, edges, tol, max_evals):
         if not live:
             break
         evals += 2 * _PANEL_EVALS * len(live)
-        v, e, aux = evaluate(live, [[s[1:3] for s in split], [s[2:] for s in split]])
+        ends = np.array(split)[:, 1:].T
+        v, e, aux = evaluate(np.array(live), ends[:2], ends[1:])
         for (r, a, m, b), *new in zip(split, *(c.T.tolist() for c in (v, e, aux))):
             st = rows[r]
             for p in zip((a, m), (m, b), *new):
@@ -150,7 +160,7 @@ def _adapt(h, n, edges, tol, max_evals):
                 st[2].append(list(p))
     for r, (running, frozen, ps, _) in rows.items():
         total, aux_sum = 0.0 + 0.0j, 0.0
-        for p in sorted((p for p in ps if p[3] is not None), key=lambda p: p[0]):
+        for p in sorted((p for p in ps if p[3] is not None), key=itemgetter(0)):
             total += p[2]
             aux_sum += p[4]
         value[r] = total if value.dtype.kind == "c" else total.real
@@ -171,8 +181,8 @@ def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
     absolute values) raises NonConvergenceError at once, as does exhausting
     the evaluation budget; either carries the running estimate.
     """
-    v, e, n = _adapt(lambda idx, xs: (np.asarray(h(xs[0]))[None], None), 1,
-                     _edges(a, b, breakpoints, radius), tol, max_evals)
+    v, e, n = _adapt(lambda idx, xs: (np.asarray(h(xs.ravel())).reshape(xs.shape), None),
+                     np.array([_edges(a, b, breakpoints, radius)]), tol, max_evals)
     return QuadResult(v[0].item(), float(e[0]), n)
 
 
@@ -181,28 +191,71 @@ def integrate_box(last_vec, boxes, breaks, tol=1e-9, max_evals=1_000_000):
 
     last_vec(prefix, xs) gets the leading coordinates as (rows, 1) columns
     and the last one as the (rows, 22) array xs. Axis k spans boxes[k] with
-    breakpoints breaks[k]; each call of its integrand runs axis k + 1 for all
-    outer nodes of one panel slot in one engine run. Every row refines on
-    its own ``max_evals``, so values are those of one integrate_line per
-    outer node. The error estimate adds the inner ones, integrated by the
+    breakpoints breaks[k]; each engine step of axis k runs axis k + 1 for
+    all outer nodes of the step, in all its panels, in one engine run.
+    Every row refines on its own ``max_evals``, so values are those of one
+    integrate_line per outer node. The error estimate adds the inner ones, integrated by the
     outer 15-node weights over the surviving outer panels, and the
     evaluation count covers every level.
     """
-    d, evals = len(boxes), []
+    v, e, n = _box_rows(lambda top, slot, prefix, xs: last_vec(prefix, xs), [boxes],
+                        [breaks], tol, max_evals)
+    return QuadResult(v[0].item(), float(e[0]), n)
 
-    def level(k, prefix, n):
+
+def _box_rows(last_vec, boxes, breaks, tol, max_evals):
+    """integrate_box over several boxes at once, one top row each.
+
+    boxes[i] lists the d axis ranges of top row i and breaks[i] their
+    breakpoints, one list per axis. last_vec(top, slot, prefix, xs)
+    also gets the top row and a slot id of each of its rows: rows share a
+    slot id when they share their top row and, at every level, the step and
+    the panel slot of it that their nodes came from. Every row of a level
+    carries its top row's box down; rows whose initial edge lists differ in
+    length run in separate engine runs. Returns per-row values and errors
+    and the evaluation count of all rows and levels.
+    """
+    d, evals = len(boxes[0]), []
+    # per axis, the top rows' initial edges: an (n, k) table per length k
+    tables = []
+    for k in range(d):
+        per_row = [_edges(*box[k], brk[k], 60.0) for box, brk in zip(boxes, breaks)]
+        lens = np.array([len(x) for x in per_row])
+        tables.append((lens, {m: np.array([x if len(x) == m else [0.0] * m
+                                           for x in per_row]).reshape(-1, m)
+                              for m in set(lens.tolist())}))
+
+    def level(k, top, slot, prefix):
         def h(idx, xs):
-            cols = tuple(c[idx] for c in prefix)
+            n = len(xs)
+            rows, cols = (np.concatenate([c[idx]] * n) for c in (top, prefix))
+            ids = (slot[idx] * n + np.arange(n)[:, None]).ravel()
+            xs = xs.reshape(-1, _PANEL_EVALS)
             if k == d - 1:
-                return last_vec(cols, xs), None
-            cols = tuple(np.repeat(c, _PANEL_EVALS, axis=0) for c in cols)
-            v, e = level(k + 1, cols + (xs.reshape(-1, 1),), xs.size)
-            return v.reshape(xs.shape), e.reshape(xs.shape)
+                return last_vec(rows, ids, tuple(cols.T[..., None]), xs), None
+            rep = lambda c: np.repeat(c, _PANEL_EVALS, axis=0)
+            return level(k + 1, rep(rows), rep(ids),
+                         np.concatenate([rep(cols), xs.reshape(-1, 1)], axis=1))
 
-        v, e, ev = _adapt(h, n, _edges(*boxes[k], breaks[k], 60.0), tol, max_evals)
-        evals.append(ev)
+        lens, by_len = tables[k]
+        if len(by_len) == 1:
+            (edges,) = by_len.values()
+            v, e, ev = _adapt(h, edges[top], tol, max_evals)
+            evals.append(ev)
+            return v, e
+        parts, own = [], lens[top]
+        for m, edges in sorted(by_len.items()):
+            sel = (own == m).nonzero()[0]
+            if sel.size:
+                parts.append((sel, *_adapt(lambda idx, xs, sel=sel: h(sel[idx], xs),
+                                           edges[top[sel]], tol, max_evals)))
+        v = np.zeros(len(top), np.result_type(*(p[1] for p in parts)))
+        e = np.zeros(len(top))
+        for sel, pv, pe, ev in parts:
+            v[sel], e[sel] = pv, pe
+            evals.append(ev)
         return v, e
 
-    v, e = level(0, (), 1)
-    return QuadResult(v[0].item(), float(e[0]), sum(evals))
-
+    top = np.arange(len(boxes))
+    v, e = level(0, top, top, np.empty((len(boxes), 0)))
+    return v, e, sum(evals)

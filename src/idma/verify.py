@@ -16,8 +16,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analytic import (fdd_spec, log_cf_limits, log_cf_window,
-                       variance_window, variance_window_quadrature)
+# re-exported: callers import log_cf_limits and log_cf_window from here
+from .analytic import (_log_cf_rows, fdd_spec, log_cf_limits,  # noqa: F401
+                       log_cf_window, variance_window, variance_window_quadrature)
 from .errors import NonConvergenceError
 from .kernels import ProductKernel, _normalize_ls, as_product, persistent_control
 from .simulate import (SimConfig, empirical_cf, monte_carlo,
@@ -73,19 +74,19 @@ def cf_convergence(kernel, measure, ls, T_grid, z_grid, *, zs_base=None,
     # np.unique's values, without the numpy.ma import it makes on first use
     us = np.array(sorted({abs(float(z)) for z in z_grid}))
 
-    # one corner integral per |u| gives both limits
-    lims = [log_cf_limits(pk, measure, fdd_spec(base.ls, u * base.zs, 0.0),
-                          tol=tol) for u in us]
+    # one corner integral per |u| gives both limits; every |u| of a law and
+    # T is one row of one engine run
+    lims = _log_cf_rows(pk, measure, corners=[fdd_spec(base.ls, u * base.zs, 0.0)
+                                              for u in us], tol=tol)[2]
     phi_claimed = np.array([np.exp(c) for c, _ in lims])
     phi_boundary = np.array([np.exp(b) for _, b in lims])
 
     dist_c, dist_b, failed = [], [], []
     for T in T_grid:
         try:
-            phi_T = np.array([
-                np.exp(log_cf_window(pk, measure,
-                                     fdd_spec(base.ls, u * base.zs, T), tol=tol))
-                for u in us])
+            phi_T = np.array([np.exp(lc) for lc in _log_cf_rows(
+                pk, measure, windows=[fdd_spec(base.ls, u * base.zs, T) for u in us],
+                tol=tol)[1]])
         except NonConvergenceError:
             failed.append(T)
             dist_c.append(math.nan)
@@ -155,10 +156,9 @@ def mc_consistency(cfg: SimConfig, z_grid) -> McReport:
     zs = np.atleast_1d(np.asarray(z_grid, dtype=float))
     res = monte_carlo(cfg)
     exact = np.array([
-        [1.0 + 0.0j if z == 0.0 else
-         np.exp(log_cf_window(cfg.kernel, cfg.measure,
-                              fdd_spec(cfg.ls[j], [z], cfg.T)))
-         for z in zs]
+        [np.exp(lc) for lc in _log_cf_rows(
+            cfg.kernel, cfg.measure,
+            windows=[fdd_spec(cfg.ls[j], [z], cfg.T) for z in zs])[1]]
         for j in range(cfg.m)])
     band = _MC_BAND_C / math.sqrt(cfg.n_replicates)
     dists, var_emp, ses, means, mean_bands = [], [], [], [], []

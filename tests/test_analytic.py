@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idma.analytic import (ConditionsReport, FddSpec, _corner_factor, _radius,
-                           _spec_integral, check_conditions,
+from idma.analytic import (ConditionsReport, FddSpec, _corner_factor,
+                           _integrals, _log_cf_rows, _radius, check_conditions,
                            covariance, covariance_integral,
                            covariance_integral_quadrature, fdd_spec, j_t,
                            log_cf_limit, log_cf_limits, log_cf_stationary,
@@ -140,7 +140,8 @@ def _limit_two_integrals(kernel, measure, spec, variant, tol):
         layer = fdd_spec(spec.ls, sign * spec.zs, 0.0)
         int_h = sign * float(np.sum(spec.zs)) * prod_int_g
         total += -1j * c_nu * int_h
-        total += _spec_integral(kernel, measure, layer, 0.0, _corner_factor, tol)
+        total += _integrals(as_product(kernel), measure,
+                            [([layer], 0.0, _corner_factor)], tol)[0][0]
     return complex(total)
 
 
@@ -366,3 +367,35 @@ def test_window_cf_stationary_in_l(case, shift):
         outer = (spec.T + float(np.ptp(spec.ls[:, 0]))
                  + 2.0 * _radius(pk, measure, spec.zs, tol))
         assert diff <= 2.0 * tol * (1.0 + outer)
+
+
+def _hex(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("measure", PROP_MEASURES, ids=lambda m: m.kind)
+def test_batched_log_cfs_equal_per_z_calls(measure, d, m):
+    # the three laws at every z of a grid are the rows of one engine run,
+    # and each row refines and evaluates K as it would alone, so every bit
+    # matches; z = 0 stays an exact zero, and -0.5 and 0.5 share |z| and so
+    # their radius
+    pk = ProductKernel((signed_ou(), gauss_deriv())[:d])
+    ls = [l[:d] for l in [[0.0, 0.0], [1.0, -0.5]][:m]]
+    base = np.array([1.0, -0.5][:m])
+    us = [-1.5, 0.0, 0.5, -0.5, 2.0]
+    tol = 1e-9 if d == 1 else 1e-4
+    windows = [fdd_spec(ls, u * base, 2.0) for u in us]
+    corners = [fdd_spec(ls, u * base, 0.0) for u in us]
+    stationary, window, limits = _log_cf_rows(pk, measure, us, windows, corners,
+                                              tol=tol)
+    assert _hex(stationary) == _hex(
+        [log_cf_stationary(pk, measure, u, tol=tol) for u in us])
+    assert _hex(window) == _hex(
+        [log_cf_window(pk, measure, spec, tol=tol) for spec in windows])
+    assert [_hex(p) for p in limits] == [
+        _hex(log_cf_limits(pk, measure, spec, tol=tol)) for spec in corners]
+    assert _hex([stationary[1], window[1], *limits[1]]) == _hex([0j] * 4)
+    # one law alone, as verify.cf_convergence runs them
+    assert _log_cf_rows(pk, measure, windows=windows, tol=tol)[1] == window

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,22 @@ def test_conditions_csv_and_json(tmp_path):
     assert doc["pass"] == [True, True, True]
 
 
+def test_conditions_subnormal_kernel_values(tmp_path):
+    # |f| of signed_ou x gauss_deriv is subnormal far out, where 1/|f|
+    # overflowed: small_jump_variance(inf) raised and the run exited 4
+    cfg_path = write_config(tmp_path, {
+        "measure": {"kind": "inner_truncated_stable", "alpha": 1.5, "c": 1.0,
+                    "delta": 1.0},
+        "kernel": {"kind": "product", "components": [
+            {"kind": "signed_ou"}, {"kind": "gauss_deriv"}]},
+        "quad_tol": 1e-5, "out": str(tmp_path / "o")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["conditions", "--config", cfg_path, "--format", "json"]) == 0
+    doc = json.loads((tmp_path / "o" / "conditions.json").read_text())
+    assert math.isfinite(doc["c3"]) and doc["pass"] == [True, True, True]
+
+
 def test_cf_outputs(tmp_path):
     cfg_path = write_config(tmp_path, {
         "z_grid": [0.5, 1.0], "T": 5.0, "out": str(tmp_path / "o")})
@@ -214,21 +231,22 @@ def test_cf_failure_writes_no_file(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_one_corner_integral_per_z(tmp_path, monkeypatch):
-    # cf: stationary, window and one limit box integral per z; converge: one
-    # limit integral per distinct |u| plus one window integral per (T, |u|)
-    calls = []
-    box = analytic.integrate_box
-    monkeypatch.setattr(analytic, "integrate_box",
-                        lambda *a, **k: calls.append(1) or box(*a, **k))
+def test_one_engine_run_per_law_and_T(tmp_path, monkeypatch):
+    # cf: one engine run for the stationary, window and limit corner
+    # integrals, with one top row per law and nonzero z; converge: one limit
+    # run for the distinct nonzero |u| plus one window run per T
+    runs = []
+    engine = analytic._box_rows
+    monkeypatch.setattr(analytic, "_box_rows", lambda f, boxes, *a:
+                        runs.append(len(boxes)) or engine(f, boxes, *a))
     cfg_path = write_config(tmp_path, {
-        "z_grid": [-1.0, 0.5, 1.0, 2.0], "T_grid": [2.0, 4.0], "T": 2.0,
+        "z_grid": [-1.0, 0.0, 0.5, 1.0, 2.0], "T_grid": [2.0, 4.0], "T": 2.0,
         "quad_tol": 1e-6, "out": str(tmp_path / "o")})
     assert main(["cf", "--config", cfg_path]) == 0
-    assert len(calls) == 3 * 4
-    calls.clear()
+    assert runs == [3 * 4]
+    runs.clear()
     assert main(["converge", "--config", cfg_path]) == 0
-    assert len(calls) == 3 * (1 + 2)
+    assert runs == [3, 3, 3]
 
 
 def test_cov_output(tmp_path):
@@ -349,6 +367,61 @@ def test_output_bytes_pinned(tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.iterdir()}
     assert got == PINS
+
+
+# sha256 of the conditions, cf and cov files of a d = 2 config, which runs
+# the nested box integrator, with one window and with two; computed before
+# the engine evaluated every slot of a step in one integrand call
+PIN_D2_CONFIG = {"measure": {"kind": "dickman"},
+                 "kernel": {"kind": "product", "components": [
+                     {"kind": "signed_ou"}, {"kind": "signed_ou"}]},
+                 "T": 4.0, "z_grid": [-1.0, 0.0, 0.5],
+                 "t_grid": [[0.0, 0.0], [1.0, 0.5]], "quad_tol": 1e-6}
+PIN_D2_WINDOWS = {"one": {"ls": [[0.0, 0.0]]},
+                  "two": {"ls": [[0.0, 0.0], [1.0, -0.5]], "zs_base": [1.0, -0.5]}}
+PINS_D2 = {
+    "one": {
+        "cf_limit_boundary.csv": "3c1b3efe1c25f5dc4da6cb28b336e62c5d8016c3ccb8153ccf716b584b645cc0",
+        "cf_limit_boundary.json": "671fbc2a7830020257c05c26e8696be22f6d0d996075ffb6bf784e09987eb420",
+        "cf_limit_claimed.csv": "7aa1e53f50d489ea15270ee47d6f321aafd641339bdb935158097b03d78ba440",
+        "cf_limit_claimed.json": "279216d0337fed9feca299bc750db6d01e24b26ab08f8d2255d92d94d9d71844",
+        "cf_stationary.csv": "234b1cb6d9aa8b65296fc244f64cecda347e8df28d5552b7c36077047726bb83",
+        "cf_stationary.json": "67c91f1fc8da5acfd0ca85c256ae8a27a53c78204462b584f3b3a1d996902dc1",
+        "cf_window.csv": "91374b2dab779e99c2f1d8b4e52af49fc26d97af330f5cd8230757bf589f793a",
+        "cf_window.json": "372fadd3fb7dcfbe534e9d5d12a1b2a402dea13e7599cf1ac34677863075b367",
+        "conditions.csv": "ea5630bfa24bc656571deae080281f1c4e4fb0fbf5e9c7ca8885fc4cf992cd72",
+        "conditions.json": "e5efe66390b88d273b37961b16a7cee4c51aef0705e8b100281d586ed7a6458e",
+        "cov.csv": "bf45325b2ac55046894aa83f0d0db42c71796cc4b05b0c3561278c19fd4b63ab",
+        "cov.json": "968feabdf870b52f303aa44f9efcb08c09c011111a5a9dfb6941051d42e6a65c",
+    },
+    "two": {
+        "cf_limit_boundary.csv": "47b776a2a45bb6a73047981e724043c8028de17ae1d1d509d6ef3cca3e86ec03",
+        "cf_limit_boundary.json": "d6ebfb8e2db19246056d9179b6e92afc450b2a7bdb50bb059fd0eb4346631b96",
+        "cf_limit_claimed.csv": "e113350baa7341ad8a5f3aa057a508c9e97b13c24db05da99e9a81e124ad4859",
+        "cf_limit_claimed.json": "8ec3462978f683929b72923c276c05cda8171610065552a50bb00d18d7d4d220",
+        "cf_stationary.csv": "ceaf4b4ede826e1c159890d7e9dd55bb7edfcdc64b459c4236a52664050785e3",
+        "cf_stationary.json": "33a1fd2b2a65583d40ce6dbcc1855a35a1ad8751cc8fad76053f6cd2020a2612",
+        "cf_window.csv": "024eab72e4600ebb58a25d0d75d92b47e8fda52b6344eb109b3cc5d8e9fc04ff",
+        "cf_window.json": "9292844e3eacc37d96a1845c50723aef581d8bd5028319e78a98542235660337",
+        "conditions.csv": "b3cfb81c75f86ca0a71f65b8924d0a0a0ddae2a2333985cc883b3080c3216da0",
+        "conditions.json": "6a45f1a62cadbc6467d7da0f77703fd26cc9803134558bc3c30e322d6493b573",
+        "cov.csv": "6a7a6f602e551c47ff32469315eb6ae4a82dde0ae6f921ef6897705c400b2b6d",
+        "cov.json": "77d8bf7c9af3686228a47bdb2b16d66bf239125c6104909ead5bb5f5b7229188",
+    },
+}
+
+
+@pytest.mark.parametrize("windows", sorted(PIN_D2_WINDOWS))
+def test_output_bytes_pinned_d2(tmp_path, windows):
+    out = tmp_path / "o"
+    cfg_path = write_config(tmp_path, dict(PIN_D2_CONFIG, **PIN_D2_WINDOWS[windows],
+                                           out=str(out)))
+    for sub in ("conditions", "cf", "cov"):
+        for fmt in ("csv", "json"):
+            assert main([sub, "--config", cfg_path, "--format", fmt]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir()}
+    assert got == PINS_D2[windows]
 
 
 def test_emit_without_rows(tmp_path):

@@ -88,15 +88,18 @@ def test_roundoff_floor_fails_fast():
 
 
 def test_panel_calls_integrand_once():
+    # the first call holds the 22 nodes of every initial panel, and each
+    # refinement step one call for both halves of the panel it splits
     sizes = []
 
     def h(x):
         sizes.append(x.size)
         return np.abs(x - 0.3) ** 1.5
 
-    r = integrate_line(h, 0.0, 1.0, 1e-12)
-    assert len(sizes) == r.evaluations / 22 > 1
-    assert set(sizes) == {22}
+    r = integrate_line(h, 0.0, 1.0, 1e-12, breakpoints=(0.25, 0.5))
+    assert sizes[0] == 22 * 3
+    assert len(sizes) > 2 and set(sizes[1:]) == {44}
+    assert sum(sizes) == r.evaluations
 
 
 def _nested(last_vec, boxes, breaks, tol, count, prefix=()):

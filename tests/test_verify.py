@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from idma import verify
+from idma.errors import NonConvergenceError
 from idma.kernels import persistent_control, signed_ou
 from idma.levy import two_point
 from idma.simulate import SimConfig
@@ -27,6 +29,27 @@ def test_cf_convergence_identifies_boundary_variant():
                        "monotone_claimed", "monotone_boundary", "threshold",
                        "failed_T"]
     assert d["dist_claimed"] == list(rep.dist_claimed) and d["failed_T"] == []
+
+
+def test_cf_convergence_lists_failed_T(monkeypatch):
+    # the window CFs of one T run as one batch; when it raises, that T is
+    # listed and its distances are NaN, and the other T are unaffected
+    batch = verify._log_cf_rows
+
+    def failing_at_4(kernel, measure, windows=(), corners=(), *, tol):
+        if windows and windows[0].T == 4.0:
+            raise NonConvergenceError("budget exhausted", evaluations=22,
+                                      error_estimate=1.0)
+        return batch(kernel, measure, windows=windows, corners=corners, tol=tol)
+
+    args = (signed_ou(), two_point(1.0), [0.0], [2.0, 4.0, 8.0], [0.5, 1.0])
+    want = cf_convergence(*args, tol=1e-7)
+    monkeypatch.setattr(verify, "_log_cf_rows", failing_at_4)
+    rep = cf_convergence(*args, tol=1e-7)
+    assert rep.failed_T == (4.0,)
+    assert math.isnan(rep.dist_claimed[1]) and math.isnan(rep.dist_boundary[1])
+    assert rep.dist_claimed[::2] == want.dist_claimed[::2]
+    assert rep.winner == "inconclusive"
 
 
 def test_cf_convergence_negative_grid_invariance():
