@@ -136,20 +136,20 @@ def _profile(comps, ls, coef, factor, prefix, xs):
     return (coef[..., None, :] @ last)[..., 0, :]
 
 
-def _box_integral(pk, groups, tol, budget=MAX_EVALS):
+def _box_integral(pk, groups, outer, tol, budget=MAX_EVALS):
     """int outer(_profile(..., coef, factor, s)) ds for every row of groups.
 
-    A group (ls, T, rs, coefs, factor, outer) has one row per radius r in
-    rs and row of coefs. Its axis k spans the windows [l, l + T] padded by
-    r on both sides, broken at every kink of component k shifted to both
-    window edges. With one row of zeros in ls and T = 0.0 this is [-r, r]^d
-    broken at the kinks: 0.0 + x == x, so the T terms add nothing. Every
-    row of every group is a top row of one engine run. Returns each group's
-    values and errors and the evaluation count of the run.
+    A group (ls, T, rs, coefs, factor) has one row per radius r in rs and
+    row of coefs. Its axis k spans the windows [l, l + T] padded by r on
+    both sides, broken at every kink of component k shifted to both window
+    edges. With one row of zeros in ls and T = 0.0 this is [-r, r]^d broken
+    at the kinks: 0.0 + x == x, so the T terms add nothing. Every row of
+    every group is a top row of one engine run. Returns each group's values
+    and errors and the evaluation count of the run.
     """
     comps = pk.components
     boxes, breaks, first = [], [], [0]
-    for ls, T, rs, *_ in groups:
+    for ls, T, rs, _, _ in groups:
         lo, hi = ls.min(axis=0).tolist(), ls.max(axis=0).tolist()
         brk = [[e + l + p for e in (0.0, T) for l in ls[:, k] for p in comp.nonsmooth]
                for k, comp in enumerate(comps)]
@@ -161,19 +161,15 @@ def _box_integral(pk, groups, tol, budget=MAX_EVALS):
     def integrand(top, slot, prefix, xs):
         # outer(w, slot) may pick its series length per slot (LevyMeasure.exponent)
         if len(groups) == 1:
-            ls, T, rs, coefs, factor, outer = groups[0]
+            ls, T, rs, coefs, factor = groups[0]
             return outer(_profile(comps, ls, coefs[top], factor, prefix, xs), slot)
-        g, parts = group[top], []
-        for i, (ls, T, rs, coefs, factor, outer) in enumerate(groups):
+        w, g = np.empty(xs.shape), group[top]
+        for i, (ls, T, rs, coefs, factor) in enumerate(groups):
             sel = (g == i).nonzero()[0]
             if sel.size:
-                parts.append((sel, outer(_profile(
-                    comps, ls, coefs[top[sel] - first[i]], factor,
-                    tuple(c[sel] for c in prefix), xs[sel]), slot[sel])))
-        out = np.empty(xs.shape, np.result_type(*(v for _, v in parts)))
-        for sel, v in parts:
-            out[sel] = v
-        return out
+                w[sel] = _profile(comps, ls, coefs[top[sel] - first[i]], factor,
+                                  tuple(c[sel] for c in prefix), xs[sel])
+        return outer(w, slot)
 
     v, e, n = _box_rows(integrand, boxes, breaks, tol, budget)
     return [(v[a:b], e[a:b]) for a, b in zip(first, first[1:])], n
@@ -187,7 +183,7 @@ def _integrals(pk, measure, parts, tol):
     for all parts, and None stands for a spec whose every z is 0. Returns
     one list per part.
     """
-    kfun, groups, rows = measure.exponent(), [], []
+    groups, rows = [], []
     for specs, T, factor in parts:
         ls = specs[0].ls if specs else None
         for spec in specs:
@@ -199,8 +195,9 @@ def _integrals(pk, measure, parts, tol):
         if rows[-1]:
             zss = np.array([specs[i].zs for i in rows[-1]])
             groups.append((ls, T, [_radius(pk, measure, zs, tol) for zs in zss],
-                           zss, factor, kfun))
-    values = iter(_box_integral(pk, groups, tol)[0] if groups else ())
+                           zss, factor))
+    values = iter(_box_integral(pk, groups, measure.exponent(), tol)[0]
+                  if groups else ())
     out = []
     for (specs, _, _), live in zip(parts, rows):
         out.append([None] * len(specs))
@@ -434,7 +431,7 @@ def check_conditions(kernel, measure, *, quad_tol=1e-9,
     # one engine run each: an outer error estimate sums the inner ones by a
     # matrix-vector product, which rounds a row by the rows that share it
     runs = [_box_integral(pk, [(np.zeros((1, pk.d)), 0.0, [r], np.ones((1, 1)),
-                                _abs_f_factor, masked(fn))], quad_tol, budget)
+                                _abs_f_factor)], masked(fn), quad_tol, budget)
             for fn in (
         lambda rr, af: af * np.abs(
             measure.signed_moment_interval(1.0, np.maximum(rr, 1.0))

@@ -38,6 +38,8 @@ _PANEL_EVALS = len(_NODES)
 # QUADPACK's roundoff limit: no refinement gets the error estimate below
 # about 50 eps times the summed magnitude of the panel values
 _ROUNDOFF = 50.0 * np.finfo(float).eps
+# node budget of the first innermost integrand call of one _box_rows run
+_MAX_NODES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ def _rule(y, half):
 
 
 def _edges(a, b, breakpoints, radius):
-    """Initial panel edges of [a, b]; empty when the interval is a point."""
+    """Initial panel edges of [a, b]; just [a] when the interval is a point."""
     lo = -float(radius) if math.isinf(a) and a < 0 else float(a)
     hi = float(radius) if math.isinf(b) and b > 0 else float(b)
     if hi < lo:
@@ -68,14 +70,16 @@ def _edges(a, b, breakpoints, radius):
     for p in sorted(set(float(q) for q in breakpoints)):
         if lo < p < hi and p - edges[-1] > 1e-13 * max(1.0, abs(p)):
             edges.append(p)
-    return edges + [hi] if hi > lo else []
+    return edges + [hi] if hi > lo else edges
 
 
 def _adapt(h, edges, tol, max_evals):
     """Worst-first bisections of the rows of ``edges``, one integrand call a step.
 
     Row r starts from the panels between its initial edges edges[r] (a
-    (rows, k) array). h(idx, xs) gets the nodes of a step as the
+    (rows, k) array); a row with fewer panels repeats its last edge, and
+    these empty panels add exact zeros and are never refined or counted.
+    h(idx, xs) gets the nodes of a step as the
     (slots, len(idx), 22) array xs, slot p holding one panel of each row
     idx[j], and returns (values, aux) of as many elements, aux None or the
     per-node error estimates of inner integrals. Each row refines as
@@ -104,12 +108,12 @@ def _adapt(h, edges, tol, max_evals):
 
     # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
     # a row made 22 evaluations per panel, and a sorted list is a heap
-    n_slots = edges.shape[1] - 1
+    n_slots = (edges[:, 1:] > edges[:, :-1]).sum(axis=1)
     v, e, aux = evaluate(np.arange(n), edges[:, :-1].T, edges[:, 1:].T)
     # left-to-right sums over the slots, as integrate_line's final sum
     value, err = sum(v[1:], 0.0 + v[0]), sum(e[1:], e[0])
     inner = sum(aux[1:], aux[0].copy())
-    evals, rows = n * n_slots * _PANEL_EVALS, {}
+    evals, rows = int(n_slots.sum()) * _PANEL_EVALS, {}
     live = (err > tol).nonzero()[0].tolist()
     sel = live if len(live) < n else slice(None)
     cols = [a[:, sel].T.tolist() for a in (v, e, aux)] + [edges[sel].tolist()] if live else ()
@@ -121,8 +125,10 @@ def _adapt(h, edges, tol, max_evals):
             raise NonConvergenceError(
                 f"tol {tol:.3e} is below the roundoff floor {floor[j]:.3e} of this "
                 f"integral (running error {err[live[j]]:.3e})",
-                evaluations=n_slots * _PANEL_EVALS, error_estimate=float(err[live[j]]))
+                evaluations=int(n_slots[live[j]]) * _PANEL_EVALS,
+                error_estimate=float(err[live[j]]))
     for r, vs, es, auxs, x in zip(live, *cols):
+        x = x[:n_slots[r] + 1]
         ps = [[*s, *p] for s, p in zip(zip(x[:-1], x[1:]), zip(vs, es, auxs))]
         rows[r] = [float(err[r]), 0.0, ps, sorted((-p[3], i) for i, p in enumerate(ps))]
     while live:
@@ -211,19 +217,17 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
     also gets the top row and a slot id of each of its rows: rows share a
     slot id when they share their top row and, at every level, the step and
     the panel slot of it that their nodes came from. Every row of a level
-    carries its top row's box down; rows whose initial edge lists differ in
-    length run in separate engine runs. Returns per-row values and errors
-    and the evaluation count of all rows and levels.
+    carries its top row's box down, its edge list padded to the longest
+    (see _adapt). Returns per-row values and errors and the evaluation
+    count of all rows and levels.
     """
     d, evals = len(boxes[0]), []
-    # per axis, the top rows' initial edges: an (n, k) table per length k
+    # per axis, the top rows' initial edges, each padded with its last one
     tables = []
     for k in range(d):
         per_row = [_edges(*box[k], brk[k], 60.0) for box, brk in zip(boxes, breaks)]
-        lens = np.array([len(x) for x in per_row])
-        tables.append((lens, {m: np.array([x if len(x) == m else [0.0] * m
-                                           for x in per_row]).reshape(-1, m)
-                              for m in set(lens.tolist())}))
+        width = max(map(len, per_row))
+        tables.append(np.array([x + x[-1:] * (width - len(x)) for x in per_row]))
 
     def level(k, top, slot, prefix):
         def h(idx, xs):
@@ -237,25 +241,14 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
             return level(k + 1, rep(rows), rep(ids),
                          np.concatenate([rep(cols), xs.reshape(-1, 1)], axis=1))
 
-        lens, by_len = tables[k]
-        if len(by_len) == 1:
-            (edges,) = by_len.values()
-            v, e, ev = _adapt(h, edges[top], tol, max_evals)
-            evals.append(ev)
-            return v, e
-        parts, own = [], lens[top]
-        for m, edges in sorted(by_len.items()):
-            sel = (own == m).nonzero()[0]
-            if sel.size:
-                parts.append((sel, *_adapt(lambda idx, xs, sel=sel: h(sel[idx], xs),
-                                           edges[top[sel]], tol, max_evals)))
-        v = np.zeros(len(top), np.result_type(*(p[1] for p in parts)))
-        e = np.zeros(len(top))
-        for sel, pv, pe, ev in parts:
-            v[sel], e[sel] = pv, pe
-            evals.append(ev)
+        v, e, ev = _adapt(h, tables[k][top], tol, max_evals)
+        evals.append(ev)
         return v, e
 
-    top = np.arange(len(boxes))
-    v, e = level(0, top, top, np.empty((len(boxes), 0)))
-    return v, e, sum(evals)
+    # top rows run in chunks whose first innermost call has at most about
+    # _MAX_NODES nodes, so memory stays bounded however many rows come
+    per_row = math.prod((t.shape[1] - 1) * _PANEL_EVALS for t in tables)
+    step = max(1, _MAX_NODES // max(per_row, 1))
+    runs = [level(0, top, top, np.empty((len(top), 0)))
+            for top in np.split(np.arange(len(boxes)), range(step, len(boxes), step))]
+    return (*map(np.concatenate, zip(*runs)), sum(evals))

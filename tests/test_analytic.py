@@ -28,6 +28,7 @@ from idma.errors import NotAvailableError
 from idma.kernels import (ProductKernel, as_product, gauss_deriv,
                           persistent_control, signed_ou, user_table)
 from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
+from idma import quadrature
 from idma.quadrature import integrate_line
 
 CIN1 = 0.23981174200056472594
@@ -399,3 +400,15 @@ def test_batched_log_cfs_equal_per_z_calls(measure, d, m):
     assert _hex([stationary[1], window[1], *limits[1]]) == _hex([0j] * 4)
     # one law alone, as verify.cf_convergence runs them
     assert _log_cf_rows(pk, measure, windows=windows, tol=tol)[1] == window
+
+
+def test_batched_log_cfs_keep_bits_in_chunks(monkeypatch):
+    # rows run in chunks of bounded size; one top row per run changes no bit
+    pk = ProductKernel((signed_ou(), signed_ou()))
+    us = [0.5, -1.0, 2.0]
+    windows = [fdd_spec([[0.0, 0.0]], [u], 3.0) for u in us]
+    corners = [fdd_spec([[0.0, 0.0]], [u], 0.0) for u in us]
+    flat = lambda res: _hex([*res[0], *res[1], *(v for pair in res[2] for v in pair)])
+    want = flat(_log_cf_rows(pk, dickman(), us, windows, corners, tol=1e-4))
+    monkeypatch.setattr(quadrature, "_MAX_NODES", 1)
+    assert flat(_log_cf_rows(pk, dickman(), us, windows, corners, tol=1e-4)) == want
