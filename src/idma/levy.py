@@ -104,19 +104,22 @@ SERIES_W = _series_table(SERIES_MAX_W)
 N_TERMS = len(SERIES_W)
 
 
-def _series_sum(coef, ws, slots=None):
+def _runs(labels):
+    """Start indices of the runs of equal adjacent labels."""
+    return [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
+
+
+def _series_sum(coef, ws, starts=None):
     """K at the 1-d ws, all |w| <= SERIES_MAX_W, from _series() coefficients.
 
     The series stops after the terms that the largest |w| needs: of all ws,
-    or of each run of ws that share a label in slots (equal labels are
-    adjacent).
+    or of each run of ws that begins at an index in starts.
     """
     x2 = ws * ws
-    if slots is None or not ws.size:
+    if starts is None or not ws.size:
         starts = [0]
         n_run = [1 + int(np.searchsorted(SERIES_W, math.sqrt(float(x2.max(initial=0.0)))))]
     else:
-        starts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()]
         top = np.maximum.reduceat(x2, starts)
         n_run = (1 + np.searchsorted(SERIES_W, np.sqrt(top))).tolist()
     ends = [*starts[1:], ws.size]
@@ -132,7 +135,7 @@ def _series_sum(coef, ws, slots=None):
             lo, hi = starts[a], ends[b - 1]
             out[lo:hi] = _sum_terms(coef, ws[lo:hi], x2[lo:hi], n_run[a])
         return out
-    n_of = np.repeat(n_run, np.subtract(ends, starts))
+    n_of = np.repeat(np.array(n_run, dtype=np.int8), np.subtract(ends, starts))
     for n in lengths:
         sel = n_of == n
         out[sel] = _sum_terms(coef, ws[sel], x2[sel], n)
@@ -284,21 +287,21 @@ class LevyMeasure:
         def kfun(ws, slots=None):
             ws = np.atleast_1d(np.asarray(ws, dtype=float))
             flat = ws.ravel()
-            if slots is not None:
-                slots = np.repeat(slots, flat.size // len(slots))
+            per = flat.size // len(slots) if slots is not None else 0
             near = np.abs(flat) <= reach
             if near.all():
-                return self._near(coef, flat, slots).reshape(ws.shape)
+                starts = None if slots is None else [i * per for i in _runs(slots)]
+                return self._near(coef, flat, starts).reshape(ws.shape)
             out = np.empty(flat.shape, dtype=complex)
-            out[near] = self._near(coef, flat[near],
-                                   None if slots is None else slots[near])
+            out[near] = self._near(coef, flat[near], None if slots is None else
+                                   _runs(np.repeat(slots, per)[near]))
             out[~near] = self._far(flat[~near])
             return out.reshape(ws.shape)
 
         return kfun
 
-    def _near(self, coef, ws, slots):
-        return _series_sum(coef, ws, slots)
+    def _near(self, coef, ws, starts):
+        return _series_sum(coef, ws, starts)
 
 
 @dataclass(frozen=True)
@@ -476,7 +479,7 @@ class InnerTruncatedStable(LevyMeasure):
         # the head int_0^1 (cos xt - 1) t^{-1-alpha} dt in x = |w| delta
         return _power_series(self.alpha, 1.0)
 
-    def _near(self, coef, ws, slots):
+    def _near(self, coef, ws, starts):
         # 2c delta^-alpha (int_0^inf - int_0^1) (cos xt - 1) t^{-1-alpha} dt;
         # the two cancel (see HEAD_MAX_X), so the head is summed by Horner's
         # rule in x^2, which rounds less than _series_sum's power sum

@@ -109,7 +109,8 @@ def _adapt(h, edges, tol, max_evals):
     # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
     # a row made 22 evaluations per panel, and a sorted list is a heap
     n_slots = (edges[:, 1:] > edges[:, :-1]).sum(axis=1)
-    v, e, aux = evaluate(np.arange(n), edges[:, :-1].T, edges[:, 1:].T)
+    v, e, aux = evaluate(np.arange(n), *(np.ascontiguousarray(x.T)
+                                         for x in (edges[:, :-1], edges[:, 1:])))
     # left-to-right sums over the slots, as integrate_line's final sum
     value, err = sum(v[1:], 0.0 + v[0]), sum(e[1:], e[0])
     inner = sum(aux[1:], aux[0].copy())
