@@ -217,10 +217,10 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
     breakpoints, one list per axis. last_vec(top, slot, prefix, xs)
     also gets the top row and a slot id of each of its rows: rows share a
     slot id when they share their top row and, at every level, the step and
-    the panel slot of it that their nodes came from. Every row of a level
-    carries its top row's box down, its edge list padded to the longest
-    (see _adapt). Returns per-row values and errors and the evaluation
-    count of all rows and levels.
+    the panel slot of it that their nodes came from, and rows of one slot
+    id are adjacent. Every row of a level carries its top row's box down,
+    its edge list padded to the longest (see _adapt). Returns per-row
+    values and errors and the evaluation count of all rows and levels.
     """
     d, evals = len(boxes[0]), []
     # per axis, the top rows' initial edges, each padded with its last one
