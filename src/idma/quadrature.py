@@ -108,13 +108,12 @@ def _adapt(h, edges, tol, max_evals):
 
     # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
     # a row made 22 evaluations per panel, and a sorted list is a heap
-    n_slots = (edges[:, 1:] > edges[:, :-1]).sum(axis=1)
-    v, e, aux = evaluate(np.arange(n), *(np.ascontiguousarray(x.T)
-                                         for x in (edges[:, :-1], edges[:, 1:])))
+    ends = np.ascontiguousarray(edges.T)
+    v, e, aux = evaluate(np.arange(n), ends[:-1], ends[1:])
     # left-to-right sums over the slots, as integrate_line's final sum
     value, err = sum(v[1:], 0.0 + v[0]), sum(e[1:], e[0])
     inner = sum(aux[1:], aux[0].copy())
-    evals, rows = int(n_slots.sum()) * _PANEL_EVALS, {}
+    evals, rows = int(np.count_nonzero(ends[1:] > ends[:-1])) * _PANEL_EVALS, {}
     live = (err > tol).nonzero()[0].tolist()
     sel = live if len(live) < n else slice(None)
     cols = [a[:, sel].T.tolist() for a in (v, e, aux)] + [edges[sel].tolist()] if live else ()
@@ -126,11 +125,11 @@ def _adapt(h, edges, tol, max_evals):
             raise NonConvergenceError(
                 f"tol {tol:.3e} is below the roundoff floor {floor[j]:.3e} of this "
                 f"integral (running error {err[live[j]]:.3e})",
-                evaluations=int(n_slots[live[j]]) * _PANEL_EVALS,
+                evaluations=int(np.count_nonzero(np.diff(edges[live[j]]))) * _PANEL_EVALS,
                 error_estimate=float(err[live[j]]))
     for r, vs, es, auxs, x in zip(live, *cols):
-        x = x[:n_slots[r] + 1]
-        ps = [[*s, *p] for s, p in zip(zip(x[:-1], x[1:]), zip(vs, es, auxs))]
+        ps = [[*s, *p] for s, p in zip(zip(x[:-1], x[1:]), zip(vs, es, auxs))
+              if s[1] > s[0]]
         rows[r] = [float(err[r]), 0.0, ps, sorted((-p[3], i) for i, p in enumerate(ps))]
     while live:
         split = []
