@@ -29,8 +29,8 @@ shifted to both window edges: [-r, r]^d broken at the kinks when l = 0
 and T = 0.0. Each of its quadrature rows gets MAX_EVALS evaluations, or
 check_conditions' budget. _log_cf_rows runs the three log-CFs at every z
 of a grid as the top rows of one engine run; each row keeps the bits of
-its single-spec function, because K picks its series length per slot id
-(see quadrature) rather than per call.
+its single-spec function, because K sums the nodes of each slot id (see
+quadrature) as a call of their own, however many share its call.
 """
 
 from __future__ import annotations
@@ -159,10 +159,8 @@ def _box_integral(pk, groups, outer, tol, budget=MAX_EVALS):
     group = np.repeat(np.arange(len(groups)), np.diff(first))
 
     def integrand(top, slot, prefix, xs):
-        # outer(w, slot) may pick its series length per slot (LevyMeasure.exponent)
-        if len(groups) == 1:
-            ls, T, rs, coefs, factor = groups[0]
-            return outer(_profile(comps, ls, coefs[top], factor, prefix, xs), slot)
+        # outer(w, slot) may sum each slot's values as a call of their own
+        # (LevyMeasure.exponent)
         w, g = np.empty(xs.shape), group[top]
         for i, (ls, T, rs, coefs, factor) in enumerate(groups):
             sel = (g == i).nonzero()[0]

@@ -109,45 +109,36 @@ def _runs(labels):
     return [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
 
 
-def _series_sum(coef, ws, starts=None):
+def _series_sum(coef, ws, starts=(0,)):
     """K at the 1-d ws, all |w| <= SERIES_MAX_W, from _series() coefficients.
 
-    The series stops after the terms that the largest |w| needs: of all ws,
-    or of each run of ws that begins at an index in starts.
+    ws falls into runs, one beginning at each index in starts, and each run
+    is summed as a call of its own would be: its series stops after the
+    terms that its largest |w| needs, and its terms are added by a matrix
+    product of its own shape, because BLAS rounds a row of a product by the
+    rows that share it. Runs of one length and size are stacked into one
+    batched product, which computes each as its own product.
     """
-    x2 = ws * ws
-    if starts is None or not ws.size:
-        starts = [0]
-        n_run = [1 + int(np.searchsorted(SERIES_W, math.sqrt(float(x2.max(initial=0.0)))))]
-    else:
-        top = np.maximum.reduceat(x2, starts)
-        n_run = (1 + np.searchsorted(SERIES_W, np.sqrt(top))).tolist()
-    ends = [*starts[1:], ws.size]
-    # stretches of adjacent runs of one length, each summed as a slice, or
-    # one masked sum per length when the lengths alternate
-    cuts = [0, *(i for i in range(1, len(n_run)) if n_run[i] != n_run[i - 1])]
-    lengths = set(n_run)
-    if len(cuts) == 1:
-        return _sum_terms(coef, ws, x2, n_run[0])
     out = np.empty(ws.size, dtype=complex)
-    if len(cuts) <= 3 * len(lengths):
-        for a, b in zip(cuts, [*cuts[1:], len(n_run)]):
-            lo, hi = starts[a], ends[b - 1]
-            out[lo:hi] = _sum_terms(coef, ws[lo:hi], x2[lo:hi], n_run[a])
+    if not ws.size:
         return out
-    n_of = np.repeat(np.array(n_run, dtype=np.int8), np.subtract(ends, starts))
-    for n in lengths:
-        sel = n_of == n
-        out[sel] = _sum_terms(coef, ws[sel], x2[sel], n)
+    bounds = [*starts, ws.size]
+    n_run = 1 + np.searchsorted(SERIES_W, np.sqrt(np.maximum.reduceat(ws * ws, starts)))
+    groups = {}
+    for first, key in zip(bounds, zip(n_run.tolist(), np.diff(bounds).tolist())):
+        groups.setdefault(key, []).append(first)
+    for (n, size), firsts in groups.items():
+        at = np.array(firsts)[:, None] + np.arange(size)
+        out[at] = _sum_terms(coef, ws[at], n)
     return out
 
 
-def _sum_terms(coef, ws, x2, n):
-    """The first n terms of the series at ws, x2 = ws * ws."""
-    s = (x2[:, None] ** np.arange(1, n + 1)) @ coef[1:n + 1]
+def _sum_terms(coef, ws, n):
+    """The first n terms of the series at ws, one product per last-axis row."""
+    s = ((ws * ws)[..., None] ** np.arange(1, n + 1)) @ coef[1:n + 1]
     if coef.shape[1] == 1:
-        return s[:, 0] + 0j
-    return s[:, 0] + 1j * ws * (coef[0, 1] + s[:, 1])
+        return s[..., 0] + 0j
+    return s[..., 0] + 1j * ws * (coef[0, 1] + s[..., 1])
 
 
 def _power_series(p, scale):
@@ -278,9 +269,8 @@ class LevyMeasure:
         Closed forms at every w: the family's power series (_near) where
         |w| <= _reach, to rounding, and _far beyond. Every series term
         vanishes at w = 0, so K(0) = 0 exactly. The callable takes an
-        optional ``slots``, one label per row of ws: the series length is
-        chosen per label, as if each label's rows came in a call of their
-        own (see _series_sum).
+        optional ``slots``, one label per row of ws: each label's rows are
+        summed as if they came in a call of their own (see _series_sum).
         """
         coef, reach = self._series(), self._reach
 
@@ -290,10 +280,10 @@ class LevyMeasure:
             per = flat.size // len(slots) if slots is not None else 0
             near = np.abs(flat) <= reach
             if near.all():
-                starts = None if slots is None else [i * per for i in _runs(slots)]
+                starts = (0,) if slots is None else [i * per for i in _runs(slots)]
                 return self._near(coef, flat, starts).reshape(ws.shape)
             out = np.empty(flat.shape, dtype=complex)
-            out[near] = self._near(coef, flat[near], None if slots is None else
+            out[near] = self._near(coef, flat[near], (0,) if slots is None else
                                    _runs(np.repeat(slots, per)[near]))
             out[~near] = self._far(flat[~near])
             return out.reshape(ws.shape)

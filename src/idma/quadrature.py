@@ -38,6 +38,8 @@ _PANEL_EVALS = len(_NODES)
 # QUADPACK's roundoff limit: no refinement gets the error estimate below
 # about 50 eps times the summed magnitude of the panel values
 _ROUNDOFF = 50.0 * np.finfo(float).eps
+# the slots of the two halves of a panel, a column against a row of rows
+_HALVES = np.array([[0], [1]])
 # node budget of the first innermost integrand call of one _box_rows run
 _MAX_NODES = 1 << 17
 
@@ -78,42 +80,62 @@ def _adapt(h, edges, tol, max_evals):
 
     Row r starts from the panels between its initial edges edges[r] (a
     (rows, k) array); a row with fewer panels repeats its last edge, and
-    these empty panels add exact zeros and are never refined or counted.
-    h(idx, xs) gets the nodes of a step as the
-    (slots, len(idx), 22) array xs, slot p holding one panel of each row
-    idx[j], and returns (values, aux) of as many elements, aux None or the
-    per-node error estimates of inner integrals. Each row refines as
-    integrate_line does, with its own heap and ``max_evals``. Returns
-    per-row values and errors (aux integrated over the surviving panels
-    added) and the evaluation count of all rows.
+    these empty panels add exact zeros and are never evaluated, refined or
+    counted. h(slots, rows, xs) gets the nodes of a step as the array xs
+    of shape (..., 22), whose leading axes hold the step's panels: the
+    nonempty initial panels in one axis, slot by slot and in row order
+    within a slot, then the (2, rows) left and right halves of each step.
+    slots and rows broadcast to those axes and give each panel's slot (0
+    to k - 2) and row. h returns (values, aux) of as many elements, aux
+    None or the per-node error estimates of inner integrals. Each row
+    refines as integrate_line does, with its own heap and ``max_evals``.
+    Returns per-row values and errors (aux integrated over the surviving
+    panels added) and the evaluation count of all rows.
     """
     n = len(edges)
     if edges.shape[1] < 2:
         return np.zeros(n), np.zeros(n), 0
 
-    def evaluate(idx, a, b):
-        # slot p of row idx[j] is the panel [a[p, j], b[p, j]]; every slot in one call
+    def evaluate(slots, rows, a, b):
+        # the panels [a, b] of a step in one call; per panel, its 15-node
+        # value and error, and the nodes' inner error estimates or None
         half = 0.5 * (b - a)
         xs = 0.5 * (a + b)[..., None] + half[..., None] * _NODES
-        y, aux = h(idx, xs)
+        y, aux = h(slots, rows, xs)
         y = y.reshape(xs.shape)
         if not np.isfinite(y).all():
-            p, j = np.argwhere(~np.isfinite(y).all(axis=-1))[0]
+            i = tuple(np.argwhere(~np.isfinite(y).all(axis=-1))[0])
             raise ValueError("integrand returned a non-finite value on "
-                             f"{[float(a[p, j]), float(b[p, j])]}")
-        v, e = _rule(y, half)
-        if aux is None:
-            return v, e, 0.0 * e
-        return v, e, half * (aux.reshape(xs.shape)[..., :_N_HI] @ _WEIGHTS_HI)
+                             f"{[float(a[i]), float(b[i])]}")
+        return (*_rule(y, half), None if aux is None else aux.reshape(xs.shape))
 
-    # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
-    # a row made 22 evaluations per panel, and a sorted list is a heap
+    def inner_errors(a, b, nodes):
+        # inner errors integrated by the 15-node weights of the (slots, rows)
+        # panels [a, b], one (rows, 15) product per slot: its rounding of a
+        # row depends on the rows it holds
+        if nodes is None:
+            return np.zeros(a.shape)
+        return 0.5 * (b - a) * (nodes[..., :_N_HI] @ _WEIGHTS_HI)
+
+    # the nonempty initial panels in one call, spread to (slots, rows) arrays
+    # with zeros for the empty ones
     ends = np.ascontiguousarray(edges.T)
-    v, e, aux = evaluate(np.arange(n), ends[:-1], ends[1:])
+    pan, row = (ends[1:] > ends[:-1]).nonzero()
+
+    def spread(c):
+        out = np.zeros((*ends[1:].shape, *c.shape[1:]), c.dtype)
+        out[pan, row] = c
+        return out
+
+    v, e, nodes = evaluate(pan, row, ends[pan, row], ends[pan + 1, row])
+    v, e = spread(v), spread(e)
+    aux = inner_errors(ends[:-1], ends[1:], None if nodes is None else spread(nodes))
     # left-to-right sums over the slots, as integrate_line's final sum
     value, err = sum(v[1:], 0.0 + v[0]), sum(e[1:], e[0])
     inner = sum(aux[1:], aux[0].copy())
-    evals, rows = int(np.count_nonzero(ends[1:] > ends[:-1])) * _PANEL_EVALS, {}
+    # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
+    # a row made 22 evaluations per panel, and a sorted list is a heap
+    evals, rows = len(pan) * _PANEL_EVALS, {}
     live = (err > tol).nonzero()[0].tolist()
     sel = live if len(live) < n else slice(None)
     cols = [a[:, sel].T.tolist() for a in (v, e, aux)] + [edges[sel].tolist()] if live else ()
@@ -157,7 +179,8 @@ def _adapt(h, edges, tol, max_evals):
             break
         evals += 2 * _PANEL_EVALS * len(live)
         ends = np.array(split)[:, 1:].T
-        v, e, aux = evaluate(np.array(live), ends[:2], ends[1:])
+        v, e, nodes = evaluate(_HALVES, np.array(live), ends[:2], ends[1:])
+        aux = inner_errors(ends[:2], ends[1:], nodes)
         for (r, a, m, b), *new in zip(split, *(c.T.tolist() for c in (v, e, aux))):
             st = rows[r]
             for p in zip((a, m), (m, b), *new):
@@ -187,8 +210,8 @@ def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
     absolute values) raises NonConvergenceError at once, as does exhausting
     the evaluation budget; either carries the running estimate.
     """
-    v, e, n = _adapt(lambda idx, xs: (np.asarray(h(xs.ravel())).reshape(xs.shape), None),
-                     np.array([_edges(a, b, breakpoints, radius)]), tol, max_evals)
+    line = lambda pan, row, xs: (np.asarray(h(xs.ravel())).reshape(xs.shape), None)
+    v, e, n = _adapt(line, np.array([_edges(a, b, breakpoints, radius)]), tol, max_evals)
     return QuadResult(v[0].item(), float(e[0]), n)
 
 
@@ -218,8 +241,9 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
     slot id when they share their top row and, at every level, the step and
     the panel slot of it that their nodes came from, and rows of one slot
     id are adjacent. Every row of a level carries its top row's box down,
-    its edge list padded to the longest (see _adapt). Returns per-row
-    values and errors and the evaluation count of all rows and levels.
+    its edge list padded to the longest with empty panels, which start no
+    inner run (see _adapt). Returns per-row values and errors and the
+    evaluation count of all rows and levels.
     """
     d, evals = len(boxes[0]), []
     # per axis, the top rows' initial edges, each padded with its last one
@@ -230,10 +254,16 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
         tables.append(np.array([x + x[-1:] * (width - len(x)) for x in per_row]))
 
     def level(k, top, slot, prefix):
-        def h(idx, xs):
-            n = len(xs)
-            rows, cols = (np.concatenate([c[idx]] * n) for c in (top, prefix))
-            ids = (slot[idx] * n + np.arange(n)[:, None]).ravel()
+        # a step evaluates at most this many slots of a row: its initial
+        # panels, or the two halves of one panel
+        n = max(2, tables[k].shape[1] - 1)
+
+        def h(pan, row, xs):
+            # each panel's slot and row, broadcast to the panels of xs
+            both = np.empty((2, *xs.shape[:-1]), dtype=int)
+            both[0], both[1] = pan, row
+            pan, row = both.reshape(2, -1)
+            rows, cols, ids = top[row], prefix[row], slot[row] * n + pan
             xs = xs.reshape(-1, _PANEL_EVALS)
             if k == d - 1:
                 return last_vec(rows, ids, tuple(cols.T[..., None]), xs), None

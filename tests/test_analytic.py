@@ -402,6 +402,15 @@ def test_batched_log_cfs_equal_per_z_calls(measure, d, m):
     assert _log_cf_rows(pk, measure, windows=windows, tol=tol)[1] == window
 
 
+def test_batched_stationary_cfs_keep_bits_at_large_z():
+    # on this grid some rows need 16 or more series terms of K, whose sum a
+    # shared BLAS product would round differently from a row's own calls
+    us = np.linspace(-10.0, 10.0, 60).tolist()
+    pk = ProductKernel((signed_ou(),))
+    assert _hex(_log_cf_rows(pk, dickman(), us, tol=1e-9)[0]) == _hex(
+        [log_cf_stationary(pk, dickman(), u, tol=1e-9) for u in us])
+
+
 def test_batched_log_cfs_keep_bits_in_chunks(monkeypatch):
     # rows run in chunks of bounded size; one top row per run changes no bit
     pk = ProductKernel((signed_ou(), signed_ou()))

@@ -204,3 +204,17 @@ def test_exponent_and_window_cf_pinned(measure):
     assert [_bits(k) for k in measure.exponent()(np.array(PIN_WS))] == k_pins
     spec = fdd_spec([0.0, 2.0], [0.5, -1.0], 3.0)
     assert _bits(log_cf_window(signed_ou(), measure, spec, tol=1e-8)) == window_pin
+
+
+@pytest.mark.parametrize("measure", [dickman(), truncated_stable(0.5, 1.0)],
+                         ids=lambda m: m.kind)
+def test_exponent_sums_each_slot_as_its_own_call(measure):
+    # runs of one slot label, of many sizes and past the series' reach, give
+    # the bits of one call per label: a BLAS product rounds a row by the rows
+    # beside it once the series has 8 terms (16 for Dickman's two columns)
+    sizes = [22, 22, 7, 484, 22, 3, 44, 1, 22, 66]
+    ws = np.random.default_rng(7).uniform(-8.0, 8.0, sum(sizes))
+    slots = np.repeat(np.arange(len(sizes)), sizes)
+    k = measure.exponent()
+    want = np.concatenate([k(ws[slots == i]) for i in range(len(sizes))])
+    assert [_bits(v) for v in k(ws, slots)] == [_bits(v) for v in want]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from idma.errors import NonConvergenceError
-from idma.quadrature import integrate_box, integrate_line
+from idma.quadrature import _box_rows, integrate_box, integrate_line
 
 # entire cosine integral Cin(1) = int_0^1 (1 - cos u)/u du
 CIN1 = 0.23981174200056472594
@@ -147,6 +147,26 @@ def test_box_matches_nested_line_calls(kind, d, tol):
     else:
         assert got.error_estimate > want.error_estimate
         assert len(set(count)) > 1
+
+
+def test_box_rows_never_evaluate_padded_panels():
+    # the second top row has fewer initial panels on each axis, so its edge
+    # lists are padded with empty panels at its upper ends; those start no
+    # inner run and add no evaluations, and each row runs as it would alone
+    boxes = [[(-2.0, 2.5)] * 2, [(-1.0, 1.0)] * 2]
+    breaks = [[(-0.3,), (-0.2,)], [(), ()]]
+    seen = []
+
+    def last_vec(top, slot, prefix, xs):
+        seen.extend(a[top == 1].ravel() for a in (prefix[0], xs))
+        return _tent(prefix, xs)
+
+    v, _, n = _box_rows(last_vec, boxes, breaks, 1e-9, 1_000_000)
+    alone = [integrate_box(_tent, box, brk, 1e-9) for box, brk in zip(boxes, breaks)]
+    assert v.tolist() == [r.value for r in alone]
+    assert n == sum(r.evaluations for r in alone)
+    # Gauss nodes never reach a panel's ends, so 1.0 is only ever an empty panel
+    assert not np.isin([-1.0, 1.0], np.concatenate(seen)).any()
 
 
 def test_box_inner_failures_propagate():
