@@ -92,11 +92,12 @@ def shift_constant(kernel, measure) -> float:
 MAX_EVALS = 1_000_000
 
 
-def _radius(pk, measure, zs, tol):
-    # kernel tails only matter once |z| * abs_moment * m * |g| drops below tol
+def _radius(kernel, measure, zs, tol):
+    # kernel tails only matter once |z| * abs_moment * m * |g| drops below tol;
+    # a component's radius pads its own axis
     scale = max(1.0, measure.abs_moment() * len(zs)
                 * max(float(np.max(np.abs(zs))), 1e-12))
-    return pk.decay_radius(tol / scale)
+    return kernel.decay_radius(tol / scale)
 
 
 def _require_g(pk):
@@ -105,18 +106,30 @@ def _require_g(pk):
             "operation needs an antiderivative for every kernel component")
 
 
+def _factor(sup):
+    """Mark a per-axis factor with sup(c), a bound of |factor| on component c."""
+    def mark(fn):
+        fn.sup = sup
+        return fn
+    return mark
+
+
 def _window_factor(T):
-    return lambda c, l, s: c.g(T + l - s) - c.g(l - s)
+    return _factor(lambda c: 2.0 * c.sup_g)(
+        lambda c, l, s: c.g(T + l - s) - c.g(l - s))
 
 
+@_factor(lambda c: c.sup_g)
 def _corner_factor(c, l, s):
     return c.g(l - s)
 
 
+@_factor(lambda c: c.sup_f)
 def _f_factor(c, l, s):
     return c.f(s)
 
 
+@_factor(lambda c: c.sup_f)
 def _abs_f_factor(c, l, s):
     return np.abs(c.f(s))
 
@@ -136,25 +149,88 @@ def _profile(comps, ls, coef, factor, prefix, xs):
     return (coef[..., None, :] @ last)[..., 0, :]
 
 
-def _box_integral(pk, groups, outer, tol, budget=MAX_EVALS):
+def _axes(comps, ls, T, r):
+    """Axis ranges and breakpoints of the windows [l, l + T] padded by r.
+
+    Axis k spans the windows padded by r[k] on both sides, broken at every
+    kink of component k shifted to both window edges. With one row of zeros
+    in ls and T = 0.0 this is [-r, r]^d broken at the kinks: 0.0 + x == x.
+    """
+    lo, hi = ls.min(axis=0).tolist(), ls.max(axis=0).tolist()
+    return ([(a - rk, T + b + rk) for a, b, rk in zip(lo, hi, r)],
+            [[e + l + p for e in (0.0, T) for l in ls[:, k] for p in comp.nonsmooth]
+             for k, comp in enumerate(comps)])
+
+
+def _members(g):
+    """(label, rows) for every label of the array g, in label order."""
+    if g[0] == g.min() == g.max():
+        return [(int(g[0]), slice(None))]
+    return [(i, (g == i).nonzero()[0]) for i in np.unique(g).tolist()]
+
+
+def _outer_calls(groups, g, w, slot):
+    """outer(w[i], slot[i]) of the group g[i] of every row i, one call per outer."""
+    members = _members(g)
+    if all(groups[i][5] is groups[members[0][0]][5] for i, _ in members):
+        return groups[members[0][0]][5](w, slot)
+    y = None
+    for i, sel in members:
+        v = groups[i][5](w[sel], slot[sel])
+        if y is None:
+            y = np.empty(w.shape, v.dtype)
+        y[sel] = v
+    return y
+
+
+def _box_integral(pk, groups, tol, budget=MAX_EVALS):
     """int outer(_profile(..., coef, factor, s)) ds for every row of groups.
 
-    A group (ls, T, rs, coefs, factor) has one row per radius r in rs and
-    row of coefs. Its axis k spans the windows [l, l + T] padded by r on
-    both sides, broken at every kink of component k shifted to both window
-    edges. With one row of zeros in ls and T = 0.0 this is [-r, r]^d broken
-    at the kinks: 0.0 + x == x, so the T terms add nothing. Every row of
-    every group is a top row of one engine run. Returns each group's values
-    and errors and the evaluation count of the run.
+    A group (ls, T, rs, coefs, factor, outer) has one row per list r of
+    per-axis radii in rs and row of coefs, and spans _axes(comps, ls, T, r).
+    At d >= 2 a group with one window runs on the chain of tabulated 1-d
+    transforms (_chain); the other groups, and the chain rows whose tables
+    do not converge, are the top rows of one box engine run. Returns each
+    group's values and errors and the evaluation count of all runs.
     """
+    pieces, box, evals = [[] for _ in groups], [], 0
+    chain = [i for i, g in enumerate(groups)
+             if pk.d > 1 and len(g[0]) == 1
+             and all(math.isfinite(g[4].sup(c)) for c in pk.components)]
+    if chain:
+        done, evals = _chain(pk, [groups[i] for i in chain], tol, budget)
+        for i, (rows, v, e, left) in zip(chain, done):
+            pieces[i].append((rows, v, e))
+            box += [(i, left)] if left.size else []
+    box += [(i, np.arange(len(g[3]))) for i, g in enumerate(groups) if i not in chain]
+    if box:
+        done, n = _box_run(pk, [(ls, T, [rs[r] for r in rows], coefs[rows], factor, outer)
+                                for i, rows in box
+                                for ls, T, rs, coefs, factor, outer in [groups[i]]],
+                           tol, budget)
+        evals += n
+        for (i, rows), (v, e) in zip(box, done):
+            pieces[i].append((rows, v, e))
+    results = []
+    for g, parts in zip(groups, pieces):
+        parts = [p for p in parts if p[0].size]
+        values = np.empty(len(g[3]), np.result_type(*(v for _, v, _ in parts)))
+        errors = np.empty(len(g[3]))
+        for rows, v, e in parts:
+            values[rows], errors[rows] = v, e
+        results.append((values, errors))
+    return results, evals
+
+
+def _box_run(pk, groups, tol, budget):
+    """The rows of groups as the top rows of one _box_rows run."""
     comps = pk.components
     boxes, breaks, first = [], [], [0]
-    for ls, T, rs, _, _ in groups:
-        lo, hi = ls.min(axis=0).tolist(), ls.max(axis=0).tolist()
-        brk = [[e + l + p for e in (0.0, T) for l in ls[:, k] for p in comp.nonsmooth]
-               for k, comp in enumerate(comps)]
-        boxes += [[(a - r, T + b + r) for a, b in zip(lo, hi)] for r in rs]
-        breaks += [brk] * len(rs)
+    for ls, T, rs, _, _, _ in groups:
+        for r in rs:
+            box, brk = _axes(comps, ls, T, r)
+            boxes.append(box)
+            breaks.append(brk)
         first.append(len(boxes))
     group = np.repeat(np.arange(len(groups)), np.diff(first))
 
@@ -162,15 +238,216 @@ def _box_integral(pk, groups, outer, tol, budget=MAX_EVALS):
         # outer(w, slot) may sum each slot's values as a call of their own
         # (LevyMeasure.exponent)
         w, g = np.empty(xs.shape), group[top]
-        for i, (ls, T, rs, coefs, factor) in enumerate(groups):
-            sel = (g == i).nonzero()[0]
-            if sel.size:
-                w[sel] = _profile(comps, ls, coefs[top[sel] - first[i]], factor,
-                                  tuple(c[sel] for c in prefix), xs[sel])
-        return outer(w, slot)
+        for i, sel in _members(g):
+            ls, T, rs, coefs, factor, _ = groups[i]
+            w[sel] = _profile(comps, ls, coefs[top[sel] - first[i]], factor,
+                              tuple(c[sel] for c in prefix), xs[sel])
+        return _outer_calls(groups, g, w, slot)
 
     v, e, n = _box_rows(integrand, boxes, breaks, tol, budget)
     return [(v[a:b], e[a:b]) for a, b in zip(first, first[1:])], n
+
+
+# Chebyshev tables of the chain: the first and the largest node count; the
+# smallest tabulated |c| as a share of the largest, per unit of tol; and the
+# coefficient tail, per unit of tol, at which a table stops doubling
+_CHEB_FIRST, _CHEB_MAX = 48, 192
+_CHEB_SPAN = 1e-3
+_CHEB_TAIL = 1e-3
+
+
+def _chain(pk, groups, tol, budget):
+    """One-window groups at d >= 2 as a chain of tabulated 1-d transforms.
+
+    A row's profile is coef prod_k phi_k(s_k), so its integral is F_d(coef),
+    where F_0 = outer and F_k(c) = int F_{k-1}(c phi_{d-k}(s)) ds: axis
+    d - 1 is integrated first and axis 0 last. Levels k = d - 1, ..., 1
+    tabulate F at Chebyshev nodes in log c (_Table) up to |coef| times the
+    bounds factor.sup of the axes still outside; all nodes of a level, over
+    all rows, are the top rows of one engine run. The last level is one
+    engine run of the interpolated F_1(coef phi_0(s)). Each table returns
+    its error estimate at every argument as the aux of its run, so a
+    value's error adds the outer error, the node errors and the tails of
+    every level. Returns per group (rows, values, errors, rows left), the
+    rows left being those whose tables did not converge, and the
+    evaluation count.
+    """
+    comps, d = pk.components, pk.d
+    grp, coef, axes, brks = [], [], [], []
+    for i, (ls, T, rs, coefs, factor, _) in enumerate(groups):
+        for r, c in zip(rs, coefs[:, 0].tolist()):
+            box, brk = _axes(comps, ls, T, r)
+            grp.append(i)
+            coef.append(c)
+            axes.append(box)
+            brks.append(brk)
+    grp, coef = np.array(grp, dtype=int), np.array(coef)
+    sups = np.array([[g[4].sup(c) for c in comps] for g in groups])[grp]
+    # tops[:, k]: |coef| times the bounds of axes 0 to k - 1
+    tops = np.abs(coef)[:, None] * np.cumprod(
+        np.hstack([np.ones((len(coef), 1)), sups[:, :-1]]), axis=1)
+    evals = 0
+
+    def level(k, rows, cs, table):
+        # int F(cs[i] phi_k(s)) ds over axis k of chain row rows[i], with F
+        # the group's outer at k = d - 1 and the table of the level below
+        nonlocal evals
+        g = grp[rows]
+
+        def integrand(top, slot, prefix, xs):
+            w, gt = np.empty(xs.shape), g[top]
+            for i, sel in _members(gt):
+                ls, T, _, _, factor, _ = groups[i]
+                w[sel] = cs[top[sel], None] * factor(comps[k], ls[0, k], xs[sel])
+            if table is None:
+                return _outer_calls(groups, gt, w, slot)
+            return table(rows[top], w)
+
+        v, e, n = _box_rows(integrand, [[axes[r][k]] for r in rows],
+                            [[brks[r][k]] for r in rows], tol, budget)
+        evals += n
+        return v, e
+
+    live, table = np.arange(len(coef)), None
+    for k in range(d - 1, 0, -1):
+        if live.size:
+            table = _Table(lambda rows, cs, k=k, inner=table: level(k, rows, cs, inner),
+                           live, tops[live, k], tol)
+            live = live[table.converged]
+    v, e = level(0, live, coef[live], table) if live.size else (np.zeros(0), np.zeros(0))
+    first = np.searchsorted(grp, np.arange(len(groups) + 1))
+    done = []
+    for a, b in zip(first, first[1:]):
+        mine = (live >= a) & (live < b)
+        done.append((live[mine] - a, v[mine], e[mine],
+                     np.setdiff1d(np.arange(b - a), live[mine] - a)))
+    return done, evals
+
+
+def _cheb_coefs(values):
+    """Chebyshev coefficients of the interpolants through each row of values.
+
+    Row i holds F at the extrema x_j = cos(pi j / n), j = 0..n; coefficient
+    k is (2 h_k / n) sum_j h_j F(x_j) cos(pi j k / n), h being 1/2 at both
+    ends and 1 inside, so that sum_k c_k T_k(x_j) = F(x_j). One product per
+    row, as _rule sums panels.
+    """
+    n = values.shape[1] - 1
+    h = np.ones(n + 1)
+    h[[0, -1]] = 0.5
+    j = np.arange(n + 1)
+    m = (2.0 / n) * h[:, None] * h * np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n)
+    coef = lambda v: (v[:, None, :] @ m)[:, 0, :]
+    if values.dtype.kind == "c":
+        return coef(values.real) + 1j * coef(values.imag)
+    return coef(values)
+
+
+def _clenshaw(coef, x):
+    """sum_k coef[i, k] T_k(x[i, ...]) for every row i, by Clenshaw's recurrence."""
+    b1 = b2 = np.zeros(x.shape, coef.dtype)
+    x2 = 2.0 * x
+    for k in range(coef.shape[1] - 1, 0, -1):
+        b0 = x2 * b1
+        b0 -= b2
+        b0 += coef[:, k, None]
+        b1, b2 = b0, b1
+    return x * b1 - b2 + coef[:, :1]
+
+
+def _interleave(a, b):
+    """The columns of a with those of b between them."""
+    out = np.empty((len(a), a.shape[1] + b.shape[1]), a.dtype)
+    out[:, ::2], out[:, 1::2] = a, b
+    return out
+
+
+class _Table:
+    """F(c) tabulated at Chebyshev nodes in t = log c, one row per chain row.
+
+    run(rows, cs) integrates F at the arguments cs of the chain rows rows
+    and returns values and errors. Row i tabulates F at the extrema
+    x_j = cos(pi j / n) of T_n mapped to t on [log c_min, log c_top[i]],
+    where c_min = _CHEB_SPAN * tol * c_top[i]; doubling n keeps every
+    node. A row doubles from _CHEB_FIRST until the last quarter of its
+    coefficients sums to at most _CHEB_TAIL * tol, or, where the nodes'
+    quadrature noise stops their decay, to less than the node errors; a
+    row still short of that at _CHEB_MAX is not converged. Called with
+    chain rows and arguments w, the table returns F(w), as
+    F(-c) = conj F(c), and its error estimate: the larger error of the two
+    nodes around |w| plus that sum. Below c_min it returns
+    F(c_min) |w| / c_min, and adds 2 |F(c_min)| to the error at c_min,
+    both scaled by |w| / c_min.
+    """
+
+    def __init__(self, run, rows, tops, tol):
+        self.index = np.zeros(int(rows.max()) + 1, dtype=int)
+        self.index[rows] = np.arange(len(rows))
+        self.hi = np.log(tops)
+        self.lo = self.hi + math.log(_CHEB_SPAN * tol)
+        self.n, self.tail = np.zeros(len(rows), dtype=int), np.zeros(len(rows))
+        self.coef, self.err = {}, {}
+        todo, n = np.arange(len(rows)), _CHEB_FIRST
+        vals, errs = self._nodes(run, rows, todo, np.arange(n + 1) / n)
+        self.low = np.zeros(len(rows), vals.dtype)
+        while True:
+            a = _cheb_coefs(vals)
+            last = np.abs(a[:, 3 * n // 4 + 1:])
+            tail = last.sum(axis=1)
+            # flat: the last quarter has stopped falling, as in noise
+            flat = last[:, n // 8:].max(axis=1) >= 0.25 * last[:, :n // 8].max(axis=1)
+            ok = (tail <= _CHEB_TAIL * tol) | (flat & (tail <= errs.max(axis=1)))
+            done = todo[ok]
+            self.coef[n] = np.zeros((len(rows), n + 1), a.dtype)
+            self.err[n] = np.zeros((len(rows), n + 1))
+            self.coef[n][done], self.err[n][done] = a[ok], errs[ok]
+            self.n[done], self.tail[done], self.low[done] = n, tail[ok], vals[ok, -1]
+            todo, vals, errs = todo[~ok], vals[~ok], errs[~ok]
+            if not todo.size or 2 * n > _CHEB_MAX:
+                break
+            # the nodes of T_2n between those of T_n
+            new = self._nodes(run, rows, todo, np.arange(1, 2 * n, 2) / (2 * n))
+            vals, errs = (_interleave(old, mid) for old, mid in zip((vals, errs), new))
+            n *= 2
+        self.converged = self.n > 0
+
+    def _nodes(self, run, rows, todo, fractions):
+        # F and its error at x = cos(pi * fractions) of the table rows todo
+        x = np.cos(np.pi * fractions)
+        t = 0.5 * (self.lo[todo, None] + self.hi[todo, None]
+                   + (self.hi[todo, None] - self.lo[todo, None]) * x)
+        v, e = run(np.repeat(rows[todo], len(x)), np.exp(t).ravel())
+        return v.reshape(t.shape), e.reshape(t.shape)
+
+    def __call__(self, rows, w):
+        r = self.index[rows]
+        lo, hi = self.lo[r, None], self.hi[r, None]
+        aw = np.abs(w)
+        with np.errstate(divide="ignore"):
+            x = (2.0 * np.log(aw) - (lo + hi)) / (hi - lo)
+        if (x > 1.0 + 1e-9).any():
+            raise ValueError("argument beyond the table; the kernel's sup_f or "
+                             "sup_g is too small")
+        below = x < -1.0
+        x = np.clip(x, -1.0, 1.0)
+        values = np.empty(w.shape, self.low.dtype)
+        err = np.empty(w.shape)
+        for n, sel in _members(self.n[r]):
+            xs, rp = x[sel], r[sel, None]
+            values[sel] = _clenshaw(self.coef[n][rp[:, 0]], xs)
+            # the nodes around x are j and j + 1, x_j = cos(pi j / n)
+            j = np.minimum((np.arccos(xs) * (n / math.pi)).astype(int), n - 1)
+            err[sel] = np.maximum(self.err[n][rp, j], self.err[n][rp, j + 1])
+        err += self.tail[r, None]
+        if below.any():
+            # F(c_min) c / c_min, and twice its size added to the error
+            scale, low = aw / np.exp(lo), self.low[r, None]
+            values = np.where(below, low * scale, values)
+            err = np.where(below, (err + 2.0 * np.abs(low)) * scale, err)
+        neg = w < 0.0
+        if neg.any():
+            values[neg] = values[neg].conj()
+        return values, err
 
 
 def _integrals(pk, measure, parts, tol):
@@ -181,7 +458,7 @@ def _integrals(pk, measure, parts, tol):
     for all parts, and None stands for a spec whose every z is 0. Returns
     one list per part.
     """
-    groups, rows = [], []
+    groups, rows, kfun = [], [], measure.exponent()
     for specs, T, factor in parts:
         ls = specs[0].ls if specs else None
         for spec in specs:
@@ -192,10 +469,9 @@ def _integrals(pk, measure, parts, tol):
         rows.append([i for i, spec in enumerate(specs) if np.any(spec.zs)])
         if rows[-1]:
             zss = np.array([specs[i].zs for i in rows[-1]])
-            groups.append((ls, T, [_radius(pk, measure, zs, tol) for zs in zss],
-                           zss, factor))
-    values = iter(_box_integral(pk, groups, measure.exponent(), tol)[0]
-                  if groups else ())
+            rs = [[_radius(c, measure, zs, tol) for c in pk.components] for zs in zss]
+            groups.append((ls, T, rs, zss, factor, kfun))
+    values = iter(_box_integral(pk, groups, tol)[0] if groups else ())
     out = []
     for (specs, _, _), live in zip(parts, rows):
         out.append([None] * len(specs))
@@ -404,17 +680,8 @@ class ConditionsReport:
                 "errors": list(self.errors), "evaluations": self.evaluations}
 
 
-def check_conditions(kernel, measure, *, quad_tol=1e-9,
-                     budget=2_000_000) -> ConditionsReport:
-    """Evaluate the three integrability conditions over R^d.
-
-    The integrands are driven by r(s) = 1/|f(s)| and set to 0 where f
-    vanishes (the conditions only constrain s with f(s) != 0), and where
-    |f(s)| is so small that r overflows: every integrand tends to 0 there.
-    """
-    pk = as_product(kernel)
-    r = pk.decay_radius(1e-12)
-
+def _condition_integrands(measure):
+    """The three condition integrands as functions of |f(s)| (see check_conditions)."""
     def masked(fn):
         def vec(af, slots):
             out = np.zeros_like(af)
@@ -426,18 +693,29 @@ def check_conditions(kernel, measure, *, quad_tol=1e-9,
             return out
         return vec
 
-    # one engine run each: an outer error estimate sums the inner ones by a
-    # matrix-vector product, which rounds a row by the rows that share it
-    runs = [_box_integral(pk, [(np.zeros((1, pk.d)), 0.0, [r], np.ones((1, 1)),
-                                _abs_f_factor)], masked(fn), quad_tol, budget)
-            for fn in (
+    return [masked(fn) for fn in (
         lambda rr, af: af * np.abs(
             measure.signed_moment_interval(1.0, np.maximum(rr, 1.0))
             - measure.signed_moment_interval(np.minimum(rr, 1.0), 1.0)),
         lambda rr, af: measure.tail_mass(rr),
         lambda rr, af: af * af * measure.small_jump_variance(rr))]
-    values = [float(groups[0][0][0]) for groups, _ in runs]
+
+
+def check_conditions(kernel, measure, *, quad_tol=1e-9,
+                     budget=2_000_000) -> ConditionsReport:
+    """Evaluate the three integrability conditions over R^d.
+
+    The integrands are driven by r(s) = 1/|f(s)| and set to 0 where f
+    vanishes (the conditions only constrain s with f(s) != 0), and where
+    |f(s)| is so small that r overflows: every integrand tends to 0 there.
+    The three integrals are the rows of one engine run.
+    """
+    pk = as_product(kernel)
+    r = [c.decay_radius(1e-12) for c in pk.components]
+    groups, evals = _box_integral(pk, [
+        (np.zeros((1, pk.d)), 0.0, [r], np.ones((1, 1)), _abs_f_factor, outer)
+        for outer in _condition_integrands(measure)], quad_tol, budget)
+    values = [float(v[0]) for v, _ in groups]
     return ConditionsReport(
         *values, *(math.isfinite(v) for v in values),
-        errors=tuple(float(groups[0][1][0]) for groups, _ in runs),
-        evaluations=sum(n for _, n in runs))
+        errors=tuple(float(e[0]) for _, e in groups), evaluations=evals)

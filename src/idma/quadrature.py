@@ -30,8 +30,27 @@ import numpy as np
 
 from .errors import NonConvergenceError
 
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
+
+
+def _mirror(nodes, weights):
+    """A symmetric rule from its nonnegative nodes, ascending from 0, and weights."""
+    return (np.array([-x for x in nodes[:0:-1]] + nodes),
+            np.array(weights[:0:-1] + weights))
+
+
+# the 15- and 7-node Gauss-Legendre rules as numpy's leggauss computes them,
+# written out because importing numpy.polynomial costs 5-6 ms
+_NODES_HI, _WEIGHTS_HI = _mirror(
+    [0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+     0.7244177313601701, 0.8482065834104272, 0.9372733924007058,
+     0.9879925180204854],
+    [0.2025782419255613, 0.1984314853271116, 0.1861610000155622,
+     0.16626920581699398, 0.13957067792615444, 0.10715922046717141,
+     0.0703660474881084, 0.030753241996117203])
+_NODES_LO, _WEIGHTS_LO = _mirror(
+    [0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586],
+    [0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+     0.12948496616886973])
 _NODES = np.concatenate([_NODES_HI, _NODES_LO])
 _N_HI = len(_NODES_HI)
 _PANEL_EVALS = len(_NODES)
@@ -84,7 +103,8 @@ def _adapt(h, edges, tol, max_evals):
     counted. h(slots, rows, xs) gets the nodes of a step as the array xs
     of shape (..., 22), whose leading axes hold the step's panels: the
     nonempty initial panels in one axis, slot by slot and in row order
-    within a slot, then the (2, rows) left and right halves of each step.
+    within a slot (the (slots, rows) grid when no panel is empty), then the
+    (2, rows) left and right halves of each step.
     slots and rows broadcast to those axes and give each panel's slot (0
     to k - 2) and row. h returns (values, aux) of as many elements, aux
     None or the per-node error estimates of inner integrals. Each row
@@ -110,32 +130,37 @@ def _adapt(h, edges, tol, max_evals):
         return (*_rule(y, half), None if aux is None else aux.reshape(xs.shape))
 
     def inner_errors(a, b, nodes):
-        # inner errors integrated by the 15-node weights of the (slots, rows)
-        # panels [a, b], one (rows, 15) product per slot: its rounding of a
-        # row depends on the rows it holds
+        # inner errors integrated by the 15-node weights of the panels [a, b],
+        # as _rule sums values: one product per panel, whatever shares it
         if nodes is None:
             return np.zeros(a.shape)
-        return 0.5 * (b - a) * (nodes[..., :_N_HI] @ _WEIGHTS_HI)
+        return 0.5 * (b - a) * (nodes[..., None, :_N_HI] @ _WEIGHTS_HI[:, None])[..., 0, 0]
 
     # the nonempty initial panels in one call, spread to (slots, rows) arrays
-    # with zeros for the empty ones
+    # with zeros for the empty ones; with none empty, the (slots, rows) grid
+    # holds the same panels in the same order
     ends = np.ascontiguousarray(edges.T)
-    pan, row = (ends[1:] > ends[:-1]).nonzero()
+    full = ends[1:] > ends[:-1]
+    if full.all():
+        v, e, nodes = evaluate(np.arange(len(full))[:, None], np.arange(n),
+                               ends[:-1], ends[1:])
+    else:
+        pan, row = full.nonzero()
 
-    def spread(c):
-        out = np.zeros((*ends[1:].shape, *c.shape[1:]), c.dtype)
-        out[pan, row] = c
-        return out
+        def spread(c):
+            out = np.zeros((*full.shape, *c.shape[1:]), c.dtype)
+            out[pan, row] = c
+            return out
 
-    v, e, nodes = evaluate(pan, row, ends[pan, row], ends[pan + 1, row])
-    v, e = spread(v), spread(e)
-    aux = inner_errors(ends[:-1], ends[1:], None if nodes is None else spread(nodes))
+        v, e, nodes = evaluate(pan, row, ends[pan, row], ends[pan + 1, row])
+        v, e, nodes = spread(v), spread(e), None if nodes is None else spread(nodes)
+    aux = inner_errors(ends[:-1], ends[1:], nodes)
     # left-to-right sums over the slots, as integrate_line's final sum
     value, err = sum(v[1:], 0.0 + v[0]), sum(e[1:], e[0])
     inner = sum(aux[1:], aux[0].copy())
     # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
     # a row made 22 evaluations per panel, and a sorted list is a heap
-    evals, rows = len(pan) * _PANEL_EVALS, {}
+    evals, rows = int(np.count_nonzero(full)) * _PANEL_EVALS, {}
     live = (err > tol).nonzero()[0].tolist()
     sel = live if len(live) < n else slice(None)
     cols = [a[:, sel].T.tolist() for a in (v, e, aux)] + [edges[sel].tolist()] if live else ()
@@ -237,7 +262,9 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
 
     boxes[i] lists the d axis ranges of top row i and breaks[i] their
     breakpoints, one list per axis. last_vec(top, slot, prefix, xs)
-    also gets the top row and a slot id of each of its rows: rows share a
+    also gets the top row and a slot id of each of its rows, and may
+    return (values, aux), aux the nodes' error estimates of an integral
+    inside them (see _adapt); rows share a
     slot id when they share their top row and, at every level, the step and
     the panel slot of it that their nodes came from, and rows of one slot
     id are adjacent. Every row of a level carries its top row's box down,
@@ -246,10 +273,13 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
     evaluation count of all rows and levels.
     """
     d, evals = len(boxes[0]), []
-    # per axis, the top rows' initial edges, each padded with its last one
-    tables = []
+    # per axis, the top rows' initial edges, each padded with its last one;
+    # rows of one range and breakpoints share them
+    tables, known = [], {}
     for k in range(d):
-        per_row = [_edges(*box[k], brk[k], 60.0) for box, brk in zip(boxes, breaks)]
+        per_row = [known.get(key) or known.setdefault(key, _edges(*key[0], key[1], 60.0))
+                   for key in ((tuple(box[k]), tuple(brk[k]))
+                               for box, brk in zip(boxes, breaks))]
         width = max(map(len, per_row))
         tables.append(np.array([x + x[-1:] * (width - len(x)) for x in per_row]))
 
@@ -266,7 +296,8 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
             rows, cols, ids = top[row], prefix[row], slot[row] * n + pan
             xs = xs.reshape(-1, _PANEL_EVALS)
             if k == d - 1:
-                return last_vec(rows, ids, tuple(cols.T[..., None]), xs), None
+                out = last_vec(rows, ids, tuple(cols.T[..., None]), xs)
+                return out if isinstance(out, tuple) else (out, None)
             rep = lambda c: np.repeat(c, _PANEL_EVALS, axis=0)
             return level(k + 1, rep(rows), rep(ids),
                          np.concatenate([rep(cols), xs.reshape(-1, 1)], axis=1))

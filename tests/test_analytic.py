@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idma.analytic import (ConditionsReport, FddSpec, _corner_factor,
-                           _integrals, _log_cf_rows, _radius, check_conditions,
+from idma.analytic import (MAX_EVALS, ConditionsReport, FddSpec, _abs_f_factor,
+                           _box_integral, _chain, _condition_integrands,
+                           _corner_factor, _f_factor, _factor, _integrals,
+                           _log_cf_rows, _radius, _window_factor, check_conditions,
                            covariance, covariance_integral,
                            covariance_integral_quadrature, fdd_spec, j_t,
                            log_cf_limit, log_cf_limits, log_cf_stationary,
@@ -29,7 +31,7 @@ from idma.kernels import (ProductKernel, as_product, gauss_deriv,
                           persistent_control, signed_ou, user_table)
 from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
 from idma import quadrature
-from idma.quadrature import integrate_line
+from idma.quadrature import integrate_box, integrate_line
 
 CIN1 = 0.23981174200056472594
 STAT_DICKMAN = -0.24486805759326125       # frozen independent quadrature
@@ -246,18 +248,35 @@ def test_conditions_dickman():
 
 
 def test_conditions_dickman_2d():
-    # d=2 runs the nested box integrator two levels deep; the evaluation
-    # counts cover both levels and the error estimates add the inner ones,
-    # integrated over the outer axis
+    # d=2 runs on the chain: one table of the inner axis and the outer
+    # level; the evaluation counts cover both, and the error estimates add
+    # the table's node errors and tail, integrated over the outer axis
     pk = ProductKernel((signed_ou(), signed_ou()))
     rep = check_conditions(pk, dickman(), quad_tol=1e-6)
     assert abs(rep.c1) < 1e-9
     assert abs(rep.c2) < 1e-9
     assert abs(rep.c3 - 0.5) < 1e-6
     assert rep.all_pass
-    assert rep.evaluations == 40788
+    assert rep.evaluations == 10120
     assert rep.errors[:2] == (0.0, 0.0)
-    assert rep.errors[2] == pytest.approx(4.975932720165344e-06, rel=1e-9)
+    assert rep.errors[2] == pytest.approx(7.650945743658673e-06, rel=1e-9)
+
+
+def test_each_axis_spans_its_own_radius():
+    # signed_ou x gauss_deriv: spanning both axes by the slowest component's
+    # radius, the gauss_deriv axis's first panel saw its bump only at 0 and
+    # +-5.6, and both values below came out near zero
+    pk, tp = ProductKernel((signed_ou(), gauss_deriv())), two_point(1.0)
+    k, f0, f1 = tp.exponent(), signed_ou().f, gauss_deriv().f
+    wide = lambda h: integrate_box(h, [(-40.0, 40.0), (-9.0, 9.0)],
+                                   [[0.0], [-1.0, 0.0, 1.0]], 1e-11).value
+    want = wide(lambda p, xs: k(f0(p[0]) * f1(xs)))
+    assert want == pytest.approx(-0.613, abs=1e-3)
+    assert abs(log_cf_stationary(pk, tp, 1.0) - want) < 1e-8
+    # two-point: c3 = int |f|^2 where |f| < 1, all of R^2 here
+    c3 = wide(lambda p, xs: (f0(p[0]) * f1(xs)) ** 2)
+    assert c3 == pytest.approx(math.sqrt(0.5 * math.pi), abs=1e-9)
+    assert abs(check_conditions(pk, tp).c3 - c3) < 1e-8
 
 
 def test_conditions_two_point():
@@ -421,3 +440,90 @@ def test_batched_log_cfs_keep_bits_in_chunks(monkeypatch):
     want = flat(_log_cf_rows(pk, dickman(), us, windows, corners, tol=1e-4))
     monkeypatch.setattr(quadrature, "_MAX_NODES", 1)
     assert flat(_log_cf_rows(pk, dickman(), us, windows, corners, tol=1e-4)) == want
+
+
+# -- the chain of tabulated 1-d transforms against the box --------------------
+
+def _chain_group(measure, pk, kind, z, T, ls, tol):
+    """The one-window group of a log-CF or condition integral (see _box_integral)."""
+    if kind in ("c1", "c2", "c3"):
+        r = [c.decay_radius(1e-12) for c in pk.components]
+        return (np.zeros((1, pk.d)), 0.0, [r], np.ones((1, 1)), _abs_f_factor,
+                _condition_integrands(measure)[int(kind[1]) - 1])
+    factor = {"window": _window_factor(T), "corner": _corner_factor,
+              "stationary": _f_factor}[kind]
+    if kind == "stationary":
+        ls, T = np.zeros((1, pk.d)), 0.0
+    elif kind == "corner":
+        T = 0.0
+    r = [_radius(c, measure, [z], tol) for c in pk.components]
+    return ls, T, [r], np.array([[z]]), factor, measure.exponent()
+
+
+def _on_box(group):
+    # the same integrand as two windows, the second with z = 0, which the
+    # box integrates; l enters f factors as 0 l, so that they broadcast
+    ls, T, rs, coefs, factor, outer = group
+    both = _factor(factor.sup)(lambda c, l, s: factor(c, l, s + 0.0 * l))
+    return np.vstack([ls, ls]), T, rs, np.hstack([coefs, 0.0 * coefs]), both, outer
+
+
+@st.composite
+def chain_cases(draw):
+    """(measure, product kernel, integral, z, T, window, tol) at d = 2 or 3.
+
+    d = 3 keeps to signed_ou and gauss_deriv, as the box needs seconds for
+    a user_table component's kinks there, and to a loose tol.
+    """
+    d = draw(st.integers(2, 3))
+    comps = PROP_COMPONENTS if d == 2 else PROP_COMPONENTS[:2]
+    pk = ProductKernel(tuple(draw(st.sampled_from(comps)) for _ in range(d)))
+    measure = draw(st.sampled_from(PROP_MEASURES))
+    kind = draw(st.sampled_from(["window", "corner", "stationary", "c1", "c2", "c3"]))
+    z = draw(st.floats(-5.0, 5.0).filter(bool))
+    T = draw(st.floats(0.5, 5.0))
+    ls = np.array([draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))])
+    return measure, pk, kind, z, T, ls, 1e-6 if d == 2 else 1e-3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(chain_cases())
+def test_chain_agrees_with_box(case):
+    # the chain's value and the box's agree within the sum of their error
+    # estimates. Its tables converge, except where a condition integrand's
+    # jump at |f| = 1 lies inside them (prod sup |f_k| > 1), where the row
+    # is left to the box
+    measure, pk, kind, *_, tol = case
+    group = _chain_group(*case)
+    ((_, v, e, left),), _ = _chain(pk, [group], tol, MAX_EVALS)
+    if left.size:
+        assert kind in ("c1", "c2", "c3")
+        assert math.prod(c.sup_f for c in pk.components) > 1.0
+        [(v, e)], _ = _box_integral(pk, [group], tol)
+    [(w, f)], _ = _box_integral(pk, [_on_box(group)], tol)
+    assert abs(v[0] - w[0]) <= e[0] + f[0]
+
+
+@pytest.mark.parametrize("measure", PROP_MEASURES, ids=lambda m: m.kind)
+def test_chain_error_bounds_distance_to_tight_value(measure):
+    # each reported error at tol = 1e-6 bounds the distance to the value at
+    # tol = 1e-12 over the same axes
+    pk, ls = ProductKernel((signed_ou(), gauss_deriv())), np.array([[0.3, -0.4]])
+    groups = [_chain_group(measure, pk, kind, 1.5, 2.0, ls, 1e-6)
+              for kind in ("window", "corner", "stationary", "c1", "c2", "c3")]
+    loose, _ = _box_integral(pk, groups, 1e-6)
+    tight, _ = _box_integral(pk, groups, 1e-12)
+    for (v, e), (w, _) in zip(loose, tight):
+        assert abs(v[0] - w[0]) <= e[0]
+
+
+def test_conditions_one_run_keeps_each_integral_bits():
+    # the three conditions as rows of one engine run equal three runs alone,
+    # errors included, at d = 1 (box) and d = 2 (chain)
+    for pk in (ProductKernel((signed_ou(),)), ProductKernel((signed_ou(), gauss_deriv()))):
+        groups = [_chain_group(truncated_stable(0.5, 1.0), pk, kind, 1.0, 0.0, None, 1e-7)
+                  for kind in ("c1", "c2", "c3")]
+        together, _ = _box_integral(pk, groups, 1e-7)
+        for group, (v, e) in zip(groups, together):
+            [(w, f)], _ = _box_integral(pk, [group], 1e-7)
+            assert (v[0].hex(), e[0].hex()) == (w[0].hex(), f[0].hex())

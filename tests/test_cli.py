@@ -369,9 +369,12 @@ def test_output_bytes_pinned(tmp_path):
     assert got == PINS
 
 
-# sha256 of the conditions, cf and cov files of a d = 2 config, which runs
-# the nested box integrator, with one window and with two; computed before
-# the engine evaluated every slot of a step in one integrand call
+# sha256 of the conditions, cf and cov files of a d = 2 config with one
+# window and with two. The two-window CF files come from the nested box
+# integrator, as computed before the engine evaluated every slot of a step
+# in one integrand call; every one-window integral (all "one" files, and the
+# conditions and stationary CF of "two") was recomputed when it moved to
+# the chain of tabulated 1-d transforms
 PIN_D2_CONFIG = {"measure": {"kind": "dickman"},
                  "kernel": {"kind": "product", "components": [
                      {"kind": "signed_ou"}, {"kind": "signed_ou"}]},
@@ -381,16 +384,16 @@ PIN_D2_WINDOWS = {"one": {"ls": [[0.0, 0.0]]},
                   "two": {"ls": [[0.0, 0.0], [1.0, -0.5]], "zs_base": [1.0, -0.5]}}
 PINS_D2 = {
     "one": {
-        "cf_limit_boundary.csv": "3c1b3efe1c25f5dc4da6cb28b336e62c5d8016c3ccb8153ccf716b584b645cc0",
-        "cf_limit_boundary.json": "671fbc2a7830020257c05c26e8696be22f6d0d996075ffb6bf784e09987eb420",
-        "cf_limit_claimed.csv": "7aa1e53f50d489ea15270ee47d6f321aafd641339bdb935158097b03d78ba440",
-        "cf_limit_claimed.json": "279216d0337fed9feca299bc750db6d01e24b26ab08f8d2255d92d94d9d71844",
-        "cf_stationary.csv": "234b1cb6d9aa8b65296fc244f64cecda347e8df28d5552b7c36077047726bb83",
-        "cf_stationary.json": "67c91f1fc8da5acfd0ca85c256ae8a27a53c78204462b584f3b3a1d996902dc1",
-        "cf_window.csv": "91374b2dab779e99c2f1d8b4e52af49fc26d97af330f5cd8230757bf589f793a",
-        "cf_window.json": "372fadd3fb7dcfbe534e9d5d12a1b2a402dea13e7599cf1ac34677863075b367",
-        "conditions.csv": "ea5630bfa24bc656571deae080281f1c4e4fb0fbf5e9c7ca8885fc4cf992cd72",
-        "conditions.json": "e5efe66390b88d273b37961b16a7cee4c51aef0705e8b100281d586ed7a6458e",
+        "cf_limit_boundary.csv": "57f0a249c88cd2084e917c0698384963d58ced1f402cef5ae97acf3a95836594",
+        "cf_limit_boundary.json": "afd87de2f9976d32873f53ff8bfdc34748bcb116625b94e848aa13132eabe1a2",
+        "cf_limit_claimed.csv": "2c5b702a835a285264d726bc7c2d47469c3121881a568047eeeae3069442758a",
+        "cf_limit_claimed.json": "03a0de96295b174caa9cc3c3f330cfe0207ed1656e54c7554326d13be9ea8fd3",
+        "cf_stationary.csv": "4021083e9c92ed736f81e9345ae82cf1e0d5c31aae22be0e0918b9bc42e1c1c2",
+        "cf_stationary.json": "dcc40179457e07a7f788dc1c2568f77a45f162866ee28dcff8e2c0a8cb2a23b6",
+        "cf_window.csv": "ed9d46bc628c7e2349d3df2f9c5e69576f485d6798d9bd6d0d7c95188bcc4762",
+        "cf_window.json": "0be253aa9613deec2d6db6c10c6811aceeb62379e0f89d94205b3bb5c13d1f2e",
+        "conditions.csv": "5338e9f4554c94a67ff1e922076b4784c321628e3418baee145d9f213a6202bd",
+        "conditions.json": "41670a1e80619d24d7bc2ad0ccd82ae6cc5bc07ac5904932b13dc8231f54fa9e",
         "cov.csv": "bf45325b2ac55046894aa83f0d0db42c71796cc4b05b0c3561278c19fd4b63ab",
         "cov.json": "968feabdf870b52f303aa44f9efcb08c09c011111a5a9dfb6941051d42e6a65c",
     },
@@ -399,12 +402,12 @@ PINS_D2 = {
         "cf_limit_boundary.json": "d6ebfb8e2db19246056d9179b6e92afc450b2a7bdb50bb059fd0eb4346631b96",
         "cf_limit_claimed.csv": "e113350baa7341ad8a5f3aa057a508c9e97b13c24db05da99e9a81e124ad4859",
         "cf_limit_claimed.json": "8ec3462978f683929b72923c276c05cda8171610065552a50bb00d18d7d4d220",
-        "cf_stationary.csv": "ceaf4b4ede826e1c159890d7e9dd55bb7edfcdc64b459c4236a52664050785e3",
-        "cf_stationary.json": "33a1fd2b2a65583d40ce6dbcc1855a35a1ad8751cc8fad76053f6cd2020a2612",
+        "cf_stationary.csv": "2b3719853fd7d2a63286b0548a4fb4f63fef70e94b7f63b226776690c2eeec22",
+        "cf_stationary.json": "8720ad8efdf417dd19518eac26ec8ff685776f08d7c1aae37dcfbe7faeb7d7dd",
         "cf_window.csv": "024eab72e4600ebb58a25d0d75d92b47e8fda52b6344eb109b3cc5d8e9fc04ff",
         "cf_window.json": "9292844e3eacc37d96a1845c50723aef581d8bd5028319e78a98542235660337",
-        "conditions.csv": "b3cfb81c75f86ca0a71f65b8924d0a0a0ddae2a2333985cc883b3080c3216da0",
-        "conditions.json": "6a45f1a62cadbc6467d7da0f77703fd26cc9803134558bc3c30e322d6493b573",
+        "conditions.csv": "e32d9527f6717d216adde220304d3c028619cb14d14a6ed3ba667a4fc7050fcb",
+        "conditions.json": "ab2bcb2da69dda9f3d1f0ad08c545e4d7f4e9bef1b9a860f9723e230939fbc9a",
         "cov.csv": "6a7a6f602e551c47ff32469315eb6ae4a82dde0ae6f921ef6897705c400b2b6d",
         "cov.json": "77d8bf7c9af3686228a47bdb2b16d66bf239125c6104909ead5bb5f5b7229188",
     },

@@ -180,3 +180,28 @@ def test_box_inner_failures_propagate():
         integrate_box(kink, boxes, breaks, 1e-16)
     with pytest.raises(NonConvergenceError, match="budget"):
         integrate_box(kink, boxes, breaks, 1e-12, max_evals=200)
+
+
+def test_rules_equal_leggauss():
+    # the written-out 15- and 7-node rules are numpy's, bit for bit
+    from numpy.polynomial.legendre import leggauss
+    from idma import quadrature
+
+    for n, nodes, weights in ((15, quadrature._NODES_HI, quadrature._WEIGHTS_HI),
+                              (7, quadrature._NODES_LO, quadrature._WEIGHTS_LO)):
+        x, w = leggauss(n)
+        assert [v.hex() for v in nodes.tolist()] == [v.hex() for v in x.tolist()]
+        assert [v.hex() for v in weights.tolist()] == [v.hex() for v in w.tolist()]
+
+
+def test_box_rows_errors_independent_of_batch():
+    # an outer error adds the inner ones by one product per panel, so each
+    # row's error keeps its bits however many rows share the run
+    boxes = [[(-2.0, 2.5), (-1.0, 1.5)], [(-1.0, 1.0)] * 2, [(0.0, 3.0), (-2.0, 0.5)]]
+    breaks = [[(-0.3,), (0.1,)], [(), ()], [(1.0,), ()]]
+    last_vec = lambda top, slot, prefix, xs: _tent(prefix, xs)
+    v, e, _ = _box_rows(last_vec, boxes, breaks, 1e-10, 1_000_000)
+    alone = [_box_rows(last_vec, [box], [brk], 1e-10, 1_000_000)
+             for box, brk in zip(boxes, breaks)]
+    assert [x.hex() for x in e.tolist()] == [a[1][0].hex() for a in alone]
+    assert v.tolist() == [a[0][0] for a in alone]
