@@ -9,7 +9,7 @@ infinitely divisible random measure with Levy measure nu:
   S_T = int_{[0,T]^d + l} X(t) dt as T grows ("claimed" keeps only the
   origin-corner boundary layer; "boundary_augmented" also keeps the
   far-corner layer at s ~ T, which carries an independent copy of the
-  same functional); log_cf_limits returns both from one box integral,
+  same functional); log_cf_limits returns both from one corner integral,
   and log_cf_limit picks one of them by name,
 * second-order quantities (covariance, its integral, window variance),
 * the three absolute-integrability conditions that make the window CF
@@ -19,18 +19,22 @@ Throughout, f must factor over coordinates (ProductKernel); window
 integrals need each component's antiderivative g with g(+-inf) = 0.
 
 Every integral over R^d here (the marginal, window and limit log-CFs and
-the three conditions) is one _box_integral of one form,
+the three conditions) goes through _box_integral, in one form:
 int outer(sum_j coef_j prod_k phi_k(l_jk, s_k)) ds, with outer = K for
 the log-CFs. The per-axis factor phi_k is g_k(T + l - s) - g_k(l - s) for
 windows, g_k(l - s) for the limit corner, f_k(s) for the marginal and
-|f_k(s)| for the conditions (_profile). The box is the windows
-[l, l + T]^d padded by a decay radius and broken at every kernel kink
-shifted to both window edges: [-r, r]^d broken at the kinks when l = 0
-and T = 0.0. Each of its quadrature rows gets MAX_EVALS evaluations, or
-check_conditions' budget. _log_cf_rows runs the three log-CFs at every z
-of a grid as the top rows of one engine run; each row keeps the bits of
-its single-spec function, because K sums the nodes of each slot id (see
-quadrature) as a call of their own, however many share its call.
+|f_k(s)| for the conditions (_profile). The domain is the windows
+[l, l + T]^d, axis k padded by component k's decay radius and broken at
+every kink of it shifted to both window edges: [-r_k, r_k] broken at the
+kinks when l = 0 and T = 0.0. With one window at d >= 2 the integral runs
+as a chain of 1-d transforms tabulated at Chebyshev nodes (_chain,
+_Table); with several windows, at d = 1, and for rows whose tables do not
+converge, it runs on the nested box. Each quadrature row gets MAX_EVALS
+evaluations, or check_conditions' budget. _log_cf_rows runs the three
+log-CFs at every z of a grid as the rows of one engine run per level;
+each row keeps the bits of its single-spec function, because K sums the
+nodes of each slot id (see quadrature) as a call of their own, however
+many share its call, and a table is built and read row by row.
 """
 
 from __future__ import annotations
@@ -259,18 +263,17 @@ _CHEB_TAIL = 1e-3
 def _chain(pk, groups, tol, budget):
     """One-window groups at d >= 2 as a chain of tabulated 1-d transforms.
 
-    A row's profile is coef prod_k phi_k(s_k), so its integral is F_d(coef),
-    where F_0 = outer and F_k(c) = int F_{k-1}(c phi_{d-k}(s)) ds: axis
-    d - 1 is integrated first and axis 0 last. Levels k = d - 1, ..., 1
-    tabulate F at Chebyshev nodes in log c (_Table) up to |coef| times the
-    bounds factor.sup of the axes still outside; all nodes of a level, over
-    all rows, are the top rows of one engine run. The last level is one
-    engine run of the interpolated F_1(coef phi_0(s)). Each table returns
-    its error estimate at every argument as the aux of its run, so a
-    value's error adds the outer error, the node errors and the tails of
-    every level. Returns per group (rows, values, errors, rows left), the
-    rows left being those whose tables did not converge, and the
-    evaluation count.
+    A row's profile is coef prod_k phi_k(s_k), so its integral is G_0(coef)
+    with G_d = outer and G_k(c) = int G_{k+1}(c phi_k(s)) ds over axis k.
+    Axes d - 1, ..., 1 tabulate G_k (_Table) on [c_min, c_top], c_top being
+    |coef| times the bounds factor.sup of axes 0 to k - 1, and all nodes of
+    an axis, over all rows, are the top rows of one engine run; axis 0 is
+    one engine run of the interpolated G_1(coef phi_0(s)). A table returns
+    its error estimate at every argument as the aux of the run above it, so
+    a value's error adds the outer error and every table's node errors and
+    tail. Returns per group (rows, values, errors, rows left), the rows
+    left being those whose tables did not converge, and the evaluation
+    count of all runs.
     """
     comps, d = pk.components, pk.d
     grp, coef, axes, brks = [], [], [], []
@@ -289,8 +292,8 @@ def _chain(pk, groups, tol, budget):
     evals = 0
 
     def level(k, rows, cs, table):
-        # int F(cs[i] phi_k(s)) ds over axis k of chain row rows[i], with F
-        # the group's outer at k = d - 1 and the table of the level below
+        # G_k(cs[i]) of chain row rows[i], G_{k+1} being the table of axis
+        # k + 1 or, at k = d - 1, the group's outer
         nonlocal evals
         g = grp[rows]
 
@@ -315,13 +318,13 @@ def _chain(pk, groups, tol, budget):
                            live, tops[live, k], tol)
             live = live[table.converged]
     v, e = level(0, live, coef[live], table) if live.size else (np.zeros(0), np.zeros(0))
-    first = np.searchsorted(grp, np.arange(len(groups) + 1))
-    done = []
-    for a, b in zip(first, first[1:]):
-        mine = (live >= a) & (live < b)
-        done.append((live[mine] - a, v[mine], e[mine],
-                     np.setdiff1d(np.arange(b - a), live[mine] - a)))
-    return done, evals
+    ok = np.zeros(len(coef), bool)
+    ok[live] = True
+    # each group's rows, and its stretch of the sorted live rows
+    ends = np.searchsorted(grp, np.arange(len(groups) + 1))
+    at = np.searchsorted(live, ends)
+    return [(live[i:j] - a, v[i:j], e[i:j], (~ok[a:b]).nonzero()[0])
+            for a, b, i, j in zip(ends, ends[1:], at, at[1:])], evals
 
 
 def _cheb_coefs(values):

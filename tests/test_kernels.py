@@ -68,6 +68,21 @@ def test_g_out_matches_g(make):
     assert np.array_equal(x.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("make", [
+    signed_ou, gauss_deriv, persistent_control,
+    lambda: user_table([-1.5, -0.5, 0.0, 0.75, 2.0], [0.0, 0.8, 1.0, -0.4, 0.0])])
+def test_sup_bounds_are_suprema(make):
+    # sup_f and sup_g bound |f| and |g| on the line, and are approached
+    k = make()
+    x = np.concatenate([np.linspace(-6.0, 6.0, 120001), [-1e-300, 1e-300]])
+    for fn, sup in ((k.f, k.sup_f), (k.g, k.sup_g)):
+        if fn is None:
+            assert sup == math.inf
+            continue
+        top = float(np.max(np.abs(fn(x))))
+        assert top <= sup <= top * (1.0 + 1e-9)
+
+
 def test_check_derivative():
     grid = np.linspace(-3.0, 3.0, 121)
     assert check_derivative(signed_ou(), grid) < 1e-9
