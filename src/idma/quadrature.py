@@ -31,7 +31,6 @@ import numpy as np
 from .errors import NonConvergenceError
 
 
-
 def _mirror(nodes, weights):
     """A symmetric rule from its nonnegative nodes, ascending from 0, and weights."""
     return (np.array([-x for x in nodes[:0:-1]] + nodes),
@@ -277,9 +276,12 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
     # rows of one range and breakpoints share them
     tables, known = [], {}
     for k in range(d):
-        per_row = [known.get(key) or known.setdefault(key, _edges(*key[0], key[1], 60.0))
-                   for key in ((tuple(box[k]), tuple(brk[k]))
-                               for box, brk in zip(boxes, breaks))]
+        per_row = []
+        for box, brk in zip(boxes, breaks):
+            key = (tuple(box[k]), tuple(brk[k]))
+            if key not in known:
+                known[key] = _edges(*box[k], brk[k], 60.0)
+            per_row.append(known[key])
         width = max(map(len, per_row))
         tables.append(np.array([x + x[-1:] * (width - len(x)) for x in per_row]))
 
