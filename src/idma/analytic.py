@@ -461,7 +461,7 @@ def _integrals(pk, measure, parts, tol):
     """int K(_profile(spec.zs, factor)) over [l, l + T]^d for every spec.
 
     parts lists (specs, T, factor); the specs of a part share their
-    windows. Each spec with a nonzero z is one top row of one engine run
+    windows. Each spec with a nonzero z is one row of one _box_integral
     for all parts, and None stands for a spec whose every z is 0. Returns
     one list per part.
     """
@@ -492,9 +492,10 @@ def _log_cf_rows(kernel, measure, zs=(), windows=(), corners=(), *, tol=1e-9):
 
     Returns the stationary log-CF at every z of zs, the window log-CF at
     every spec of windows (one T) and the (claimed, boundary_augmented)
-    pair at every spec of corners, as rows of one engine run. A z of 0
-    gives exact zeros. Each row refines, and evaluates K, as it would
-    alone, so every value keeps the bits of its single-spec function.
+    pair at every spec of corners, as rows of one engine run per level. A
+    z of 0 gives exact zeros. Each row refines, tabulates and evaluates K
+    as it would alone, so every value keeps the bits of its single-spec
+    function.
     """
     pk = as_product(kernel)
     if windows or corners:
