@@ -119,11 +119,11 @@ def _factor(sup):
 
 
 def _window_factor(T):
-    return _factor(lambda c: 2.0 * c.sup_g)(
+    return _factor(lambda c: c.range_g[1] - c.range_g[0])(
         lambda c, l, s: c.g(T + l - s) - c.g(l - s))
 
 
-@_factor(lambda c: c.sup_g)
+@_factor(lambda c: max(-c.range_g[0], c.range_g[1]))
 def _corner_factor(c, l, s):
     return c.g(l - s)
 
@@ -390,7 +390,8 @@ class _Table:
     def __init__(self, run, rows, tops, tol):
         self.index = np.zeros(int(rows.max()) + 1, dtype=int)
         self.index[rows] = np.arange(len(rows))
-        self.hi = np.log(tops)
+        # a top that underflows to 0 still bounds every argument as tiny
+        self.hi = np.log(np.maximum(tops, np.finfo(float).tiny))
         self.lo = self.hi + math.log(_CHEB_SPAN * tol)
         self.n, self.tail = np.zeros(len(rows), dtype=int), np.zeros(len(rows))
         self.coef, self.err = {}, {}
@@ -431,10 +432,11 @@ class _Table:
         lo, hi = self.lo[r, None], self.hi[r, None]
         aw = np.abs(w)
         with np.errstate(divide="ignore"):
-            x = (2.0 * np.log(aw) - (lo + hi)) / (hi - lo)
+            t = np.log(aw)
+        x = (2.0 * t - (lo + hi)) / (hi - lo)
         if (x > 1.0 + 1e-9).any():
             raise ValueError("argument beyond the table; the kernel's sup_f or "
-                             "sup_g is too small")
+                             "range_g is too narrow")
         below = x < -1.0
         x = np.clip(x, -1.0, 1.0)
         values = np.empty(w.shape, self.low.dtype)
@@ -448,7 +450,7 @@ class _Table:
         err += self.tail[r, None]
         if below.any():
             # F(c_min) c / c_min, and twice its size added to the error
-            scale, low = aw / np.exp(lo), self.low[r, None]
+            scale, low = np.exp(t - lo), self.low[r, None]
             values = np.where(below, low * scale, values)
             err = np.where(below, (err + 2.0 * np.abs(low)) * scale, err)
         neg = w < 0.0

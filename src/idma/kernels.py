@@ -33,8 +33,8 @@ class Kernel1D:
     l2sq_g: float | None = None
     integral_f: float = math.nan
     integral_g: float | None = None
-    sup_f: float = math.inf        # bounds of |f| and |g| on the line
-    sup_g: float = math.inf
+    sup_f: float = math.inf        # |f| <= sup_f on the line
+    range_g: tuple = (-math.inf, math.inf)     # g takes values in this range
     _decay: callable = None
     _acf: callable = None          # closed-form autocorrelation of f, or None
     _acg: callable = None          # closed-form autocorrelation of g, or None
@@ -124,7 +124,7 @@ def signed_ou() -> Kernel1D:
     return Kernel1D(
         kind="signed_ou", f=f, g=g, nonsmooth=(0.0,),
         l1_f=2.0, l2sq_f=1.0, l1_g=2.0, l2sq_g=1.0,
-        integral_f=0.0, integral_g=2.0, sup_f=1.0, sup_g=1.0,
+        integral_f=0.0, integral_g=2.0, sup_f=1.0, range_g=(0.0, 1.0),
         _decay=lambda tol: max(math.log(1.0 / tol), 1.0),
         _acf=lambda t: math.exp(-t) * (1.0 - t),
         _acg=lambda t: math.exp(-t) * (1.0 + t))
@@ -148,7 +148,7 @@ def gauss_deriv() -> Kernel1D:
         l1_f=2.0, l2sq_f=rt, l1_g=math.sqrt(math.pi), l2sq_g=rt,
         integral_f=0.0, integral_g=math.sqrt(math.pi),
         # |f| peaks at x = 1/sqrt(2)
-        sup_f=math.sqrt(2.0 / math.e), sup_g=1.0,
+        sup_f=math.sqrt(2.0 / math.e), range_g=(0.0, 1.0),
         _decay=decay,
         _acf=lambda t: rt * (1.0 - t * t) * math.exp(-0.5 * t * t),
         _acg=lambda t: rt * math.exp(-0.5 * t * t))
@@ -209,7 +209,8 @@ def user_table(xs, gs) -> Kernel1D:
         l1_g=float(np.sum(seg_l1)),
         l2sq_g=float(np.sum(w * (a * a + a * b + b * b) / 3.0)),
         integral_f=0.0, integral_g=float(np.trapezoid(gs, xs)),
-        sup_f=float(np.max(np.abs(slopes))), sup_g=float(np.max(np.abs(gs))),
+        sup_f=float(np.max(np.abs(slopes))),
+        range_g=(float(np.min(gs)), float(np.max(gs))),
         _decay=lambda tol: rmax)
 
 

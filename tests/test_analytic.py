@@ -517,6 +517,13 @@ def test_chain_error_bounds_distance_to_tight_value(measure):
         assert abs(v[0] - w[0]) <= e[0]
 
 
+def test_chain_at_subnormal_z():
+    # c_min and the table's top underflow; the values stay the box's zeros
+    pk, tp, z = ProductKernel((signed_ou(), gauss_deriv())), two_point(1.0), 5e-324
+    assert log_cf_stationary(pk, tp, z) == 0j
+    assert log_cf_window(pk, tp, fdd_spec([[0.0, 0.0]], [z], 2.0)) == 0j
+
+
 def test_conditions_one_run_keeps_each_integral_bits():
     # the three conditions as rows of one engine run equal three runs alone,
     # errors included, at d = 1 (box) and d = 2 (chain)

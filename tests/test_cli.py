@@ -390,8 +390,8 @@ PINS_D2 = {
         "cf_limit_claimed.json": "03a0de96295b174caa9cc3c3f330cfe0207ed1656e54c7554326d13be9ea8fd3",
         "cf_stationary.csv": "4021083e9c92ed736f81e9345ae82cf1e0d5c31aae22be0e0918b9bc42e1c1c2",
         "cf_stationary.json": "dcc40179457e07a7f788dc1c2568f77a45f162866ee28dcff8e2c0a8cb2a23b6",
-        "cf_window.csv": "ed9d46bc628c7e2349d3df2f9c5e69576f485d6798d9bd6d0d7c95188bcc4762",
-        "cf_window.json": "0be253aa9613deec2d6db6c10c6811aceeb62379e0f89d94205b3bb5c13d1f2e",
+        "cf_window.csv": "cc6a2f78cc855a94f39314e96d81510d16f188a2ae79bb61fcaa4d5329272152",
+        "cf_window.json": "9b15338c2d21cae3747a62a42148118172f4acfaeebdff8d3a74ed850a066488",
         "conditions.csv": "5338e9f4554c94a67ff1e922076b4784c321628e3418baee145d9f213a6202bd",
         "conditions.json": "41670a1e80619d24d7bc2ad0ccd82ae6cc5bc07ac5904932b13dc8231f54fa9e",
         "cov.csv": "bf45325b2ac55046894aa83f0d0db42c71796cc4b05b0c3561278c19fd4b63ab",

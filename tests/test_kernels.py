@@ -71,16 +71,17 @@ def test_g_out_matches_g(make):
 @pytest.mark.parametrize("make", [
     signed_ou, gauss_deriv, persistent_control,
     lambda: user_table([-1.5, -0.5, 0.0, 0.75, 2.0], [0.0, 0.8, 1.0, -0.4, 0.0])])
-def test_sup_bounds_are_suprema(make):
-    # sup_f and sup_g bound |f| and |g| on the line, and are approached
+def test_bounds_are_sharp(make):
+    # sup_f bounds |f| and range_g holds g on the line, and both are reached
     k = make()
     x = np.concatenate([np.linspace(-6.0, 6.0, 120001), [-1e-300, 1e-300]])
-    for fn, sup in ((k.f, k.sup_f), (k.g, k.sup_g)):
-        if fn is None:
-            assert sup == math.inf
-            continue
-        top = float(np.max(np.abs(fn(x))))
-        assert top <= sup <= top * (1.0 + 1e-9)
+    top = float(np.max(np.abs(k.f(x))))
+    assert top <= k.sup_f <= top * (1.0 + 1e-9)
+    if k.has_g:
+        g = k.g(x)
+        assert k.range_g == (min(float(g.min()), 0.0), float(g.max()))
+    else:
+        assert k.range_g == (-math.inf, math.inf)
 
 
 def test_check_derivative():
