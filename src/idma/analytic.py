@@ -179,14 +179,12 @@ def _members(g):
 
 def _outer_calls(groups, g, w, slot):
     """outer(w[i], slot[i]) of the group g[i] of every row i, one call per outer."""
-    members = _members(g)
-    if all(groups[i][5] is groups[members[0][0]][5] for i, _ in members):
-        return groups[members[0][0]][5](w, slot)
-    y = None
-    for i, sel in members:
-        v = groups[i][5](w[sel], slot[sel])
-        if y is None:
-            y = np.empty(w.shape, v.dtype)
+    members = [(groups[i][5], sel) for i, sel in _members(g)]
+    if all(outer is members[0][0] for outer, _ in members):
+        return members[0][0](w, slot)
+    parts = [(sel, outer(w[sel], slot[sel])) for outer, sel in members]
+    y = np.empty(w.shape, parts[0][1].dtype)
+    for sel, v in parts:
         y[sel] = v
     return y
 
