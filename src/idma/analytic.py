@@ -24,17 +24,18 @@ int outer(sum_j coef_j prod_k phi_k(l_jk, s_k)) ds, with outer = K for
 the log-CFs. The per-axis factor phi_k is g_k(T + l - s) - g_k(l - s) for
 windows, g_k(l - s) for the limit corner, f_k(s) for the marginal and
 |f_k(s)| for the conditions (_profile). The domain is the windows
-[l, l + T]^d, axis k padded by component k's decay radius and broken at
-every kink of it shifted to both window edges: [-r_k, r_k] broken at the
-kinks when l = 0 and T = 0.0. With one window at d >= 2 the integral runs
-as a chain of 1-d transforms tabulated at Chebyshev nodes (_chain,
-_Table); with several windows, at d = 1, and for rows whose tables do not
-converge, it runs on the nested box. Each quadrature row gets MAX_EVALS
-evaluations, or check_conditions' budget. _log_cf_rows runs the three
-log-CFs at every z of a grid as the rows of one engine run per level;
-each row keeps the bits of its single-spec function, because K sums the
-nodes of each slot id (see quadrature) as a call of their own, however
-many share its call, and a table is built and read row by row.
+[l, l + T]^d, axis k padded by component k's decay radius and broken
+where phi_k kinks: at l - p and T + l - p for every kink p of component
+k for the g-based factors, which read g_k at l - s, and at p for the
+f-based ones, whose domain is [-r_k, r_k] (l = 0, T = 0.0). With one
+window at d >= 2 the integral runs as a chain of 1-d transforms tabulated
+at Chebyshev nodes (_chain, _Table); with several windows, at d = 1, and
+for rows whose tables do not converge, it runs on the nested box. Each
+quadrature row gets MAX_EVALS evaluations, or check_conditions' budget.
+_log_cf_rows runs the three log-CFs at every z of a grid as the rows of
+one engine run per level; each row keeps the bits of its single-spec
+function, because K works element by element and a table is built and
+read row by row.
 """
 
 from __future__ import annotations
@@ -110,20 +111,22 @@ def _require_g(pk):
             "operation needs an antiderivative for every kernel component")
 
 
-def _factor(sup):
-    """Mark a per-axis factor with sup(c), a bound of |factor| on component c."""
+def _factor(sup, sign=1.0):
+    """Mark a per-axis factor with sup(c), a bound of |factor| on component
+    c, and sign: the factor kinks at s = e + l + sign * p, e in {0, T}, for
+    each kink p of c (-1 for a g-based factor, which reads c at e + l - s)."""
     def mark(fn):
-        fn.sup = sup
+        fn.sup, fn.sign = sup, sign
         return fn
     return mark
 
 
 def _window_factor(T):
-    return _factor(lambda c: c.range_g[1] - c.range_g[0])(
+    return _factor(lambda c: c.range_g[1] - c.range_g[0], -1.0)(
         lambda c, l, s: c.g(T + l - s) - c.g(l - s))
 
 
-@_factor(lambda c: max(-c.range_g[0], c.range_g[1]))
+@_factor(lambda c: max(-c.range_g[0], c.range_g[1]), -1.0)
 def _corner_factor(c, l, s):
     return c.g(l - s)
 
@@ -153,17 +156,18 @@ def _profile(comps, ls, coef, factor, prefix, xs):
     return (coef[..., None, :] @ last)[..., 0, :]
 
 
-def _axes(comps, ls, T, r):
+def _axes(comps, ls, T, r, sign):
     """Axis ranges and breakpoints of the windows [l, l + T] padded by r.
 
-    Axis k spans the windows padded by r[k] on both sides, broken at every
-    kink of component k shifted to both window edges. With one row of zeros
-    in ls and T = 0.0 this is [-r, r]^d broken at the kinks: 0.0 + x == x.
+    Axis k spans the windows padded by r[k] on both sides, broken where the
+    factor of mark sign (see _factor) kinks: at e + l + sign * p for every
+    kink p of component k and window edge e + l. With one row of zeros in
+    ls and T = 0.0 this is [-r, r]^d broken at the kinks: 0.0 + x == x.
     """
     lo, hi = ls.min(axis=0).tolist(), ls.max(axis=0).tolist()
     return ([(a - rk, T + b + rk) for a, b, rk in zip(lo, hi, r)],
-            [[e + l + p for e in (0.0, T) for l in ls[:, k] for p in comp.nonsmooth]
-             for k, comp in enumerate(comps)])
+            [[e + l + sign * p for e in (0.0, T) for l in ls[:, k]
+              for p in comp.nonsmooth] for k, comp in enumerate(comps)])
 
 
 def _members(g):
@@ -177,12 +181,12 @@ def _members(g):
     return [(i, (g == i).nonzero()[0]) for i in np.flatnonzero(np.bincount(g)).tolist()]
 
 
-def _outer_calls(groups, g, w, slot):
-    """outer(w[i], slot[i]) of the group g[i] of every row i, one call per outer."""
+def _outer_calls(groups, g, w):
+    """outer(w[i]) of the group g[i] of every row i, one call per outer."""
     members = [(groups[i][5], sel) for i, sel in _members(g)]
     if all(outer is members[0][0] for outer, _ in members):
-        return members[0][0](w, slot)
-    parts = [(sel, outer(w[sel], slot[sel])) for outer, sel in members]
+        return members[0][0](w)
+    parts = [(sel, outer(w[sel])) for outer, sel in members]
     y = np.empty(w.shape, parts[0][1].dtype)
     for sel, v in parts:
         y[sel] = v
@@ -193,7 +197,8 @@ def _box_integral(pk, groups, tol, budget=MAX_EVALS):
     """int outer(_profile(..., coef, factor, s)) ds for every row of groups.
 
     A group (ls, T, rs, coefs, factor, outer) has one row per list r of
-    per-axis radii in rs and row of coefs, and spans _axes(comps, ls, T, r).
+    per-axis radii in rs and row of coefs, and spans
+    _axes(comps, ls, T, r, factor.sign).
     At d >= 2 a group with one window runs on the chain of tabulated 1-d
     transforms (_chain); the other groups, and the chain rows whose tables
     do not converge, are the top rows of one box engine run. Returns each
@@ -232,23 +237,21 @@ def _box_run(pk, groups, tol, budget):
     """The rows of groups as the top rows of one _box_rows run."""
     comps = pk.components
     boxes, breaks, first = [], [], [0]
-    for ls, T, rs, _, _, _ in groups:
+    for ls, T, rs, _, factor, _ in groups:
         for r in rs:
-            box, brk = _axes(comps, ls, T, r)
+            box, brk = _axes(comps, ls, T, r, factor.sign)
             boxes.append(box)
             breaks.append(brk)
         first.append(len(boxes))
     group = np.repeat(np.arange(len(groups)), np.diff(first))
 
-    def integrand(top, slot, prefix, xs):
-        # outer(w, slot) may sum each slot's values as a call of their own
-        # (LevyMeasure.exponent)
+    def integrand(top, prefix, xs):
         w, g = np.empty(xs.shape), group[top]
         for i, sel in _members(g):
             ls, T, rs, coefs, factor, _ = groups[i]
             w[sel] = _profile(comps, ls, coefs[top[sel] - first[i]], factor,
                               tuple(c[sel] for c in prefix), xs[sel])
-        return _outer_calls(groups, g, w, slot)
+        return _outer_calls(groups, g, w)
 
     v, e, n = _box_rows(integrand, boxes, breaks, tol, budget)
     return [(v[a:b], e[a:b]) for a, b in zip(first, first[1:])], n
@@ -281,7 +284,7 @@ def _chain(pk, groups, tol, budget):
     grp, coef, axes, brks = [], [], [], []
     for i, (ls, T, rs, coefs, factor, _) in enumerate(groups):
         for r, c in zip(rs, coefs[:, 0].tolist()):
-            box, brk = _axes(comps, ls, T, r)
+            box, brk = _axes(comps, ls, T, r, factor.sign)
             grp.append(i)
             coef.append(c)
             axes.append(box)
@@ -299,13 +302,13 @@ def _chain(pk, groups, tol, budget):
         nonlocal evals
         g = grp[rows]
 
-        def integrand(top, slot, prefix, xs):
+        def integrand(top, prefix, xs):
             w, gt = np.empty(xs.shape), g[top]
             for i, sel in _members(gt):
                 ls, T, _, _, factor, _ = groups[i]
                 w[sel] = cs[top[sel], None] * factor(comps[k], ls[0, k], xs[sel])
             if table is None:
-                return _outer_calls(groups, gt, w, slot)
+                return _outer_calls(groups, gt, w)
             return table(rows[top], w)
 
         v, e, n = _box_rows(integrand, [[axes[r][k]] for r in rows],
@@ -691,7 +694,7 @@ class ConditionsReport:
 def _condition_integrands(measure):
     """The three condition integrands as functions of |f(s)| (see check_conditions)."""
     def masked(fn):
-        def vec(af, slots):
+        def vec(af):
             out = np.zeros_like(af)
             with np.errstate(divide="ignore", over="ignore"):
                 rr = 1.0 / af

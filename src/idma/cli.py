@@ -300,7 +300,7 @@ def _cmd_converge(cfg: RunConfig) -> list:
 def _cmd_hyper(cfg: RunConfig) -> list:
     rep = verify.hyperuniformity(
         cfg.kernel, cfg.measure, cfg.T_grid, cfg.N, seed=cfg.seed, eps=cfg.eps,
-        window_pad=cfg.window_pad)
+        window_pad=cfg.window_pad, tol=cfg.quad_tol)
     return [_emit(cfg, "hyper",
                   ["T", "var_analytic", "var_empirical", "var_se",
                    "control_var"],

@@ -36,12 +36,12 @@ K(w) = int (e^{iwy} - 1) nu(dy) is entire for a measure on [-1, 1]. A
 family's _series() returns an (N_TERMS + 1, j) array: column 0 holds the
 coefficients a_k of w^{2k} in Re K (a_0 = 0), and an asymmetric family adds
 column 1, the coefficients b_k of Im K = w * sum_k b_k w^{2k}. The one
-evaluator, LevyMeasure.exponent, sums these series (_near) where |w| is at
-most the family's ``_reach`` (SERIES_MAX_W = 6), with the term count of the
-largest such |w| of the call from the table SERIES_W, and calls _far at
-the other arguments. The far forms rest on the exponential integral
-E_p(-ix) = int_1^inf e^{ixt} t^{-p} dt, which _expint computes by a
-continued fraction. InnerTruncatedStable has no series in w: its
+evaluator, LevyMeasure.exponent, sums all N_TERMS terms of these series by
+Horner's rule in w^2 (_horner) where |w| is at most the family's ``_reach``
+(SERIES_MAX_W = 6), and calls _far at the other arguments; either way each
+value depends on its own w alone. The far forms rest on the exponential
+integral E_p(-ix) = int_1^inf e^{ixt} t^{-p} dt, which _expint computes by
+a continued fraction. InnerTruncatedStable has no series in w: its
 _near is the full-line stable closed form minus the series of its head
 (0, delta), in x = |w| delta, up to x = HEAD_MAX_X (4).
 
@@ -104,41 +104,18 @@ SERIES_W = _series_table(SERIES_MAX_W)
 N_TERMS = len(SERIES_W)
 
 
-def _runs(labels):
-    """Start indices of the runs of equal adjacent labels."""
-    return [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
+def _horner(coef, x2):
+    """sum_k coef[k, i] x2^k over k = 1..N_TERMS at the 1-d x2, as row i.
 
-
-def _series_sum(coef, ws, starts=(0,)):
-    """K at the 1-d ws, all |w| <= SERIES_MAX_W, from _series() coefficients.
-
-    ws falls into runs, one beginning at each index in starts, and each run
-    is summed as a call of its own would be: its series stops after the
-    terms that its largest |w| needs, and its terms are added by a matrix
-    product of its own shape, because BLAS rounds a row of a product by the
-    rows that share it. Runs of one length and size are stacked into one
-    batched product, which computes each as its own product.
+    Horner's rule, element by element: each value depends on its own x2
+    alone, whatever else shares the call. Returns a (j, x2.size) array.
     """
-    out = np.empty(ws.size, dtype=complex)
-    if not ws.size:
-        return out
-    bounds = [*starts, ws.size]
-    n_run = 1 + np.searchsorted(SERIES_W, np.sqrt(np.maximum.reduceat(ws * ws, starts)))
-    groups = {}
-    for first, key in zip(bounds, zip(n_run.tolist(), np.diff(bounds).tolist())):
-        groups.setdefault(key, []).append(first)
-    for (n, size), firsts in groups.items():
-        at = np.array(firsts)[:, None] + np.arange(size)
-        out[at] = _sum_terms(coef, ws[at], n)
-    return out
-
-
-def _sum_terms(coef, ws, n):
-    """The first n terms of the series at ws, one product per last-axis row."""
-    s = ((ws * ws)[..., None] ** np.arange(1, n + 1)) @ coef[1:n + 1]
-    if coef.shape[1] == 1:
-        return s[..., 0] + 0j
-    return s[..., 0] + 1j * ws * (coef[0, 1] + s[..., 1])
+    s = np.zeros((coef.shape[1], x2.size))
+    for a in coef[:0:-1, :, None]:
+        s *= x2
+        s += a
+    s *= x2
+    return s
 
 
 def _power_series(p, scale):
@@ -268,30 +245,29 @@ class LevyMeasure:
 
         Closed forms at every w: the family's power series (_near) where
         |w| <= _reach, to rounding, and _far beyond. Every series term
-        vanishes at w = 0, so K(0) = 0 exactly. The callable takes an
-        optional ``slots``, one label per row of ws: each label's rows are
-        summed as if they came in a call of their own (see _series_sum).
+        vanishes at w = 0, so K(0) = 0 exactly. K works element by element:
+        each value depends on its own w alone, whatever shares its call.
         """
         coef, reach = self._series(), self._reach
 
-        def kfun(ws, slots=None):
+        def kfun(ws):
             ws = np.atleast_1d(np.asarray(ws, dtype=float))
             flat = ws.ravel()
-            per = flat.size // len(slots) if slots is not None else 0
             near = np.abs(flat) <= reach
             if near.all():
-                starts = (0,) if slots is None else [i * per for i in _runs(slots)]
-                return self._near(coef, flat, starts).reshape(ws.shape)
+                return self._near(coef, flat).reshape(ws.shape)
             out = np.empty(flat.shape, dtype=complex)
-            out[near] = self._near(coef, flat[near], (0,) if slots is None else
-                                   _runs(np.repeat(slots, per)[near]))
+            out[near] = self._near(coef, flat[near])
             out[~near] = self._far(flat[~near])
             return out.reshape(ws.shape)
 
         return kfun
 
-    def _near(self, coef, ws, starts):
-        return _series_sum(coef, ws, starts)
+    def _near(self, coef, ws):
+        s = _horner(coef, ws * ws)
+        if coef.shape[1] == 1:
+            return s[0] + 0j
+        return s[0] + 1j * ws * (coef[0, 1] + s[1])
 
 
 @dataclass(frozen=True)
@@ -413,7 +389,7 @@ class TwoPoint(LevyMeasure):
 
     def exponent(self):
         lam = self.lam
-        return lambda ws, slots=None: lam * (np.cos(ws) - 1.0)
+        return lambda ws: lam * (np.cos(ws) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -469,17 +445,11 @@ class InnerTruncatedStable(LevyMeasure):
         # the head int_0^1 (cos xt - 1) t^{-1-alpha} dt in x = |w| delta
         return _power_series(self.alpha, 1.0)
 
-    def _near(self, coef, ws, starts):
+    def _near(self, coef, ws):
         # 2c delta^-alpha (int_0^inf - int_0^1) (cos xt - 1) t^{-1-alpha} dt;
-        # the two cancel (see HEAD_MAX_X), so the head is summed by Horner's
-        # rule in x^2, which rounds less than _series_sum's power sum
+        # the two cancel (see HEAD_MAX_X)
         alpha, x = self.alpha, np.abs(ws) * self.delta
-        x2 = np.square(x)
-        head = np.zeros_like(x2)
-        for a in coef[:0:-1, 0]:
-            head *= x2
-            head += a
-        head *= x2
+        head = _horner(coef, np.square(x))[0]
         return (2.0 * self.c * self.delta ** -alpha
                 * (-(x ** alpha) * _stable_const(alpha) - head)) + 0j
 

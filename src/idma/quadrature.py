@@ -15,8 +15,7 @@ left and the right half of the panel each refining row splits.
 integrate_line is R = 1. integrate_box batches a box in R^d by levels,
 passing the leading coordinates to the innermost axis as (rows, 1) columns,
 so each step of an outer level starts one engine run of the next; _box_rows
-does the same for many boxes at once, one top row each, and labels every
-node with the panel slot it came from at every level (its slot id).
+does the same for many boxes at once, one top row each.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ _PANEL_EVALS = len(_NODES)
 # QUADPACK's roundoff limit: no refinement gets the error estimate below
 # about 50 eps times the summed magnitude of the panel values
 _ROUNDOFF = 50.0 * np.finfo(float).eps
-# the slots of the two halves of a panel, a column against a row of rows
-_HALVES = np.array([[0], [1]])
 # node budget of the first innermost integrand call of one _box_rows run
 _MAX_NODES = 1 << 17
 
@@ -99,28 +96,27 @@ def _adapt(h, edges, tol, max_evals):
     Row r starts from the panels between its initial edges edges[r] (a
     (rows, k) array); a row with fewer panels repeats its last edge, and
     these empty panels add exact zeros and are never evaluated, refined or
-    counted. h(slots, rows, xs) gets the nodes of a step as the array xs
-    of shape (..., 22), whose leading axes hold the step's panels: the
-    nonempty initial panels in one axis, slot by slot and in row order
-    within a slot (the (slots, rows) grid when no panel is empty), then the
-    (2, rows) left and right halves of each step.
-    slots and rows broadcast to those axes and give each panel's slot (0
-    to k - 2) and row. h returns (values, aux) of as many elements, aux
-    None or the per-node error estimates of inner integrals. Each row
-    refines as integrate_line does, with its own heap and ``max_evals``.
-    Returns per-row values and errors (aux integrated over the surviving
-    panels added) and the evaluation count of all rows.
+    counted. h(rows, xs) gets the nodes of a step as the array xs of shape
+    (..., 22), whose leading axes hold the step's panels: the nonempty
+    initial panels in one axis, panel by panel and in row order within a
+    panel (the (panels, rows) grid when no panel is empty), then the
+    (2, rows) left and right halves of each step. rows broadcasts to those
+    axes and gives each panel's row. h returns (values, aux) of as many
+    elements, aux None or the per-node error estimates of inner integrals.
+    Each row refines as integrate_line does, with its own heap and
+    ``max_evals``. Returns per-row values and errors (aux integrated over
+    the surviving panels added) and the evaluation count of all rows.
     """
     n = len(edges)
     if edges.shape[1] < 2:
         return np.zeros(n), np.zeros(n), 0
 
-    def evaluate(slots, rows, a, b):
+    def evaluate(rows, a, b):
         # the panels [a, b] of a step in one call; per panel, its 15-node
         # value and error, and the nodes' inner error estimates or None
         half = 0.5 * (b - a)
         xs = 0.5 * (a + b)[..., None] + half[..., None] * _NODES
-        y, aux = h(slots, rows, xs)
+        y, aux = h(rows, xs)
         y = y.reshape(xs.shape)
         if not np.isfinite(y).all():
             i = tuple(np.argwhere(~np.isfinite(y).all(axis=-1))[0])
@@ -135,14 +131,13 @@ def _adapt(h, edges, tol, max_evals):
             return np.zeros(a.shape)
         return 0.5 * (b - a) * (nodes[..., None, :_N_HI] @ _WEIGHTS_HI[:, None])[..., 0, 0]
 
-    # the nonempty initial panels in one call, spread to (slots, rows) arrays
-    # with zeros for the empty ones; with none empty, the (slots, rows) grid
+    # the nonempty initial panels in one call, spread to (panels, rows) arrays
+    # with zeros for the empty ones; with none empty, the (panels, rows) grid
     # holds the same panels in the same order
     ends = np.ascontiguousarray(edges.T)
     full = ends[1:] > ends[:-1]
     if full.all():
-        v, e, nodes = evaluate(np.arange(len(full))[:, None], np.arange(n),
-                               ends[:-1], ends[1:])
+        v, e, nodes = evaluate(np.arange(n), ends[:-1], ends[1:])
     else:
         pan, row = full.nonzero()
 
@@ -151,10 +146,10 @@ def _adapt(h, edges, tol, max_evals):
             out[pan, row] = c
             return out
 
-        v, e, nodes = evaluate(pan, row, ends[pan, row], ends[pan + 1, row])
+        v, e, nodes = evaluate(row, ends[pan, row], ends[pan + 1, row])
         v, e, nodes = spread(v), spread(e), None if nodes is None else spread(nodes)
     aux = inner_errors(ends[:-1], ends[1:], nodes)
-    # left-to-right sums over the slots, as integrate_line's final sum
+    # left-to-right sums over the panels, as integrate_line's final sum
     value, err = sum(v[1:], 0.0 + v[0]), sum(e[1:], e[0])
     inner = sum(aux[1:], aux[0].copy())
     # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
@@ -164,7 +159,7 @@ def _adapt(h, edges, tol, max_evals):
     sel = live if len(live) < n else slice(None)
     cols = [a[:, sel].T.tolist() for a in (v, e, aux)] + [edges[sel].tolist()] if live else ()
     if live:
-        # each refining row's floor, summed left to right over its slots
+        # each refining row's floor, summed left to right over its panels
         floor = _ROUNDOFF * sum(abs(v[1:, sel]), abs(v[0, sel]))
         if (floor > tol).any():
             j = int((floor > tol).nonzero()[0][0])
@@ -203,7 +198,7 @@ def _adapt(h, edges, tol, max_evals):
             break
         evals += 2 * _PANEL_EVALS * len(live)
         ends = np.array(split)[:, 1:].T
-        v, e, nodes = evaluate(_HALVES, np.array(live), ends[:2], ends[1:])
+        v, e, nodes = evaluate(np.array(live), ends[:2], ends[1:])
         aux = inner_errors(ends[:2], ends[1:], nodes)
         for (r, a, m, b), *new in zip(split, *(c.T.tolist() for c in (v, e, aux))):
             st = rows[r]
@@ -234,7 +229,7 @@ def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
     absolute values) raises NonConvergenceError at once, as does exhausting
     the evaluation budget; either carries the running estimate.
     """
-    line = lambda pan, row, xs: (np.asarray(h(xs.ravel())).reshape(xs.shape), None)
+    line = lambda rows, xs: (np.asarray(h(xs.ravel())).reshape(xs.shape), None)
     v, e, n = _adapt(line, np.array([_edges(a, b, breakpoints, radius)]), tol, max_evals)
     return QuadResult(v[0].item(), float(e[0]), n)
 
@@ -251,7 +246,7 @@ def integrate_box(last_vec, boxes, breaks, tol=1e-9, max_evals=1_000_000):
     outer 15-node weights over the surviving outer panels, and the
     evaluation count covers every level.
     """
-    v, e, n = _box_rows(lambda top, slot, prefix, xs: last_vec(prefix, xs), [boxes],
+    v, e, n = _box_rows(lambda top, prefix, xs: last_vec(prefix, xs), [boxes],
                         [breaks], tol, max_evals)
     return QuadResult(v[0].item(), float(e[0]), n)
 
@@ -260,13 +255,10 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
     """integrate_box over several boxes at once, one top row each.
 
     boxes[i] lists the d axis ranges of top row i and breaks[i] their
-    breakpoints, one list per axis. last_vec(top, slot, prefix, xs)
-    also gets the top row and a slot id of each of its rows, and may
-    return (values, aux), aux the nodes' error estimates of an integral
-    inside them (see _adapt); rows share a
-    slot id when they share their top row and, at every level, the step and
-    the panel slot of it that their nodes came from, and rows of one slot
-    id are adjacent. Every row of a level carries its top row's box down,
+    breakpoints, one list per axis. last_vec(top, prefix, xs) also gets
+    the top row of each of its rows, and may return (values, aux), aux the
+    nodes' error estimates of an integral inside them (see _adapt). Every
+    row of a level carries its top row's box down,
     its edge list padded to the longest with empty panels, which start no
     inner run (see _adapt). Returns per-row values and errors and the
     evaluation count of all rows and levels.
@@ -285,23 +277,17 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
         width = max(map(len, per_row))
         tables.append(np.array([x + x[-1:] * (width - len(x)) for x in per_row]))
 
-    def level(k, top, slot, prefix):
-        # a step evaluates at most this many slots of a row: its initial
-        # panels, or the two halves of one panel
-        n = max(2, tables[k].shape[1] - 1)
-
-        def h(pan, row, xs):
-            # each panel's slot and row, broadcast to the panels of xs
-            both = np.empty((2, *xs.shape[:-1]), dtype=int)
-            both[0], both[1] = pan, row
-            pan, row = both.reshape(2, -1)
-            rows, cols, ids = top[row], prefix[row], slot[row] * n + pan
+    def level(k, top, prefix):
+        def h(row, xs):
+            # each panel's row, broadcast to the panels of xs
+            row = np.broadcast_to(row, xs.shape[:-1]).ravel()
+            rows, cols = top[row], prefix[row]
             xs = xs.reshape(-1, _PANEL_EVALS)
             if k == d - 1:
-                out = last_vec(rows, ids, tuple(cols.T[..., None]), xs)
+                out = last_vec(rows, tuple(cols.T[..., None]), xs)
                 return out if isinstance(out, tuple) else (out, None)
             rep = lambda c: np.repeat(c, _PANEL_EVALS, axis=0)
-            return level(k + 1, rep(rows), rep(ids),
+            return level(k + 1, rep(rows),
                          np.concatenate([rep(cols), xs.reshape(-1, 1)], axis=1))
 
         v, e, ev = _adapt(h, tables[k][top], tol, max_evals)
@@ -312,6 +298,6 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
     # _MAX_NODES nodes, so memory stays bounded however many rows come
     per_row = math.prod((t.shape[1] - 1) * _PANEL_EVALS for t in tables)
     step = max(1, _MAX_NODES // max(per_row, 1))
-    runs = [level(0, top, top, np.empty((len(top), 0)))
+    runs = [level(0, top, np.empty((len(top), 0)))
             for top in np.split(np.arange(len(boxes)), range(step, len(boxes), step))]
     return (*map(np.concatenate, zip(*runs)), sum(evals))

@@ -215,7 +215,7 @@ class HyperReport(_Report):
 
 
 def hyperuniformity(kernel, measure, T_grid, N, *, seed=0,
-                    eps=1e-3, window_pad=None) -> HyperReport:
+                    eps=1e-3, window_pad=None, tol=1e-9) -> HyperReport:
     """Variance growth of window integrals against the persistent control.
 
     The kernel's variance curve comes from the closed form (or quadrature
@@ -228,7 +228,8 @@ def hyperuniformity(kernel, measure, T_grid, N, *, seed=0,
     control curve f = e^{-|x|}/2 (tensorized to the kernel's dimension) is
     fitted by least squares to expose its linear growth.
     window_pad pads the simulated window as in SimConfig (None: its
-    default from the kernel's decay).
+    default from the kernel's decay). tol is the quadrature tolerance of
+    every variance curve computed by quadrature.
     Classification is "hyperuniform" when the kernel's curve plateaus (last
     two values within 10%) while the control slope is positive, else
     "persistent".
@@ -243,7 +244,7 @@ def hyperuniformity(kernel, measure, T_grid, N, *, seed=0,
     if pk.has_g:
         var_a = [variance_window(pk, measure, T) for T in T_grid]
     else:
-        var_a = [variance_window_quadrature(pk, measure, T) for T in T_grid]
+        var_a = [variance_window_quadrature(pk, measure, T, tol=tol) for T in T_grid]
     cfg = SimConfig(measure=measure, kernel=pk, T=T_grid[-1],
                     ls=np.zeros((1, pk.d)), eps=eps, window_pad=window_pad,
                     n_replicates=N, seed=seed)
@@ -252,7 +253,8 @@ def hyperuniformity(kernel, measure, T_grid, N, *, seed=0,
     ses = [variance_se(s) for s in columns]
 
     control = ProductKernel(tuple(persistent_control() for _ in range(pk.d)))
-    ctrl_var = [variance_window_quadrature(control, measure, T) for T in T_grid]
+    ctrl_var = [variance_window_quadrature(control, measure, T, tol=tol)
+                for T in T_grid]
     slope = float(np.polyfit(T_grid, ctrl_var, 1)[0])
 
     plateau = abs(var_a[-1] - var_a[-2]) <= 0.1 * abs(var_a[-2])

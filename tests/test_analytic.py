@@ -279,6 +279,20 @@ def test_each_axis_spans_its_own_radius():
     assert abs(check_conditions(pk, tp).c3 - c3) < 1e-8
 
 
+def test_window_breaks_where_g_kinks():
+    # g(T + l - s) - g(l - s) kinks at s = l - p and T + l - p for each kink
+    # p of g; the breakpoints l + p and T + l + p, which miss them for this
+    # asymmetric table, took 2 772 evaluations to an error of 4.6e-11
+    pk = as_product(user_table([-1, -0.3, 0.4, 1.2], [0, 1, -0.6, 0]))
+    tp = two_point(1.0)
+    T, tol, z = 3.0, 1e-10, np.array([2.0])
+    r = [_radius(c, tp, z, tol) for c in pk.components]
+    [(v, e)], n = _box_integral(pk, [(np.array([[0.3]]), T, [r], z[None],
+                                      _window_factor(T), tp.exponent())], tol)
+    assert n == 176 and e[0] < 1e-12
+    assert v[0] == log_cf_window(pk, tp, fdd_spec([0.3], z, T), tol=tol)
+
+
 def test_conditions_two_point():
     rep = check_conditions(signed_ou(), two_point(1.0))
     assert abs(rep.c1) < 1e-9
@@ -464,7 +478,8 @@ def _on_box(group):
     # the same integrand as two windows, the second with z = 0, which the
     # box integrates; l enters f factors as 0 l, so that they broadcast
     ls, T, rs, coefs, factor, outer = group
-    both = _factor(factor.sup)(lambda c, l, s: factor(c, l, s + 0.0 * l))
+    both = _factor(factor.sup, factor.sign)(
+        lambda c, l, s: factor(c, l, s + 0.0 * l))
     return np.vstack([ls, ls]), T, rs, np.hstack([coefs, 0.0 * coefs]), both, outer
 
 

@@ -332,7 +332,9 @@ def test_simulate_replicates_csv_and_json(tmp_path):
 # were re-pinned when hyper came to draw one cloud per replicate for all
 # T: the T = 8 row kept its bytes, and only var_empirical and var_se moved
 # at T = 2 and 4. replicates.{csv,json} and hyper.{csv,json} were re-pinned
-# when the replicates were keyed by block of 512 (stream_for(seed, r // 512))
+# when the replicates were keyed by block of 512 (stream_for(seed, r // 512)),
+# and hyper.{csv,json} again when the control curve came to honour quad_tol
+# (1e-7 here): control_var at T = 8 moved by 1.8e-15, control_slope by 3.3e-16
 PIN_CONFIG = {"T": 3.0, "T_grid": [2.0, 4.0, 8.0], "z_grid": [-1.0, 0.5, 1.0],
               "t_grid": [0.0, 1.5], "N": 300, "ls": [0.0, 1.0],
               "quad_tol": 1e-7, "seed": 5, "eps": 0.5}
@@ -351,8 +353,8 @@ PINS = {
     "convergence.json": "d3c6b32a435ba5cf2cfcd26ec5a513ae5f2c99f5a12a7dc9c17a6af10b9a0821",
     "cov.csv": "051f6502b101d53f5c225db71cdcf017946dd6a61d1a5b4adf653fa883f0a43e",
     "cov.json": "81ab6b181b1d413881e259ad960f4cd16a3097cc1e6bca0f44b77a08af61f5b7",
-    "hyper.csv": "20686078f615140b8c5370a64b304c81848f2095b87622d9ff4c9d47edec122f",
-    "hyper.json": "e710f579fde344f88018772b6a8f28d77836afc2b2e1fe45432f20ff181f7421",
+    "hyper.csv": "3dc4b81b45ea77ba9f83dd3aea85778f79abf111533da0bf1c3bb9a35da6dc4f",
+    "hyper.json": "8eb0ea4abc9cc3be0ee03b87bb6c0f8557d1a4bf890ae4d881c4f3864abdc190",
     "replicates.csv": "596aab871d54dd48ca4d10261966829384b64089882ef0166fb8170ccd16b1c8",
     "replicates.json": "7e717a7a531e1172f38e6e2ec23eb38b3b36224fdaa3608e5472cea856040f4d",
 }
@@ -371,10 +373,12 @@ def test_output_bytes_pinned(tmp_path):
 
 # sha256 of the conditions, cf and cov files of a d = 2 config with one
 # window and with two. The two-window CF files come from the nested box
-# integrator, as computed before the engine evaluated every slot of a step
+# integrator, as computed before the engine evaluated every panel of a step
 # in one integrand call; every one-window integral (all "one" files, and the
 # conditions and stationary CF of "two") was recomputed when it moved to
-# the chain of tabulated 1-d transforms
+# the chain of tabulated 1-d transforms. Every CF file was recomputed when
+# K came to sum all its series terms by Horner's rule (largest move of a
+# value 4.4e-16); the conditions and cov files did not move
 PIN_D2_CONFIG = {"measure": {"kind": "dickman"},
                  "kernel": {"kind": "product", "components": [
                      {"kind": "signed_ou"}, {"kind": "signed_ou"}]},
@@ -384,28 +388,28 @@ PIN_D2_WINDOWS = {"one": {"ls": [[0.0, 0.0]]},
                   "two": {"ls": [[0.0, 0.0], [1.0, -0.5]], "zs_base": [1.0, -0.5]}}
 PINS_D2 = {
     "one": {
-        "cf_limit_boundary.csv": "57f0a249c88cd2084e917c0698384963d58ced1f402cef5ae97acf3a95836594",
-        "cf_limit_boundary.json": "afd87de2f9976d32873f53ff8bfdc34748bcb116625b94e848aa13132eabe1a2",
-        "cf_limit_claimed.csv": "2c5b702a835a285264d726bc7c2d47469c3121881a568047eeeae3069442758a",
-        "cf_limit_claimed.json": "03a0de96295b174caa9cc3c3f330cfe0207ed1656e54c7554326d13be9ea8fd3",
-        "cf_stationary.csv": "4021083e9c92ed736f81e9345ae82cf1e0d5c31aae22be0e0918b9bc42e1c1c2",
-        "cf_stationary.json": "dcc40179457e07a7f788dc1c2568f77a45f162866ee28dcff8e2c0a8cb2a23b6",
-        "cf_window.csv": "cc6a2f78cc855a94f39314e96d81510d16f188a2ae79bb61fcaa4d5329272152",
-        "cf_window.json": "9b15338c2d21cae3747a62a42148118172f4acfaeebdff8d3a74ed850a066488",
+        "cf_limit_boundary.csv": "0991b6b2d0be9172663455817ab6e647a74e8ea538ab34b2f35fa3d3cd10a92a",
+        "cf_limit_boundary.json": "97a5be446117fc7de47eb7c5affdd7911d6f0df9cea374a6f45fa009cb7f3c69",
+        "cf_limit_claimed.csv": "7eb1664c07067a702c65a20264fa285e4838c1720151e6a8a5cd1d4e20634fa9",
+        "cf_limit_claimed.json": "c7b3ebd01f73c554d9cb9dfbe23cd468ef962e2c91adfd29ff24cea7b7773ed5",
+        "cf_stationary.csv": "53b524518c357dc23b57a0f49daf83dff587ea4b2afb5592441ea7c1b8497fea",
+        "cf_stationary.json": "bed939098d5144c59c122394c9a7bfe04e29a19eb7443a973cbc90f37143b72b",
+        "cf_window.csv": "09b19b75638f041b4d508013ceceafb991a01935ba5608c176336cc97feac312",
+        "cf_window.json": "c7e5a1cd988c36e507758d471fac5d1b001f48c167f2c7cd2312ae77ce7144d2",
         "conditions.csv": "5338e9f4554c94a67ff1e922076b4784c321628e3418baee145d9f213a6202bd",
         "conditions.json": "41670a1e80619d24d7bc2ad0ccd82ae6cc5bc07ac5904932b13dc8231f54fa9e",
         "cov.csv": "bf45325b2ac55046894aa83f0d0db42c71796cc4b05b0c3561278c19fd4b63ab",
         "cov.json": "968feabdf870b52f303aa44f9efcb08c09c011111a5a9dfb6941051d42e6a65c",
     },
     "two": {
-        "cf_limit_boundary.csv": "47b776a2a45bb6a73047981e724043c8028de17ae1d1d509d6ef3cca3e86ec03",
-        "cf_limit_boundary.json": "d6ebfb8e2db19246056d9179b6e92afc450b2a7bdb50bb059fd0eb4346631b96",
-        "cf_limit_claimed.csv": "e113350baa7341ad8a5f3aa057a508c9e97b13c24db05da99e9a81e124ad4859",
-        "cf_limit_claimed.json": "8ec3462978f683929b72923c276c05cda8171610065552a50bb00d18d7d4d220",
-        "cf_stationary.csv": "2b3719853fd7d2a63286b0548a4fb4f63fef70e94b7f63b226776690c2eeec22",
-        "cf_stationary.json": "8720ad8efdf417dd19518eac26ec8ff685776f08d7c1aae37dcfbe7faeb7d7dd",
-        "cf_window.csv": "024eab72e4600ebb58a25d0d75d92b47e8fda52b6344eb109b3cc5d8e9fc04ff",
-        "cf_window.json": "9292844e3eacc37d96a1845c50723aef581d8bd5028319e78a98542235660337",
+        "cf_limit_boundary.csv": "21db1de0755bc1a5674c65e2d816e4dc311bcf7bf2d374c7cb75e424311dc9f4",
+        "cf_limit_boundary.json": "c18e157677f1f42983916da2930dd9181a0ec6638beebc24b8e4c277ac2e89d8",
+        "cf_limit_claimed.csv": "9c7c681c5bade8aefa998c33344c1dcc8996b83ca782692742200baed7fac5c3",
+        "cf_limit_claimed.json": "762be7bb141dd840abbf459d2e2ff6029406ec681c2ae13490f15da30b01986b",
+        "cf_stationary.csv": "e43a46f7cc50ec4991fa5955165645f744d0e5fc0e62f329ffd406bd7e1fd65e",
+        "cf_stationary.json": "3e5b089240c860d6d373f813e4a9a5ac041d65bbf274061ba85e08893be9ef9a",
+        "cf_window.csv": "c1745908f50b46dd327c6ac31de5a1ba57c0a2cc96d446549d908ceb892c6717",
+        "cf_window.json": "b067f100662f39f199457b0f01bae1215256b2b598abb0c383287c97ad5e0529",
         "conditions.csv": "e32d9527f6717d216adde220304d3c028619cb14d14a6ed3ba667a4fc7050fcb",
         "conditions.json": "ab2bcb2da69dda9f3d1f0ad08c545e4d7f4e9bef1b9a860f9723e230939fbc9a",
         "cov.csv": "6a7a6f602e551c47ff32469315eb6ae4a82dde0ae6f921ef6897705c400b2b6d",
@@ -480,6 +484,20 @@ def test_hyper_output(tmp_path):
                       "control_var"]
     assert any("classification=hyperuniform" in c for c in comments)
     assert len(rows) == 3
+
+
+def test_hyper_control_curve_honours_quad_tol(tmp_path):
+    cfg_path = write_config(tmp_path, {
+        "T_grid": [2.0, 5.0, 10.0], "N": 50, "eps": 0.5, "quad_tol": 1e-4,
+        "out": str(tmp_path / "o")})
+    assert main(["hyper", "--config", cfg_path, "--format", "json"]) == 0
+    doc = json.loads((tmp_path / "o" / "hyper.json").read_text())
+    control = kernels.ProductKernel((kernels.persistent_control(),))
+    var = lambda T, **tol: analytic.variance_window_quadrature(
+        control, levy.two_point(1.0), T, **tol)
+    want = [var(T, tol=1e-4) for T in (2.0, 5.0, 10.0)]
+    assert doc["control_var"] == want
+    assert want != [var(T) for T in (2.0, 5.0, 10.0)]
 
 
 def test_subcommands_do_not_import_numpy_ma(tmp_path):

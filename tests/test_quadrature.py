@@ -157,7 +157,7 @@ def test_box_rows_never_evaluate_padded_panels():
     breaks = [[(-0.3,), (-0.2,)], [(), ()]]
     seen = []
 
-    def last_vec(top, slot, prefix, xs):
+    def last_vec(top, prefix, xs):
         seen.extend(a[top == 1].ravel() for a in (prefix[0], xs))
         return _tent(prefix, xs)
 
@@ -199,7 +199,7 @@ def test_box_rows_errors_independent_of_batch():
     # row's error keeps its bits however many rows share the run
     boxes = [[(-2.0, 2.5), (-1.0, 1.5)], [(-1.0, 1.0)] * 2, [(0.0, 3.0), (-2.0, 0.5)]]
     breaks = [[(-0.3,), (0.1,)], [(), ()], [(1.0,), ()]]
-    last_vec = lambda top, slot, prefix, xs: _tent(prefix, xs)
+    last_vec = lambda top, prefix, xs: _tent(prefix, xs)
     v, e, _ = _box_rows(last_vec, boxes, breaks, 1e-10, 1_000_000)
     alone = [_box_rows(last_vec, [box], [brk], 1e-10, 1_000_000)
              for box, brk in zip(boxes, breaks)]
