@@ -27,11 +27,13 @@ windows, g_k(l - s) for the limit corner, f_k(s) for the marginal and
 [l, l + T]^d, axis k padded by component k's decay radius and broken
 where phi_k kinks: at l - p and T + l - p for every kink p of component
 k for the g-based factors, which read g_k at l - s, and at p for the
-f-based ones, whose domain is [-r_k, r_k] (l = 0, T = 0.0). With one
-window at d >= 2 the integral runs as a chain of 1-d transforms tabulated
-at Chebyshev nodes (_chain, _Table); with several windows, at d = 1, and
-for rows whose tables do not converge, it runs on the nested box. Each
-quadrature row gets MAX_EVALS evaluations, or check_conditions' budget.
+f-based ones, whose domain is [-r_k, r_k] (l = 0, T = 0.0). The axes
+on which all windows share l run as a chain of 1-d transforms tabulated
+at Chebyshev nodes (_Table), and the other axes, or axis 0 when the
+windows share every axis, as a nested box around it; with none left to
+tabulate (d = 1, or windows that differ on every axis), and for rows
+whose tables do not converge, the box spans all d axes. Each quadrature
+row gets MAX_EVALS evaluations, or check_conditions' budget.
 _log_cf_rows runs the three log-CFs at every z of a grid as the rows of
 one engine run per level; each row keeps the bits of its single-spec
 function, because K works element by element and a table is built and
@@ -193,70 +195,6 @@ def _outer_calls(groups, g, w):
     return y
 
 
-def _box_integral(pk, groups, tol, budget=MAX_EVALS):
-    """int outer(_profile(..., coef, factor, s)) ds for every row of groups.
-
-    A group (ls, T, rs, coefs, factor, outer) has one row per list r of
-    per-axis radii in rs and row of coefs, and spans
-    _axes(comps, ls, T, r, factor.sign).
-    At d >= 2 a group with one window runs on the chain of tabulated 1-d
-    transforms (_chain); the other groups, and the chain rows whose tables
-    do not converge, are the top rows of one box engine run. Returns each
-    group's values and errors and the evaluation count of all runs.
-    """
-    pieces, box, evals = [[] for _ in groups], [], 0
-    chain = [i for i, g in enumerate(groups)
-             if pk.d > 1 and len(g[0]) == 1
-             and all(math.isfinite(g[4].sup(c)) for c in pk.components)]
-    if chain:
-        done, evals = _chain(pk, [groups[i] for i in chain], tol, budget)
-        for i, (rows, v, e, left) in zip(chain, done):
-            pieces[i].append((rows, v, e))
-            box += [(i, left)] if left.size else []
-    box += [(i, np.arange(len(g[3]))) for i, g in enumerate(groups) if i not in chain]
-    if box:
-        done, n = _box_run(pk, [(ls, T, [rs[r] for r in rows], coefs[rows], factor, outer)
-                                for i, rows in box
-                                for ls, T, rs, coefs, factor, outer in [groups[i]]],
-                           tol, budget)
-        evals += n
-        for (i, rows), (v, e) in zip(box, done):
-            pieces[i].append((rows, v, e))
-    results = []
-    for g, parts in zip(groups, pieces):
-        parts = [p for p in parts if p[0].size]
-        values = np.empty(len(g[3]), np.result_type(*(v for _, v, _ in parts)))
-        errors = np.empty(len(g[3]))
-        for rows, v, e in parts:
-            values[rows], errors[rows] = v, e
-        results.append((values, errors))
-    return results, evals
-
-
-def _box_run(pk, groups, tol, budget):
-    """The rows of groups as the top rows of one _box_rows run."""
-    comps = pk.components
-    boxes, breaks, first = [], [], [0]
-    for ls, T, rs, _, factor, _ in groups:
-        for r in rs:
-            box, brk = _axes(comps, ls, T, r, factor.sign)
-            boxes.append(box)
-            breaks.append(brk)
-        first.append(len(boxes))
-    group = np.repeat(np.arange(len(groups)), np.diff(first))
-
-    def integrand(top, prefix, xs):
-        w, g = np.empty(xs.shape), group[top]
-        for i, sel in _members(g):
-            ls, T, rs, coefs, factor, _ = groups[i]
-            w[sel] = _profile(comps, ls, coefs[top[sel] - first[i]], factor,
-                              tuple(c[sel] for c in prefix), xs[sel])
-        return _outer_calls(groups, g, w)
-
-    v, e, n = _box_rows(integrand, boxes, breaks, tol, budget)
-    return [(v[a:b], e[a:b]) for a, b in zip(first, first[1:])], n
-
-
 # Chebyshev tables of the chain: the first and the largest node count; the
 # smallest tabulated |c| as a share of the largest, per unit of tol; and the
 # coefficient tail, per unit of tol, at which a table stops doubling
@@ -265,71 +203,92 @@ _CHEB_SPAN = 1e-3
 _CHEB_TAIL = 1e-3
 
 
-def _chain(pk, groups, tol, budget):
-    """One-window groups at d >= 2 as a chain of tabulated 1-d transforms.
+def _box_integral(pk, groups, tol, budget=MAX_EVALS):
+    """int outer(_profile(..., coef, factor, s)) ds for every row of groups.
 
-    A row's profile is coef prod_k phi_k(s_k), so its integral is G_0(coef)
-    with G_d = outer and G_k(c) = int G_{k+1}(c phi_k(s)) ds over axis k.
-    Axes d - 1, ..., 1 tabulate G_k (_Table) on [c_min, c_top], c_top being
-    |coef| times the bounds factor.sup of axes 0 to k - 1, and all nodes of
-    an axis, over all rows, are the top rows of one engine run; axis 0 is
-    one engine run of the interpolated G_1(coef phi_0(s)). A table returns
-    its error estimate at every argument as the aux of the run above it, so
-    a value's error adds the outer error and every table's node errors and
-    tail. Returns per group (rows, values, errors, rows left), the rows
-    left being those whose tables did not converge, and the evaluation
-    count of all runs.
+    A group (ls, T, rs, coefs, factor, outer) has one row per list r of
+    per-axis radii in rs and row of coefs, and spans
+    _axes(comps, ls, T, r, factor.sign). Its axes split into D, those on
+    which its windows differ (axis 0 when there are none), and S, the rest,
+    none when a factor.sup is infinite. The profile is A(s_D) B(s_S), A the
+    profile over D and B = prod_{k in S} phi_k(l_k, s_k), so with the axes
+    in the order D, S a row's integral is int G_q(A(s_D)) ds_D, q = |D|,
+    with G_d = outer and G_p(c) = int G_{p+1}(c phi(s)) ds over the axis at
+    position p: a chain of 1-d transforms over S. Each G_p of S is
+    tabulated (_Table) on [c_min, c_top], c_top being sum_j |coef_j| times
+    the factor.sup of the axes before position p, and all nodes of a
+    position, over all rows, are the top rows of one engine run (run). The
+    rows of each q are the top rows of one engine run of G_q(A) over D.
+    With S empty (d = 1, windows that differ on every axis, or an infinite
+    sup) that is the box of all d axes in axis order; a row whose tables do
+    not converge joins the box of all d axes, in its order D, S. A table
+    returns its error estimate at every argument as the aux of the run
+    above it, so a value's error adds the outer error and every table's
+    node errors and tail. Returns each group's values and errors and the
+    evaluation count of all runs.
     """
     comps, d = pk.components, pk.d
-    grp, coef, axes, brks = [], [], [], []
-    for i, (ls, T, rs, coefs, factor, _) in enumerate(groups):
-        for r, c in zip(rs, coefs[:, 0].tolist()):
+    orders, depth, tops, spans = [], [], [], []
+    for ls, T, rs, coefs, factor, _ in groups:
+        sup = [factor.sup(c) for c in comps]
+        bounded = all(map(math.isfinite, sup))
+        ax = [k for k, l in enumerate(ls.T.tolist())
+              if min(l) < max(l) or not bounded] or [0]
+        depth += [len(ax)] * len(rs)
+        ax += [k for k in range(d) if k not in ax]
+        orders.append(ax)
+        # tops[:, p]: sum_j |coef_j| times the sups of the axes before position p
+        tops.append(np.abs(coefs).sum(axis=1)[:, None]
+                    * np.cumprod([1.0] + [sup[k] for k in ax[:-1]]))
+        for r in rs:
             box, brk = _axes(comps, ls, T, r, factor.sign)
-            grp.append(i)
-            coef.append(c)
-            axes.append(box)
-            brks.append(brk)
-    grp, coef = np.array(grp, dtype=int), np.array(coef)
-    sups = np.array([[g[4].sup(c) for c in comps] for g in groups])[grp]
-    # tops[:, k]: |coef| times the bounds of axes 0 to k - 1
-    tops = np.abs(coef)[:, None] * np.cumprod(
-        np.hstack([np.ones((len(coef), 1)), sups[:, :-1]]), axis=1)
+            spans.append(([box[k] for k in ax], [brk[k] for k in ax]))
+    ends = np.cumsum([0] + [len(g[2]) for g in groups])
+    grp = np.repeat(np.arange(len(groups)), np.diff(ends))
+    depth, tops = np.array(depth), np.vstack(tops)
     evals = 0
 
-    def level(k, rows, cs, table):
-        # G_k(cs[i]) of chain row rows[i], G_{k+1} being the table of axis
-        # k + 1 or, at k = d - 1, the group's outer
+    def run(rows, pos, cs, inner):
+        # rows over the axes at the positions pos of their order, into the
+        # table inner or, if None, the group's outer: with the group's
+        # windows and coefs, or, given cs, one window and coefficient cs[i]
         nonlocal evals
-        g = grp[rows]
+        g, parts = grp[rows], {}
+        for i, _ in _members(g):
+            ls, ax = groups[i][0], orders[i][pos]
+            parts[i] = [comps[k] for k in ax], (ls if cs is None else ls[:1])[:, ax]
 
         def integrand(top, prefix, xs):
             w, gt = np.empty(xs.shape), g[top]
             for i, sel in _members(gt):
-                ls, T, _, _, factor, _ = groups[i]
-                w[sel] = cs[top[sel], None] * factor(comps[k], ls[0, k], xs[sel])
-            if table is None:
-                return _outer_calls(groups, gt, w)
-            return table(rows[top], w)
+                coef = (groups[i][3][rows[top[sel]] - ends[i]] if cs is None
+                        else cs[top[sel], None])
+                w[sel] = _profile(*parts[i], coef, groups[i][4],
+                                  tuple(c[sel] for c in prefix), xs[sel])
+            return _outer_calls(groups, gt, w) if inner is None else inner(rows[top], w)
 
-        v, e, n = _box_rows(integrand, [[axes[r][k]] for r in rows],
-                            [[brks[r][k]] for r in rows], tol, budget)
+        rl = rows.tolist()
+        v, e, n = _box_rows(integrand, [spans[r][0][pos] for r in rl],
+                            [spans[r][1][pos] for r in rl], tol, budget)
         evals += n
         return v, e
 
-    live, table = np.arange(len(coef)), None
-    for k in range(d - 1, 0, -1):
-        if live.size:
-            table = _Table(lambda rows, cs, k=k, inner=table: level(k, rows, cs, inner),
-                           live, tops[live, k], tol)
-            live = live[table.converged]
-    v, e = level(0, live, coef[live], table) if live.size else (np.zeros(0), np.zeros(0))
-    ok = np.zeros(len(coef), bool)
-    ok[live] = True
-    # each group's rows, and its stretch of the sorted live rows
-    ends = np.searchsorted(grp, np.arange(len(groups) + 1))
-    at = np.searchsorted(live, ends)
-    return [(live[i:j] - a, v[i:j], e[i:j], (~ok[a:b]).nonzero()[0])
-            for a, b, i, j in zip(ends, ends[1:], at, at[1:])], evals
+    live, tables = depth < d, [None] * (d + 1)
+    for p in range(d - 1, 0, -1):
+        rows = np.flatnonzero(live & (depth <= p))
+        if rows.size:
+            tables[p] = _Table(lambda rs, cs, p=p, inner=tables[p + 1]:
+                               run(rs, slice(p, p + 1), cs, inner),
+                               rows, tops[rows, p], tol)
+            live[rows[~tables[p].converged]] = False
+    depth[~live] = d
+    runs = [(rows, *run(rows, slice(0, q), None, tables[q])) for q in range(1, d + 1)
+            for rows in [np.flatnonzero(depth == q)] if rows.size]
+    values = np.empty(len(grp), np.result_type(*(v for _, v, _ in runs)))
+    errors = np.empty(len(grp))
+    for rows, v, e in runs:
+        values[rows], errors[rows] = v, e
+    return [(values[a:b], errors[a:b]) for a, b in zip(ends, ends[1:])], evals
 
 
 def _cheb_coefs(values):

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idma.analytic import (MAX_EVALS, ConditionsReport, FddSpec, _abs_f_factor,
-                           _box_integral, _chain, _condition_integrands,
+from idma.analytic import (ConditionsReport, FddSpec, _abs_f_factor,
+                           _box_integral, _condition_integrands,
                            _corner_factor, _f_factor, _factor, _integrals,
                            _log_cf_rows, _radius, _window_factor, check_conditions,
                            covariance, covariance_integral,
@@ -30,7 +30,7 @@ from idma.errors import NotAvailableError
 from idma.kernels import (ProductKernel, as_product, gauss_deriv,
                           persistent_control, signed_ou, user_table)
 from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
-from idma import quadrature
+from idma import analytic, quadrature
 from idma.quadrature import integrate_box, integrate_line
 
 CIN1 = 0.23981174200056472594
@@ -407,17 +407,23 @@ def _hex(values):
     return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
 
 
-@pytest.mark.parametrize("m", [1, 2])
+# window layouts: one window, two that differ on both axes, and two that
+# share axis 1
+BATCH_LAYOUTS = {"1": [[0.0, 0.0]], "2": [[0.0, 0.0], [1.0, -0.5]],
+                 "2-shared": [[0.0, 0.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("layout", BATCH_LAYOUTS)
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("measure", PROP_MEASURES, ids=lambda m: m.kind)
-def test_batched_log_cfs_equal_per_z_calls(measure, d, m):
-    # the three laws at every z of a grid are the rows of one engine run,
-    # and each row refines and evaluates K as it would alone, so every bit
-    # matches; z = 0 stays an exact zero, and -0.5 and 0.5 share |z| and so
-    # their radius
+def test_batched_log_cfs_equal_per_z_calls(measure, d, layout):
+    # the three laws at every z of a grid are the rows of one engine run
+    # per level, and each row refines, tabulates and evaluates K as it
+    # would alone, so every bit matches; z = 0 stays an exact zero, and
+    # -0.5 and 0.5 share |z| and so their radius
     pk = ProductKernel((signed_ou(), gauss_deriv())[:d])
-    ls = [l[:d] for l in [[0.0, 0.0], [1.0, -0.5]][:m]]
-    base = np.array([1.0, -0.5][:m])
+    ls = [l[:d] for l in BATCH_LAYOUTS[layout]]
+    base = np.array([1.0, -0.5][:len(ls)])
     us = [-1.5, 0.0, 0.5, -0.5, 2.0]
     tol = 1e-9 if d == 1 else 1e-4
     windows = [fdd_spec(ls, u * base, 2.0) for u in us]
@@ -458,65 +464,92 @@ def test_batched_log_cfs_keep_bits_in_chunks(monkeypatch):
 
 # -- the chain of tabulated 1-d transforms against the box --------------------
 
-def _chain_group(measure, pk, kind, z, T, ls, tol):
-    """The one-window group of a log-CF or condition integral (see _box_integral)."""
+def _group(measure, pk, kind, zs, T, ls, tol):
+    """The group of a log-CF or condition integral (see _box_integral).
+
+    The stationary log-CF takes zs[0] alone, and the conditions one window.
+    """
     if kind in ("c1", "c2", "c3"):
         r = [c.decay_radius(1e-12) for c in pk.components]
         return (np.zeros((1, pk.d)), 0.0, [r], np.ones((1, 1)), _abs_f_factor,
                 _condition_integrands(measure)[int(kind[1]) - 1])
     factor = {"window": _window_factor(T), "corner": _corner_factor,
               "stationary": _f_factor}[kind]
+    zs = np.atleast_1d(zs)
     if kind == "stationary":
-        ls, T = np.zeros((1, pk.d)), 0.0
+        ls, T, zs = np.zeros((1, pk.d)), 0.0, zs[:1]
     elif kind == "corner":
         T = 0.0
-    r = [_radius(c, measure, [z], tol) for c in pk.components]
-    return ls, T, [r], np.array([[z]]), factor, measure.exponent()
+    r = [_radius(c, measure, zs, tol) for c in pk.components]
+    return np.asarray(ls, dtype=float), T, [r], zs[None], factor, measure.exponent()
 
 
 def _on_box(group):
-    # the same integrand as two windows, the second with z = 0, which the
-    # box integrates; l enters f factors as 0 l, so that they broadcast
+    # the same integrand on the full box: a factor without a finite bound
+    # leaves no axis to tabulate
     ls, T, rs, coefs, factor, outer = group
-    both = _factor(factor.sup, factor.sign)(
-        lambda c, l, s: factor(c, l, s + 0.0 * l))
-    return np.vstack([ls, ls]), T, rs, np.hstack([coefs, 0.0 * coefs]), both, outer
+    unbounded = _factor(lambda c: math.inf, factor.sign)(lambda c, l, s: factor(c, l, s))
+    return ls, T, rs, coefs, unbounded, outer
 
 
 @st.composite
 def chain_cases(draw):
-    """(measure, product kernel, integral, z, T, window, tol) at d = 2 or 3.
+    """(measure, product kernel, integral, zs, T, windows, tol) at d = 2 or 3.
 
-    d = 3 keeps to signed_ou and gauss_deriv, as the box needs seconds for
-    a user_table component's kinks there, and to a loose tol.
+    One to three windows, with mixed-sign z, share a random nonempty subset
+    of the axes, so that every case tabulates at least one axis. d = 3
+    keeps to signed_ou and gauss_deriv, as the box needs seconds for a
+    user_table component's kinks there, and to a loose tol.
     """
-    d = draw(st.integers(2, 3))
+    d, m = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    zs = draw(st.lists(st.floats(-5.0, 5.0).filter(bool), min_size=m, max_size=m))
+    T = draw(st.floats(0.5, 5.0))
+    shared = draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(any))
+    coord = st.floats(-2.0, 2.0)
+    base = draw(st.lists(coord, min_size=d, max_size=d))
+    ls = [[b if s else draw(coord) for b, s in zip(base, shared)] for _ in range(m)]
+    kind = draw(st.sampled_from(["window", "corner", "stationary", "c1", "c2", "c3"]))
     comps = PROP_COMPONENTS if d == 2 else PROP_COMPONENTS[:2]
     pk = ProductKernel(tuple(draw(st.sampled_from(comps)) for _ in range(d)))
     measure = draw(st.sampled_from(PROP_MEASURES))
-    kind = draw(st.sampled_from(["window", "corner", "stationary", "c1", "c2", "c3"]))
-    z = draw(st.floats(-5.0, 5.0).filter(bool))
-    T = draw(st.floats(0.5, 5.0))
-    ls = np.array([draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))])
-    return measure, pk, kind, z, T, ls, 1e-6 if d == 2 else 1e-3
+    return measure, pk, kind, zs, T, ls, 1e-6 if d == 2 else 1e-3
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(chain_cases())
 def test_chain_agrees_with_box(case):
-    # the chain's value and the box's agree within the sum of their error
-    # estimates. Its tables converge, except where a condition integrand's
-    # jump at |f| = 1 lies inside them (prod sup |f_k| > 1), where the row
-    # is left to the box
-    measure, pk, kind, *_, tol = case
-    group = _chain_group(*case)
-    ((_, v, e, left),), _ = _chain(pk, [group], tol, MAX_EVALS)
-    if left.size:
-        assert kind in ("c1", "c2", "c3")
-        assert math.prod(c.sup_f for c in pk.components) > 1.0
+    # the chain's value and the full box's agree within the sum of their
+    # error estimates. Every case tabulates an axis; a row whose tables do
+    # not converge is left to the box, as for a condition integrand whose
+    # jump at |f| = 1 lies inside them (prod sup |f_k| > 1), or for a table
+    # whose node errors stall its coefficients above them
+    pk, tol = case[1], case[-1]
+    group, tables = _group(*case), []
+
+    class Recorded(analytic._Table):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "_Table", Recorded)
         [(v, e)], _ = _box_integral(pk, [group], tol)
+    assert tables
     [(w, f)], _ = _box_integral(pk, [_on_box(group)], tol)
     assert abs(v[0] - w[0]) <= e[0] + f[0]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_windows_that_share_axes_tabulate_them(axis):
+    # two windows that differ on one axis run the box over it and tables
+    # over the two they share, for at most twice the evaluations of one
+    # window; on the full box they made 375 times as many
+    pk, measure, T, tol = ProductKernel((signed_ou(),) * 3), dickman(), 10.0, 1e-6
+    far = np.zeros(3)
+    far[axis] = 3.0
+    counts = [_box_integral(pk, [_group(measure, pk, "window", zs, T, ls, tol)], tol)[1]
+              for ls, zs in (([np.zeros(3)], [0.5]), ([np.zeros(3), far], [0.5, -0.5]))]
+    assert counts[1] <= 2 * counts[0]
 
 
 @pytest.mark.parametrize("measure", PROP_MEASURES, ids=lambda m: m.kind)
@@ -524,7 +557,7 @@ def test_chain_error_bounds_distance_to_tight_value(measure):
     # each reported error at tol = 1e-6 bounds the distance to the value at
     # tol = 1e-12 over the same axes
     pk, ls = ProductKernel((signed_ou(), gauss_deriv())), np.array([[0.3, -0.4]])
-    groups = [_chain_group(measure, pk, kind, 1.5, 2.0, ls, 1e-6)
+    groups = [_group(measure, pk, kind, 1.5, 2.0, ls, 1e-6)
               for kind in ("window", "corner", "stationary", "c1", "c2", "c3")]
     loose, _ = _box_integral(pk, groups, 1e-6)
     tight, _ = _box_integral(pk, groups, 1e-12)
@@ -543,7 +576,7 @@ def test_conditions_one_run_keeps_each_integral_bits():
     # the three conditions as rows of one engine run equal three runs alone,
     # errors included, at d = 1 (box) and d = 2 (chain)
     for pk in (ProductKernel((signed_ou(),)), ProductKernel((signed_ou(), gauss_deriv()))):
-        groups = [_chain_group(truncated_stable(0.5, 1.0), pk, kind, 1.0, 0.0, None, 1e-7)
+        groups = [_group(truncated_stable(0.5, 1.0), pk, kind, 1.0, 0.0, None, 1e-7)
                   for kind in ("c1", "c2", "c3")]
         together, _ = _box_integral(pk, groups, 1e-7)
         for group, (v, e) in zip(groups, together):
