@@ -150,10 +150,14 @@ def _profile(comps, ls, coef, factor, prefix, xs):
     last one is the (rows, n) array xs. _window_factor(T) gives J_T
     (coef = zs); _corner_factor the limit profile
     sum_j coef[j] prod_k g_k(l_jk - s_k); _f_factor and _abs_f_factor, with
-    one row of ls, coef[0] f(s) and coef[0] |f(s)|.
+    one row of ls, coef[0] f(s) and coef[0] |f(s)|. One window multiplies;
+    + 0.0 turns a -0.0 into the +0.0 of the stacked product, so that both
+    give the same bits.
     """
     for i, x in enumerate(prefix):
         coef = coef * factor(comps[i], ls[:, i], x)
+    if len(ls) == 1:
+        return coef * factor(comps[-1], ls[0, -1], xs) + 0.0
     last = factor(comps[-1], ls[:, -1][:, None], xs[:, None, :])
     return (coef[..., None, :] @ last)[..., 0, :]
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idma.analytic import (ConditionsReport, FddSpec, _abs_f_factor,
@@ -464,7 +464,7 @@ def test_batched_log_cfs_keep_bits_in_chunks(monkeypatch):
 
 # -- the chain of tabulated 1-d transforms against the box --------------------
 
-def _group(measure, pk, kind, zs, T, ls, tol):
+def _chain_group(measure, pk, kind, zs, T, ls, tol):
     """The group of a log-CF or condition integral (see _box_integral).
 
     The stationary log-CF takes zs[0] alone, and the conditions one window.
@@ -515,16 +515,24 @@ def chain_cases(draw):
     return measure, pk, kind, zs, T, ls, 1e-6 if d == 2 else 1e-3
 
 
+# a one-window table whose node noise holds its last-quarter coefficients
+# flat above the node errors, so that it never converges and the row runs
+# the full box (Known defects in ROADMAP.md)
+STALLED_TABLE = (inner_truncated_stable(1.5, 1.0, 0.1),
+                 ProductKernel((signed_ou(), PROP_COMPONENTS[2])), "window", [1.0],
+                 0.9876359484216665, [[0.0, 0.0]], 1e-6)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(chain_cases())
+@example(STALLED_TABLE).xfail(reason="the table stalls in node noise", raises=AssertionError)
 def test_chain_agrees_with_box(case):
     # the chain's value and the full box's agree within the sum of their
-    # error estimates. Every case tabulates an axis; a row whose tables do
-    # not converge is left to the box, as for a condition integrand whose
-    # jump at |f| = 1 lies inside them (prod sup |f_k| > 1), or for a table
-    # whose node errors stall its coefficients above them
-    pk, tol = case[1], case[-1]
-    group, tables = _group(*case), []
+    # error estimates. Every case tabulates an axis, and its tables
+    # converge, except where a condition integrand's jump at |f| = 1 lies
+    # inside them (prod sup |f_k| > 1), where the row is left to the box
+    pk, kind, tol = case[1], case[2], case[-1]
+    group, tables = _chain_group(*case), []
 
     class Recorded(analytic._Table):
         def __init__(self, *args):
@@ -535,6 +543,9 @@ def test_chain_agrees_with_box(case):
         mp.setattr(analytic, "_Table", Recorded)
         [(v, e)], _ = _box_integral(pk, [group], tol)
     assert tables
+    if not all(t.converged.all() for t in tables):
+        assert kind in ("c1", "c2", "c3")
+        assert math.prod(c.sup_f for c in pk.components) > 1.0
     [(w, f)], _ = _box_integral(pk, [_on_box(group)], tol)
     assert abs(v[0] - w[0]) <= e[0] + f[0]
 
@@ -547,8 +558,9 @@ def test_windows_that_share_axes_tabulate_them(axis):
     pk, measure, T, tol = ProductKernel((signed_ou(),) * 3), dickman(), 10.0, 1e-6
     far = np.zeros(3)
     far[axis] = 3.0
-    counts = [_box_integral(pk, [_group(measure, pk, "window", zs, T, ls, tol)], tol)[1]
+    groups = [_chain_group(measure, pk, "window", zs, T, ls, tol)
               for ls, zs in (([np.zeros(3)], [0.5]), ([np.zeros(3), far], [0.5, -0.5]))]
+    counts = [_box_integral(pk, [group], tol)[1] for group in groups]
     assert counts[1] <= 2 * counts[0]
 
 
@@ -557,7 +569,7 @@ def test_chain_error_bounds_distance_to_tight_value(measure):
     # each reported error at tol = 1e-6 bounds the distance to the value at
     # tol = 1e-12 over the same axes
     pk, ls = ProductKernel((signed_ou(), gauss_deriv())), np.array([[0.3, -0.4]])
-    groups = [_group(measure, pk, kind, 1.5, 2.0, ls, 1e-6)
+    groups = [_chain_group(measure, pk, kind, 1.5, 2.0, ls, 1e-6)
               for kind in ("window", "corner", "stationary", "c1", "c2", "c3")]
     loose, _ = _box_integral(pk, groups, 1e-6)
     tight, _ = _box_integral(pk, groups, 1e-12)
@@ -576,7 +588,7 @@ def test_conditions_one_run_keeps_each_integral_bits():
     # the three conditions as rows of one engine run equal three runs alone,
     # errors included, at d = 1 (box) and d = 2 (chain)
     for pk in (ProductKernel((signed_ou(),)), ProductKernel((signed_ou(), gauss_deriv()))):
-        groups = [_group(truncated_stable(0.5, 1.0), pk, kind, 1.0, 0.0, None, 1e-7)
+        groups = [_chain_group(truncated_stable(0.5, 1.0), pk, kind, 1.0, 0.0, None, 1e-7)
                   for kind in ("c1", "c2", "c3")]
         together, _ = _box_integral(pk, groups, 1e-7)
         for group, (v, e) in zip(groups, together):
