@@ -95,7 +95,7 @@ def shift_constant(kernel, measure) -> float:
 
 
 # Evaluation budget of every analytic integral but check_conditions', per
-# row of each quadrature level (see integrate_box)
+# row of each quadrature level (see _box_rows)
 MAX_EVALS = 1_000_000
 
 
@@ -269,7 +269,8 @@ def _box_integral(pk, groups, tol, budget=MAX_EVALS):
                         else cs[top[sel], None])
                 w[sel] = _profile(*parts[i], coef, groups[i][4],
                                   tuple(c[sel] for c in prefix), xs[sel])
-            return _outer_calls(groups, gt, w) if inner is None else inner(rows[top], w)
+            return ((_outer_calls(groups, gt, w), None) if inner is None
+                    else inner(rows[top], w))
 
         rl = rows.tolist()
         v, e, n = _box_rows(integrand, [spans[r][0][pos] for r in rl],
@@ -342,11 +343,12 @@ class _Table:
     where c_min = _CHEB_SPAN * tol * c_top[i]; doubling n keeps every
     node. A row doubles from _CHEB_FIRST until the last quarter of its
     coefficients sums to at most _CHEB_TAIL * tol, or, where the nodes'
-    quadrature noise stops their decay, to less than the node errors; a
-    row still short of that at _CHEB_MAX is not converged. Called with
-    chain rows and arguments w, the table returns F(w), as
-    F(-c) = conj F(c), and its error estimate: the larger error of the two
-    nodes around |w| plus that sum. Below c_min it returns
+    quadrature noise stops their decay, until each of them is at most the
+    largest node error; a row still short of that at _CHEB_MAX is not
+    converged. Called with chain rows and arguments w, the table returns
+    F(w), as F(-c) = conj F(c), and its error estimate: the larger error
+    of the two nodes around |w| plus the last quarter's sum. Below c_min
+    it returns
     F(c_min) |w| / c_min, and adds 2 |F(c_min)| to the error at c_min,
     both scaled by |w| / c_min.
     """
@@ -368,7 +370,7 @@ class _Table:
             tail = last.sum(axis=1)
             # flat: the last quarter has stopped falling, as in noise
             flat = last[:, n // 8:].max(axis=1) >= 0.25 * last[:, :n // 8].max(axis=1)
-            ok = (tail <= _CHEB_TAIL * tol) | (flat & (tail <= errs.max(axis=1)))
+            ok = (tail <= _CHEB_TAIL * tol) | (flat & (last.max(axis=1) <= errs.max(axis=1)))
             done = todo[ok]
             self.coef[n] = np.zeros((len(rows), n + 1), a.dtype)
             self.err[n] = np.zeros((len(rows), n + 1))

@@ -7,15 +7,15 @@ runs left to right, so results are bit-stable across runs and thread counts.
 Integrands must be elementwise: they accept a numpy array of abscissas and
 return an array of values (real or complex) of the same shape.
 
-One engine run refines R independent bisections (rows), each from its own
-initial panel edges and exactly as integrate_line alone. Each step makes
-one integrand call, on the 22 nodes (the 15, then the 7) of every panel the
-step evaluates: first every initial panel of every row, then, per step, the
-left and the right half of the panel each refining row splits.
-integrate_line is R = 1. integrate_box batches a box in R^d by levels,
-passing the leading coordinates to the innermost axis as (rows, 1) columns,
-so each step of an outer level starts one engine run of the next; _box_rows
-does the same for many boxes at once, one top row each.
+One engine run (_adapt) refines R independent bisections (rows), each from
+its own initial panel edges and exactly as integrate_line alone. Each step
+makes one integrand call, on the 22 nodes (the 15, then the 7) of every
+panel the step evaluates: first the nonempty initial panels of all rows,
+then, per step, the left and the right half of the panel each refining row
+splits. integrate_line is R = 1. _box_rows integrates boxes in R^d, one
+top row each, by levels: each step of axis k runs axis k + 1 for all nodes
+of the step in one engine run, and the innermost axis gets the leading
+coordinates as (rows, 1) columns.
 """
 
 from __future__ import annotations
@@ -96,16 +96,17 @@ def _adapt(h, edges, tol, max_evals):
     Row r starts from the panels between its initial edges edges[r] (a
     (rows, k) array); a row with fewer panels repeats its last edge, and
     these empty panels add exact zeros and are never evaluated, refined or
-    counted. h(rows, xs) gets the nodes of a step as the array xs of shape
-    (..., 22), whose leading axes hold the step's panels: the nonempty
-    initial panels in one axis, panel by panel and in row order within a
-    panel (the (panels, rows) grid when no panel is empty), then the
-    (2, rows) left and right halves of each step. rows broadcasts to those
-    axes and gives each panel's row. h returns (values, aux) of as many
-    elements, aux None or the per-node error estimates of inner integrals.
-    Each row refines as integrate_line does, with its own heap and
-    ``max_evals``. Returns per-row values and errors (aux integrated over
-    the surviving panels added) and the evaluation count of all rows.
+    counted. Every step, the first included, is one call of evaluate:
+    h(rows, xs) gets the nodes of the step's panels as the array xs of
+    shape (..., 22), and rows, broadcast to its leading axes, gives each
+    panel's row. The first step holds the nonempty initial panels in one
+    axis, panel by panel and in row order within a panel; each later step
+    the (2, rows) left and right halves of the panels the refining rows
+    split. h returns (values, aux) of as many elements, aux None or the
+    per-node error estimates of inner integrals. Each row refines as
+    integrate_line does, with its own heap and ``max_evals``. Returns
+    per-row values and errors (aux integrated over the surviving panels
+    added) and the evaluation count of all rows.
     """
     n = len(edges)
     if edges.shape[1] < 2:
@@ -113,7 +114,8 @@ def _adapt(h, edges, tol, max_evals):
 
     def evaluate(rows, a, b):
         # the panels [a, b] of a step in one call; per panel, its 15-node
-        # value and error, and the nodes' inner error estimates or None
+        # value and error, and its nodes' inner errors integrated by the
+        # 15-node weights, one product per panel as for the values
         half = 0.5 * (b - a)
         xs = 0.5 * (a + b)[..., None] + half[..., None] * _NODES
         y, aux = h(rows, xs)
@@ -122,39 +124,24 @@ def _adapt(h, edges, tol, max_evals):
             i = tuple(np.argwhere(~np.isfinite(y).all(axis=-1))[0])
             raise ValueError("integrand returned a non-finite value on "
                              f"{[float(a[i]), float(b[i])]}")
-        return (*_rule(y, half), None if aux is None else aux.reshape(xs.shape))
+        inner = np.zeros(half.shape) if aux is None else _rule(aux.reshape(xs.shape), half)[0]
+        return (*_rule(y, half), inner)
 
-    def inner_errors(a, b, nodes):
-        # inner errors integrated by the 15-node weights of the panels [a, b],
-        # as _rule sums values: one product per panel, whatever shares it
-        if nodes is None:
-            return np.zeros(a.shape)
-        return 0.5 * (b - a) * (nodes[..., None, :_N_HI] @ _WEIGHTS_HI[:, None])[..., 0, 0]
-
-    # the nonempty initial panels in one call, spread to (panels, rows) arrays
-    # with zeros for the empty ones; with none empty, the (panels, rows) grid
-    # holds the same panels in the same order
+    # the nonempty initial panels in one call, spread to (panels, rows)
+    # arrays with zeros for the empty ones
     ends = np.ascontiguousarray(edges.T)
     full = ends[1:] > ends[:-1]
-    if full.all():
-        v, e, nodes = evaluate(np.arange(n), ends[:-1], ends[1:])
-    else:
-        pan, row = full.nonzero()
-
-        def spread(c):
-            out = np.zeros((*full.shape, *c.shape[1:]), c.dtype)
-            out[pan, row] = c
-            return out
-
-        v, e, nodes = evaluate(row, ends[pan, row], ends[pan + 1, row])
-        v, e, nodes = spread(v), spread(e), None if nodes is None else spread(nodes)
-    aux = inner_errors(ends[:-1], ends[1:], nodes)
+    pan, row = full.nonzero()
+    first = evaluate(row, ends[pan, row], ends[pan + 1, row])
+    v, e, aux = (np.zeros(full.shape, c.dtype) for c in first)
+    for out, c in zip((v, e, aux), first):
+        out[pan, row] = c
     # left-to-right sums over the panels, as integrate_line's final sum
     value, err = sum(v[1:], 0.0 + v[0]), sum(e[1:], e[0])
     inner = sum(aux[1:], aux[0].copy())
     # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
     # a row made 22 evaluations per panel, and a sorted list is a heap
-    evals, rows = int(np.count_nonzero(full)) * _PANEL_EVALS, {}
+    evals, rows = len(pan) * _PANEL_EVALS, {}
     live = (err > tol).nonzero()[0].tolist()
     sel = live if len(live) < n else slice(None)
     cols = [a[:, sel].T.tolist() for a in (v, e, aux)] + [edges[sel].tolist()] if live else ()
@@ -198,8 +185,7 @@ def _adapt(h, edges, tol, max_evals):
             break
         evals += 2 * _PANEL_EVALS * len(live)
         ends = np.array(split)[:, 1:].T
-        v, e, nodes = evaluate(np.array(live), ends[:2], ends[1:])
-        aux = inner_errors(ends[:2], ends[1:], nodes)
+        v, e, aux = evaluate(np.array(live), ends[:2], ends[1:])
         for (r, a, m, b), *new in zip(split, *(c.T.tolist() for c in (v, e, aux))):
             st = rows[r]
             for p in zip((a, m), (m, b), *new):
@@ -234,34 +220,23 @@ def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
     return QuadResult(v[0].item(), float(e[0]), n)
 
 
-def integrate_box(last_vec, boxes, breaks, tol=1e-9, max_evals=1_000_000):
-    """Iterated integral over a box, batched by levels.
-
-    last_vec(prefix, xs) gets the leading coordinates as (rows, 1) columns
-    and the last one as the (rows, 22) array xs. Axis k spans boxes[k] with
-    breakpoints breaks[k]; each engine step of axis k runs axis k + 1 for
-    all outer nodes of the step, in all its panels, in one engine run.
-    Every row refines on its own ``max_evals``, so values are those of one
-    integrate_line per outer node. The error estimate adds the inner ones, integrated by the
-    outer 15-node weights over the surviving outer panels, and the
-    evaluation count covers every level.
-    """
-    v, e, n = _box_rows(lambda top, prefix, xs: last_vec(prefix, xs), [boxes],
-                        [breaks], tol, max_evals)
-    return QuadResult(v[0].item(), float(e[0]), n)
-
-
 def _box_rows(last_vec, boxes, breaks, tol, max_evals):
-    """integrate_box over several boxes at once, one top row each.
+    """Iterated integrals over several boxes at once, one top row each.
 
     boxes[i] lists the d axis ranges of top row i and breaks[i] their
-    breakpoints, one list per axis. last_vec(top, prefix, xs) also gets
-    the top row of each of its rows, and may return (values, aux), aux the
-    nodes' error estimates of an integral inside them (see _adapt). Every
-    row of a level carries its top row's box down,
-    its edge list padded to the longest with empty panels, which start no
-    inner run (see _adapt). Returns per-row values and errors and the
-    evaluation count of all rows and levels.
+    breakpoints, one list per axis. Axis k is one engine run (_adapt) of
+    all its rows; each step of it runs axis k + 1 for all nodes of the
+    step's panels as the rows of one engine run, every row carrying its
+    top row's box down, its edge list padded to the longest with empty
+    panels, which start no inner run. last_vec(top, prefix, xs) gets the
+    top row of each innermost row, the leading coordinates as (rows, 1)
+    columns and the last one as the (rows, 22) array xs, and returns
+    (values, aux), aux None or the nodes' error estimates of an integral
+    inside them. Every row refines on its own ``max_evals``, so values are
+    those of one integrate_line per outer node. A row's error adds the
+    inner ones, integrated by the outer 15-node weights over the surviving
+    outer panels. Returns per-row values and errors and the evaluation
+    count of all rows and levels.
     """
     d, evals = len(boxes[0]), []
     # per axis, the top rows' initial edges, each padded with its last one;
@@ -284,8 +259,7 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
             rows, cols = top[row], prefix[row]
             xs = xs.reshape(-1, _PANEL_EVALS)
             if k == d - 1:
-                out = last_vec(rows, tuple(cols.T[..., None]), xs)
-                return out if isinstance(out, tuple) else (out, None)
+                return last_vec(rows, tuple(cols.T[..., None]), xs)
             rep = lambda c: np.repeat(c, _PANEL_EVALS, axis=0)
             return level(k + 1, rep(rows),
                          np.concatenate([rep(cols), xs.reshape(-1, 1)], axis=1))

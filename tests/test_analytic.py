@@ -31,7 +31,7 @@ from idma.kernels import (ProductKernel, as_product, gauss_deriv,
                           persistent_control, signed_ou, user_table)
 from idma.levy import dickman, inner_truncated_stable, truncated_stable, two_point
 from idma import analytic, quadrature
-from idma.quadrature import integrate_box, integrate_line
+from idma.quadrature import _box_rows, integrate_line
 
 CIN1 = 0.23981174200056472594
 STAT_DICKMAN = -0.24486805759326125       # frozen independent quadrature
@@ -210,6 +210,16 @@ def test_variance_window_gauss_deriv_consistency():
         assert abs(a - b) < 1e-7
 
 
+def test_table_autocorrelation_quadrature():
+    # a table kernel has no closed-form autocorrelations: variance_window
+    # integrates autocorr_g and covariance_integral_quadrature autocorr_f
+    k, tp = user_table([-1, -0.3, 0.4, 1.2], [0, 1, -0.6, 0]), two_point(1.0)
+    for T in (0.5, 2.0, 5.0):
+        want = variance_window_quadrature(k, tp, T, tol=1e-12)
+        assert abs(variance_window(k, tp, T) - want) < 1e-14
+    assert abs(covariance_integral_quadrature(k, tp)) < 1e-10
+
+
 def test_variance_window_control():
     pc, tp = persistent_control(), two_point(1.0)
     with pytest.raises(NotAvailableError):
@@ -268,8 +278,9 @@ def test_each_axis_spans_its_own_radius():
     # +-5.6, and both values below came out near zero
     pk, tp = ProductKernel((signed_ou(), gauss_deriv())), two_point(1.0)
     k, f0, f1 = tp.exponent(), signed_ou().f, gauss_deriv().f
-    wide = lambda h: integrate_box(h, [(-40.0, 40.0), (-9.0, 9.0)],
-                                   [[0.0], [-1.0, 0.0, 1.0]], 1e-11).value
+    wide = lambda h: _box_rows(lambda top, p, xs: (h(p, xs), None),
+                               [[(-40.0, 40.0), (-9.0, 9.0)]],
+                               [[[0.0], [-1.0, 0.0, 1.0]]], 1e-11, 1_000_000)[0][0]
     want = wide(lambda p, xs: k(f0(p[0]) * f1(xs)))
     assert want == pytest.approx(-0.613, abs=1e-3)
     assert abs(log_cf_stationary(pk, tp, 1.0) - want) < 1e-8
@@ -516,8 +527,8 @@ def chain_cases(draw):
 
 
 # a one-window table whose node noise holds its last-quarter coefficients
-# flat above the node errors, so that it never converges and the row runs
-# the full box (Known defects in ROADMAP.md)
+# flat at about 5e-8: their sum stays above the largest node error, each of
+# them below it, so the table stops at 48 nodes instead of running the box
 STALLED_TABLE = (inner_truncated_stable(1.5, 1.0, 0.1),
                  ProductKernel((signed_ou(), PROP_COMPONENTS[2])), "window", [1.0],
                  0.9876359484216665, [[0.0, 0.0]], 1e-6)
@@ -525,7 +536,7 @@ STALLED_TABLE = (inner_truncated_stable(1.5, 1.0, 0.1),
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(chain_cases())
-@example(STALLED_TABLE).xfail(reason="the table stalls in node noise", raises=AssertionError)
+@example(STALLED_TABLE)
 def test_chain_agrees_with_box(case):
     # the chain's value and the full box's agree within the sum of their
     # error estimates. Every case tabulates an axis, and its tables

@@ -157,6 +157,33 @@ def test_load_config_rejects_bad_input(tmp_path, capsys):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"z_grid": 0.5}, "z_grid must be a non-empty list of numbers"),
+    ({"z_grid": [0.5, "1"]}, "z_grid must contain only numbers"),
+    ({"ls": 0.0}, "ls must be a non-empty list"),
+    ({"ls": [0.0, [1.0]]}, "ls must be all scalars or all lists"),
+    ({"eps": 0}, "eps must be positive"),
+    ({"t_grid": [[0.0, 1.0]]}, "t_grid entries must have dimension 1"),
+    ({"kernel": "signed_ou"}, "kernel config must be a dict with a 'kind' key"),
+    ({"kernel": {"kind": "user_table"}}, "user_table takes exactly the key 'file'"),
+    ({"kernel": {"kind": "product"}}, "product takes exactly the key 'components'"),
+    ({"kernel": {"kind": "user_table", "file": "bad.csv"}}, "bad table row '0.0,oops'")])
+def test_config_errors_exit_2(tmp_path, capsys, extra, message):
+    # the table's header row is skipped, the bad row after its data is not
+    (tmp_path / "bad.csv").write_text("x,g\n-1.0,0.0\n0.0,oops\n1.0,0.0\n")
+    out = tmp_path / "o"
+    assert main(["cov", "--config", write_config(tmp_path, dict(extra, out=str(out)))]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_not_a_json_object(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    assert main(["cov", "--config", str(p)]) == 2
+    assert "config error: config must be a JSON object" in capsys.readouterr().err
+
+
 def test_conditions_csv_and_json(tmp_path):
     cfg_path = write_config(tmp_path, {
         "measure": {"kind": "dickman"}, "out": str(tmp_path / "o")})

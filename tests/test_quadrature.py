@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from idma.errors import NonConvergenceError
-from idma.quadrature import _box_rows, integrate_box, integrate_line
+from idma.quadrature import _box_rows, integrate_line
 
 # entire cosine integral Cin(1) = int_0^1 (1 - cos u)/u du
 CIN1 = 0.23981174200056472594
@@ -87,6 +87,24 @@ def test_roundoff_floor_fails_fast():
     assert integrate_line(h, 0.0, 1.0, 1e-13).error_estimate <= 1e-13
 
 
+def test_width_floor_freezes_panels():
+    # the jump at 1000 + 1/3 sits in a panel that bisection cannot narrow
+    # below the width floor, 1e-14 of 1001: that panel is frozen, its error
+    # set aside, and the run returns an error above tol that still bounds
+    # the true one
+    jump = 1000.0 + 1.0 / 3.0
+    step = lambda x: np.where(x > jump, 1.0, 0.0)
+    r = integrate_line(step, 1000.0, 1001.0, 1e-13)
+    assert r.evaluations == 1650
+    assert r.error_estimate > 1e-13
+    assert abs(r.value - (1001.0 - jump)) <= r.error_estimate
+    # as one of two rows of a box run it keeps its bits
+    both = lambda top, prefix, xs: (np.where(top[:, None] == 0, step(xs), np.sin(xs)), None)
+    v, e, _ = _box_rows(both, [[(1000.0, 1001.0)], [(0.0, 3.0)]], [[()], [()]],
+                        1e-13, 1_000_000)
+    assert v[0] == r.value and e[0] == r.error_estimate
+
+
 def test_panel_calls_integrand_once():
     # the first call holds the 22 nodes of every initial panel, and each
     # refinement step one call for both halves of the panel it splits
@@ -103,7 +121,7 @@ def test_panel_calls_integrand_once():
 
 
 def _nested(last_vec, boxes, breaks, tol, count, prefix=()):
-    """integrate_box as one integrate_line per outer node, counting evaluations."""
+    """A one-box _box_rows as one integrate_line per outer node, counting evaluations."""
     k = len(prefix)
     if k == len(boxes) - 1:
         cols = tuple(np.full((1, 1), p) for p in prefix)
@@ -137,15 +155,16 @@ def test_box_matches_nested_line_calls(kind, d, tol):
     breaks = [(0.1 * k - 0.3,) for k in range(d)]
     count = []
     want = _nested(last_vec, boxes, breaks, tol, count)
-    got = integrate_box(last_vec, boxes, breaks, tol)
-    assert got.value == want.value
-    assert type(got.value) is type(want.value)
+    v, e, n = _box_rows(lambda top, prefix, xs: (last_vec(prefix, xs), None),
+                        [boxes], [breaks], tol, 1_000_000)
+    assert v[0].item() == want.value
+    assert type(v[0].item()) is type(want.value)
     # every level's evaluations, and the outer error plus the inner ones
-    assert got.evaluations == sum(count)
+    assert n == sum(count)
     if d == 1:
-        assert got.error_estimate == want.error_estimate
+        assert e[0] == want.error_estimate
     else:
-        assert got.error_estimate > want.error_estimate
+        assert e[0] > want.error_estimate
         assert len(set(count)) > 1
 
 
@@ -159,27 +178,29 @@ def test_box_rows_never_evaluate_padded_panels():
 
     def last_vec(top, prefix, xs):
         seen.extend(a[top == 1].ravel() for a in (prefix[0], xs))
-        return _tent(prefix, xs)
+        return _tent(prefix, xs), None
 
     v, _, n = _box_rows(last_vec, boxes, breaks, 1e-9, 1_000_000)
-    alone = [integrate_box(_tent, box, brk, 1e-9) for box, brk in zip(boxes, breaks)]
-    assert v.tolist() == [r.value for r in alone]
-    assert n == sum(r.evaluations for r in alone)
+    alone = [_box_rows(lambda top, prefix, xs: (_tent(prefix, xs), None), [box], [brk],
+                       1e-9, 1_000_000) for box, brk in zip(boxes, breaks)]
+    assert v.tolist() == [a[0][0] for a in alone]
+    assert n == sum(a[2] for a in alone)
     # Gauss nodes never reach a panel's ends, so 1.0 is only ever an empty panel
     assert not np.isin([-1.0, 1.0], np.concatenate(seen)).any()
 
 
 def test_box_inner_failures_propagate():
-    boxes, breaks = [(0.0, 1.0)] * 2, [(), ()]
-    nonfinite = lambda prefix, xs: np.where((xs > 0.5) & (prefix[0] > 0.4), np.inf, xs)
+    boxes, breaks = [[(0.0, 1.0)] * 2], [[(), ()]]
+    nonfinite = lambda top, prefix, xs: (
+        np.where((xs > 0.5) & (prefix[0] > 0.4), np.inf, xs), None)
     with pytest.raises(ValueError, match="non-finite"):
-        integrate_box(nonfinite, boxes, breaks)
+        _box_rows(nonfinite, boxes, breaks, 1e-9, 1_000_000)
     # the outer integrand is constant; each inner row has an unresolved kink
-    kink = lambda prefix, xs: np.abs(xs - 1.0 / 3.0) + 0.0 * prefix[0]
+    kink = lambda top, prefix, xs: (np.abs(xs - 1.0 / 3.0) + 0.0 * prefix[0], None)
     with pytest.raises(NonConvergenceError, match="roundoff floor"):
-        integrate_box(kink, boxes, breaks, 1e-16)
+        _box_rows(kink, boxes, breaks, 1e-16, 1_000_000)
     with pytest.raises(NonConvergenceError, match="budget"):
-        integrate_box(kink, boxes, breaks, 1e-12, max_evals=200)
+        _box_rows(kink, boxes, breaks, 1e-12, 200)
 
 
 def test_rules_equal_leggauss():
@@ -199,7 +220,7 @@ def test_box_rows_errors_independent_of_batch():
     # row's error keeps its bits however many rows share the run
     boxes = [[(-2.0, 2.5), (-1.0, 1.5)], [(-1.0, 1.0)] * 2, [(0.0, 3.0), (-2.0, 0.5)]]
     breaks = [[(-0.3,), (0.1,)], [(), ()], [(1.0,), ()]]
-    last_vec = lambda top, prefix, xs: _tent(prefix, xs)
+    last_vec = lambda top, prefix, xs: (_tent(prefix, xs), None)
     v, e, _ = _box_rows(last_vec, boxes, breaks, 1e-10, 1_000_000)
     alone = [_box_rows(last_vec, [box], [brk], 1e-10, 1_000_000)
              for box, brk in zip(boxes, breaks)]
