@@ -16,18 +16,18 @@ factor_k(s_ik). _jump_sums evaluates it for all windows on the stacked
 jumps of a block of replicates: one in-place pass per factor row over all
 of the block's jumps, in one workspace that every block of the run reuses,
 and each replicate summed by the same dot product as a single call.
-Replicates are keyed by block: the counter-based stream
-stream_for(seed, b) draws the Poisson counts of replicates 512 b to
-512 b + 511 in one call, then their uniforms, replicate after replicate,
-with one random call per key block in each block of evaluation; two index
-gathers split them into the block's locations and sizes, turned into jumps
-in place. All else runs once per block, on one thread, so replicate r
-depends on (seed, r) alone, and a run of more replicates keeps the first
-ones bit for bit. One block
-loop serves every entry point: window_integral_sweep evaluates several T on
-each replicate's one cloud, and monte_carlo is its case of one T;
-sample_jumps and sample_limit draw one replicate at a time from the stream
-they are given.
+Replicates are keyed by block: stream_for(seed, b), the SFC64 stream of
+SeedSequence(seed)'s b-th spawned child, draws the Poisson counts of
+replicates 512 b to 512 b + 511 in one call, then their uniforms,
+replicate after replicate, with one random call per key block in each
+block of evaluation; two index gathers split them into the block's
+locations and sizes, turned into jumps in place. All else runs once per
+block, on one thread, so replicate r depends on (seed, r) alone, and a run
+of more replicates keeps the first ones bit for bit. One block loop serves
+every entry point: window_integral_sweep evaluates several T on each
+replicate's one cloud, and monte_carlo is its case of one T; sample_jumps
+and sample_limit draw one replicate at a time from the stream they are
+given.
 
 The module is numerics only: the command-line front end writes the
 replicate matrices of a SimResult to CSV or JSON.
@@ -134,28 +134,29 @@ _KEY_BLOCK = 512
 
 
 def stream_for(seed: int, block: int) -> np.random.Generator:
-    """The counter-based stream keyed (seed, block).
+    """The SFC64 stream of SeedSequence(seed)'s block-th spawned child.
+
+    That child is SeedSequence(seed, spawn_key=(block,)), made without
+    spawning the ones before it. seed and block must lie in [0, 2^64):
+    SeedSequence itself would take a larger seed.
 
     monte_carlo and window_integral_sweep draw the replicates of key block
     b, replicates b * _KEY_BLOCK to (b + 1) * _KEY_BLOCK - 1, from
     stream_for(seed, b): first all _KEY_BLOCK Poisson counts in one call,
     then each replicate's uniforms in turn, its locations and then its sizes.
     """
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _streams(seed: int, blocks):
-    """stream_for(seed, b) for each b of blocks, each made when first read."""
-    return (stream_for(seed, b) for b in blocks)
+    if not (0 <= seed < 2 ** 64 and 0 <= block < 2 ** 64):
+        raise ValueError("seed and block must lie in [0, 2^64)")
+    key = np.random.SeedSequence(seed, spawn_key=(block,))
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def _keyed_streams(cfg: SimConfig):
     """cfg's replicates as (rng, used, drawn) entries, one per key block."""
     n = cfg.n_replicates
-    keys = range(-(-n // _KEY_BLOCK))
-    for b, rng in zip(keys, _streams(cfg.seed, keys)):
-        yield rng, min(_KEY_BLOCK, n - b * _KEY_BLOCK), _KEY_BLOCK
+    for b in range(-(-n // _KEY_BLOCK)):
+        used = min(_KEY_BLOCK, n - b * _KEY_BLOCK)
+        yield stream_for(cfg.seed, b), used, _KEY_BLOCK
 
 
 def _blocks(cfg: SimConfig, streams, cap: int):

@@ -42,16 +42,30 @@ def test_stream_for_determinism():
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
-def test_rekeyed_stream_matches_stream_for(seed):
-    # _streams makes stream_for's streams, up to the largest 64-bit key
-    # word; r = 0 comes back at the end as a fresh stream
-    rs = (0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 0)
-    for r, got in zip(rs, simulate._streams(seed, rs)):
-        want = stream_for(seed, r)
+def test_stream_for_is_spawned_sfc64_child(seed):
+    # stream_for(seed, b) is the SFC64 stream of SeedSequence(seed)'s b-th
+    # spawned child
+    children = np.random.SeedSequence(seed).spawn(4)
+    for b, child in enumerate(children):
+        got = stream_for(seed, b)
+        want = np.random.Generator(np.random.SFC64(child))
         assert got.poisson(40.0) == want.poisson(40.0)
         assert np.array_equal(got.random((5, 3)), want.random((5, 3)))
         assert np.array_equal(got.integers(0, 7, 3, dtype=np.uint32),
                               want.integers(0, 7, 3, dtype=np.uint32))
+
+
+def test_stream_for_keys_give_distinct_draws():
+    keys = [(0, 0), (0, 1), (0, 2 ** 32), (0, 2 ** 63), (2 ** 64 - 1, 0)]
+    firsts = {stream_for(seed, b).random() for seed, b in keys}
+    assert len(firsts) == len(keys)
+
+
+def test_stream_for_refuses_keys_beyond_64_bits():
+    stream_for(2 ** 64 - 1, 2 ** 64 - 1).random()
+    for seed, block in ((2 ** 64, 0), (-1, 0), (0, -1), (0, 2 ** 64)):
+        with pytest.raises(ValueError, match="seed and block"):
+            stream_for(seed, block)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -289,97 +303,108 @@ def test_monte_carlo_keeps_prefix_across_key_blocks(monkeypatch, block):
 
 TABLE = user_table([-1.5, -0.5, 0.0, 0.75, 2.0], [0.0, 0.8, 1.0, -0.4, 0.0])
 
-# S and Y of the seed -> sample mapping as float.hex, frozen when the
-# replicates were first keyed by block of 512, and then equal bit for bit to
-# the single-window functionals of keyed_jumps
+# S and Y of the seed -> sample mapping as float.hex, frozen when the key
+# block streams became SeedSequence-spawned SFC64 ones, and then equal bit
+# for bit to the single-window functionals of keyed_jumps
 PINNED = {
     "two_point_d1": (
         SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=5.0,
                   ls=[0.0, 1.0], eps=0.5, n_replicates=3, seed=11),
-        [["0x1.14cafe299cd71p-8", "0x1.2a2009b590dbap+0"],
-         ["0x1.d4bb618970c3fp-1", "0x1.1f01442dc2f06p+1"],
-         ["-0x1.25fe047dcae58p+0", "-0x1.d04e67203dc61p-1"]],
-        [["-0x1.b53d8f040b70ap-1", "0x1.39317036247d4p-1"],
-         ["-0x1.0aacb176b8891p-1", "-0x1.eabaa788ab6c2p-2"],
-         ["-0x1.e6afc7f79c7a9p-1", "-0x1.8ea023fa67097p-1"]]),
+        [["0x1.eaf03871a9e06p+0", "0x1.31f60b6fee56bp-1"],
+         ["0x1.647693be29aa4p-2", "0x1.2c1bd90e1403fp-1"],
+         ["0x1.afd3344ece2ddp+0", "0x1.9822324314da6p-1"]],
+        [["0x1.6d7308da795d3p-2", "-0x1.d20566ec11f08p-2"],
+         ["-0x1.f17142a087bbbp-2", "-0x1.8615570ad2f94p-2"],
+         ["0x1.250da6860281bp-1", "-0x1.15aea3fe6d3bdp-3"]]),
     "dickman_d2": (
         SimConfig(measure=dickman(),
                   kernel=ProductKernel((signed_ou(), signed_ou())), T=2.0,
                   ls=[[0.0, 0.0], [1.0, -0.5], [2.5, 1.5]], eps=0.05,
                   window_pad=5.0, n_replicates=2, seed=4),
-        [["-0x1.b8bbc336c1372p-1", "-0x1.33d4cae12589fp+0", "-0x1.193ba7280d5bdp-1"],
-         ["0x1.a2490f7da689fp-2", "-0x1.a3a63b3df24d8p-2", "0x1.b61d8a5796065p-2"]],
-        [["0x1.3fc9a6a26b9c0p-1", "0x1.24df8abd42710p-2", "0x1.74fefb74b2ec8p-1"],
-         ["-0x1.3a23d53a18be0p-4", "-0x1.a9fda2a7df600p-4", "-0x1.e12a82e3b8fe8p-1"]]),
-    # replicates 1 to 3 have no jumps
+        [["0x1.47892bc5a3118p-3", "-0x1.6bed781df28fep-2", "-0x1.2840a1455e0adp+0"],
+         ["0x1.4babf5616542ap-1", "-0x1.a715a03a277dfp-3", "0x1.de93a21761516p-3"]],
+        [["0x1.cdb0c14a4aa40p-3", "0x1.e09a4bcf4a070p-2", "0x1.412ff98494c40p-3"],
+         ["-0x1.c65e7c3745da0p-2", "-0x1.8c35c1a125300p-5", "0x1.22d898c54a188p-1"]]),
+    # replicates 1 to 3 have no jumps (asserted below)
     "sparse": (
         SimConfig(measure=two_point(0.02), kernel=signed_ou(), T=1.0,
-                  ls=[0.0, 2.0], n_replicates=6, seed=5),
-        [["0x1.684cc69c4c318p-18", "0x1.86171f1716de6p-21"],
+                  ls=[0.0, 2.0], n_replicates=6, seed=132),
+        [["-0x1.0208fe1b2eefap-1", "0x1.2aac5ee961469p-2"],
          ["-0x0.0p+0", "-0x0.0p+0"],
          ["-0x0.0p+0", "-0x0.0p+0"],
          ["-0x0.0p+0", "-0x0.0p+0"],
-         ["-0x1.dff7e38c4d19ep-10", "-0x1.058c1f660c179p-12"],
-         ["-0x1.278c627a832a2p-26", "-0x1.10fa5a75cf7acp-23"]],
-        [["0x1.1cfe3726acf1cp-17", "0x1.348e90e578e69p-20"],
+         ["-0x1.071e11cce245ap-4", "-0x1.e60c237cca0f9p-2"],
+         ["-0x1.263b0a46d4d7ap-20", "-0x1.3e8eeb767584ep-23"]],
+        [["0x1.2c5743151a11ep-2", "0x1.d87e8688aababp-2"],
          ["0x0.0p+0", "0x0.0p+0"],
          ["0x0.0p+0", "0x0.0p+0"],
          ["0x0.0p+0", "0x0.0p+0"],
-         ["-0x1.7b95ce5a4f5aep-9", "-0x1.99f7fcab8e38fp-12"],
-         ["0x1.580129bcaddefp-27", "0x1.3dbbcdc2cc4a0p-24"]]),
-    # 7031 and 7020 jumps: each replicate is a block of its own, and the
-    # second reuses the workspace grown for the first
+         ["0x1.3241a7ac74f83p-5", "0x1.1ade474272039p-2"],
+         ["-0x1.d1774b84f1316p-20", "-0x1.f7f3a7cf7e8e8p-23"]]),
+    # each replicate is a block of its own (asserted below), and the second
+    # reuses the workspace grown for the first
     "truncated_stable_d1": (
         SimConfig(measure=truncated_stable(0.5, 1.0), kernel=signed_ou(),
-                  T=20.0, ls=[0.0], eps=1e-3, n_replicates=2, seed=21),
-        [["-0x1.8c75d99a0e663p+0"], ["0x1.d80b977c616b1p+0"]],
-        [["-0x1.cdc464d2af0cbp-1"], ["0x1.638f2a50b0e90p+0"]]),
+                  T=20.0, ls=[0.0, 1.0], eps=1e-3, n_replicates=2, seed=21),
+        [["0x1.a9a07612b6c31p-2", "-0x1.49adcf3ed9606p-2"],
+         ["0x1.3b681bd2c9558p+0", "0x1.9e2be1aed6442p+1"]],
+        [["-0x1.2d14bf06b355cp+0", "-0x1.c5989cc6979c9p+0"],
+         ["0x1.3ac58f925beb8p+0", "0x1.2544ba7f7019ap+1"]]),
     "inner_truncated_stable_d1": (
         SimConfig(measure=inner_truncated_stable(1.5, 1.0, 0.01),
                   kernel=signed_ou(), T=5.0, ls=[0.0, 1.0], eps=0.1,
                   n_replicates=3, seed=13),
-        [["0x1.a716c59444fe6p+2", "0x1.2cbe32abad61fp+2"],
-         ["0x1.205476bf8efbfp+2", "0x1.925b8b7dcdd0dp+1"],
-         ["0x1.6de903d25b820p+3", "-0x1.314a98d6ed626p-2"]],
-        [["0x1.262b5b613433fp+2", "0x1.e15da24dd1eabp-1"],
-         ["0x1.17fa5ebe6524fp+3", "0x1.8fa75c050d9a0p+2"],
-         ["0x1.69f011aaa6f8cp+2", "-0x1.bc6d6b9e15b61p+1"]]),
+        [["-0x1.36e17186b1147p+1", "-0x1.a3e9baf903d78p+1"],
+         ["-0x1.5a168de474477p+3", "-0x1.1c44265cff491p+3"],
+         ["-0x1.78af8d90ef490p+2", "-0x1.861366020470cp+1"]],
+        [["-0x1.0308332013c16p-2", "-0x1.d104f0e391834p-1"],
+         ["-0x1.45e0e11dc95aap+3", "-0x1.99dae4c0dc866p+2"],
+         ["-0x1.4f012933141d2p-3", "0x1.63974a07afa4bp+0"]]),
     # the other two g-kernels: a Gaussian and a table one ⊗ a Gaussian
     "gauss_deriv_d1": (
         SimConfig(measure=truncated_stable(0.5, 1.0), kernel=gauss_deriv(),
                   T=3.0, ls=[0.0, 1.5], eps=0.05, window_pad=6.0,
                   n_replicates=3, seed=17),
-        [["0x1.bb5d94fbb00cbp-4", "-0x1.b5d04b18c94abp+0"],
-         ["0x1.bb317aa755c4fp+0", "-0x1.96aabc52cb963p-4"],
-         ["0x1.8332e858a0d93p-4", "-0x1.659bc374244fep+0"]],
-        [["-0x1.888104c3ab618p-1", "-0x1.1ecbb5fb17ac5p+0"],
-         ["0x1.6f1591539b329p+0", "-0x1.1df2ad45a1cadp-1"],
-         ["-0x1.29534df4256a5p-3", "-0x1.7bc2597d359ccp-1"]]),
+        [["0x1.4ba9de9b03df0p+1", "-0x1.13255148ce60fp+0"],
+         ["-0x1.2105c930386afp-1", "-0x1.a492e058c6111p+1"],
+         ["0x1.6af4a4cb59273p-1", "-0x1.d0101f4f49779p-1"]],
+        [["0x1.794e3e9c18a73p+0", "-0x1.7bfea9b577309p+0"],
+         ["-0x1.c57064e49d9e5p-1", "-0x1.04dd9f1583b61p-1"],
+         ["0x1.2f1c4102799c6p+0", "0x1.3300ee78160ffp-1"]]),
     "user_table_gauss_deriv_d2": (
         SimConfig(measure=dickman(),
                   kernel=ProductKernel((TABLE, gauss_deriv())), T=1.5,
                   ls=[[0.0, 0.0], [0.5, -1.0]], eps=0.05, window_pad=4.0,
                   n_replicates=2, seed=8),
-        [["-0x1.a8cea2f095271p-3", "-0x1.693c8ba41c556p-4"],
-         ["-0x1.0cb1523b8e623p+0", "0x1.65ea174989d06p+1"]],
-        [["0x1.3f48cf26be498p-1", "0x1.5269d5e13c584p-2"],
-         ["-0x1.31fdcaa537ae7p+0", "-0x1.23e076cbac8afp-1"]]),
+        [["-0x1.a2d24eda2899cp-1", "0x1.17fd8ee2cc0f6p+1"],
+         ["0x1.1e16956cffde7p+1", "-0x1.3a3ef1739b383p-1"]],
+        [["-0x1.81871f8cad3c8p-3", "0x1.2f3e0a94ff2bap-1"],
+         ["0x1.9c4d5d311a580p-2", "-0x1.bb361feecf518p-3"]]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_monte_carlo_pinned_bits(name):
+def test_monte_carlo_pinned_bits(monkeypatch, name):
     cfg, S, Y = PINNED[name]
+    blocks, window_sums = [], simulate._window_sums
+
+    def spy(jumps, pk, ls, starts, *args):
+        blocks.append(list(starts))
+        return window_sums(jumps, pk, ls, starts, *args)
+    monkeypatch.setattr(simulate, "_window_sums", spy)
     res = monte_carlo(cfg)
     assert [[v.hex() for v in row] for row in res.S.tolist()] == S
     assert [[v.hex() for v in row] for row in res.Y.tolist()] == Y
-    for r in range(cfg.n_replicates):
-        if keyed_jumps(cfg, r).n == 0:
+    counts = [keyed_jumps(cfg, r).n for r in range(cfg.n_replicates)]
+    for r, k in enumerate(counts):
+        if k == 0:
             # -shift with shift = a T^d = +0.0, and Y = +0.0 - drift = +0.0
             assert all(math.copysign(1.0, v) == -1.0 for v in res.S[r])
             assert all(math.copysign(1.0, v) == 1.0 for v in res.Y[r])
     if name == "sparse":
-        assert keyed_jumps(cfg, 1).n == 0
+        assert counts == [1, 0, 0, 0, 1, 1]
+    if name == "truncated_stable_d1":
+        assert blocks == [[0, 7179], [0, 7069]]
 
 
 def test_sample_limit_mirrored_pinned_bits():
@@ -389,10 +414,10 @@ def test_sample_limit_mirrored_pinned_bits():
                     n_replicates=1)
     ys = sample_limit(cfg, stream_for(7, 0), mirrored=True, n=4)
     assert [[v.hex() for v in row] for row in ys.tolist()] == [
-        ["0x1.2e2ea5ad33673p-1", "0x1.02090e9093960p+1"],
-        ["0x1.b31599bca0ad9p-1", "0x1.168d580e660abp+0"],
-        ["-0x1.bb2caefbad359p-2", "-0x1.0476d558ca694p+0"],
-        ["0x1.d6a2034779006p+0", "0x1.da1e37539d692p+0"]]
+        ["0x1.e89069fd62035p-1", "0x1.250c77d726c5dp+0"],
+        ["0x1.4e591b2b472ecp-1", "0x1.71879bce7a238p-2"],
+        ["-0x1.404b0749af0aep-1", "-0x1.23cc10217d1f4p+0"],
+        ["0x1.82f4bb510c274p+0", "0x1.5143534f1b30fp+0"]]
 
 
 def test_sample_limit_mirrored_product_pinned_bits():
@@ -403,18 +428,17 @@ def test_sample_limit_mirrored_product_pinned_bits():
                     n_replicates=1)
     ys = sample_limit(cfg, stream_for(5, 0), mirrored=True, n=4)
     assert [[v.hex() for v in row] for row in ys.tolist()] == [
-        ["-0x1.28f4a6a5fb11ep-4", "-0x1.0738453a66c5ap+0"],
-        ["0x1.cdaf5799a1909p+0", "0x1.38c8ac92b587dp+0"],
-        ["0x1.01dacfea0daf6p+0", "0x1.a54783c0471fep-3"],
-        ["-0x1.7c54a4f57589bp-3", "0x1.701dd395d7ca8p-2"]]
+        ["-0x1.61351c7b23d70p-3", "-0x1.4a64d4a90b724p+0"],
+        ["0x1.59f126f1881d4p-2", "0x1.8965833c0d8c5p+0"],
+        ["0x1.30d0a70f1432cp+0", "0x1.102df66dd5c5dp+0"],
+        ["-0x1.873cc7d8f88eap+0", "-0x1.5da56dd5af6aep+0"]]
 
 
 def test_monte_carlo_checks_before_drawing(monkeypatch):
-    # no stream is drawn from before the jump intensity is known to be usable
-    def streams(seed, replicates):      # a generator, as _streams is
-        pytest.fail("drew a replicate")
-        yield
-    monkeypatch.setattr(simulate, "_streams", streams)
+    # no stream is made before the jump intensity is known to be usable
+    def no_stream(seed, block):
+        pytest.fail("made a stream")
+    monkeypatch.setattr(simulate, "stream_for", no_stream)
     empty = SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=1.0,
                       ls=[0.0], eps=2.0, n_replicates=10)
     with pytest.raises(EmptyTruncationError):
@@ -441,10 +465,10 @@ SWEEPS = {
                   ls=[[0.0, 0.0], [1.0, -0.5]], eps=0.05, window_pad=5.0,
                   n_replicates=5, seed=4),
         [0.5, 1.25, 2.0]),
-    # replicates 1 to 3 have no jumps
+    # replicates 1 to 3 have no jumps (asserted below)
     "sparse": (
         SimConfig(measure=two_point(0.02), kernel=signed_ou(), T=1.0,
-                  ls=[0.0, 2.0], n_replicates=6, seed=5),
+                  ls=[0.0, 2.0], n_replicates=6, seed=132),
         [0.0, 0.25, 1.0]),
     # no antiderivative: every T through window_integral_grid
     "persistent_control": (
@@ -481,9 +505,9 @@ def test_window_integral_sweep_matches_single_T(monkeypatch, name, block):
             assert np.array_equal(np.array(one).view(np.int64),
                                   got[r, j].view(np.int64))
     if name == "sparse":
-        assert keyed_jumps(cfg, 1).n == 0
+        assert [keyed_jumps(cfg, r).n for r in range(6)] == [1, 0, 0, 0, 1, 1]
         # -shift with shift = a T^d = +0.0 at every T
-        assert all(math.copysign(1.0, v) == -1.0 for v in got[1].ravel())
+        assert all(math.copysign(1.0, v) == -1.0 for v in got[1:4].ravel())
 
 
 def test_window_integral_sweep_refuses_T_beyond_window():
