@@ -1,7 +1,9 @@
 """Tour of the jump-measure families and the kernel zoo.
 
-Prints the moment table for each built-in Levy measure, then the norm and
-consistency data for each kernel, including a hand-made table kernel.
+Prints the moment table for each built-in Levy measure, then for each
+kernel, a hand-made table kernel included, the squared L2 norms of f and g
+(||f||_2^2 sets the bias budget of the jump truncation), its integrals and
+the consistency of g with f.
 """
 
 import numpy as np
@@ -33,10 +35,11 @@ def describe_measure(name, m):
 
 def describe_kernel(name, k):
     print(f"\n{name}")
-    print(f"  norms            {k.norms()}")
+    print(f"  ||f||_2^2        {k.l2sq_f:.6g}")
     print(f"  integral of f    {k.integral_f:.6g}")
     if k.has_g:
         grid = np.linspace(-3.0, 3.0, 61)
+        print(f"  ||g||_2^2        {k.l2sq_g:.6g}")
         print(f"  integral of g    {k.integral_g:.6g}")
         print(f"  max |g' - f|     {kernels.check_derivative(k, grid):.3e}")
     else:

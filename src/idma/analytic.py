@@ -37,7 +37,10 @@ row gets MAX_EVALS evaluations, or check_conditions' budget.
 _log_cf_rows runs the three log-CFs at every z of a grid as the rows of
 one engine run per level; each row keeps the bits of its single-spec
 function, because K works element by element and a table is built and
-read row by row.
+read row by row. The 1-d quadratures of the second-order quantities
+(covariance_integral_quadrature, variance_window_quadrature) go through
+the same engine: _line_rows runs each component's integral over its own
+span and breakpoints as a row of one run at d = 1.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import NotAvailableError
 from .kernels import _normalize_ls, as_product
-from .quadrature import _box_rows, integrate_line
+from .quadrature import _box_rows
 
 
 @dataclass(frozen=True)
@@ -187,16 +190,28 @@ def _members(g):
     return [(i, (g == i).nonzero()[0]) for i in np.flatnonzero(np.bincount(g)).tolist()]
 
 
-def _outer_calls(groups, g, w):
-    """outer(w[i]) of the group g[i] of every row i, one call per outer."""
-    members = [(groups[i][5], sel) for i, sel in _members(g)]
-    if all(outer is members[0][0] for outer, _ in members):
+def _calls(fns, g, w):
+    """fns[g[i]](w[i]) for every row i, one call per function."""
+    members = [(fns[i], sel) for i, sel in _members(g)]
+    if all(fn is members[0][0] for fn, _ in members):
         return members[0][0](w)
-    parts = [(sel, outer(w[sel])) for outer, sel in members]
+    parts = [(sel, fn(w[sel])) for fn, sel in members]
     y = np.empty(w.shape, parts[0][1].dtype)
     for sel, v in parts:
         y[sel] = v
     return y
+
+
+def _line_rows(fns, spans, breaks, tol):
+    """int fns[i] over spans[i], broken at breaks[i], for every i.
+
+    Each integral is a row of one engine run at d = 1 and keeps the bits
+    of its lone line integral; fns[i] gets its row's nodes as (rows, 22)
+    arrays.
+    """
+    v, _, _ = _box_rows(lambda top, prefix, xs: (_calls(fns, top, xs), None),
+                        [[s] for s in spans], [[b] for b in breaks], tol, MAX_EVALS)
+    return v.tolist()
 
 
 # Chebyshev tables of the chain: the first and the largest node count; the
@@ -232,6 +247,7 @@ def _box_integral(pk, groups, tol, budget=MAX_EVALS):
     evaluation count of all runs.
     """
     comps, d = pk.components, pk.d
+    outers = [grp[5] for grp in groups]
     orders, depth, tops, spans = [], [], [], []
     for ls, T, rs, coefs, factor, _ in groups:
         sup = [factor.sup(c) for c in comps]
@@ -269,7 +285,7 @@ def _box_integral(pk, groups, tol, budget=MAX_EVALS):
                         else cs[top[sel], None])
                 w[sel] = _profile(*parts[i], coef, groups[i][4],
                                   tuple(c[sel] for c in prefix), xs[sel])
-            return ((_outer_calls(groups, gt, w), None) if inner is None
+            return ((_calls(outers, gt, w), None) if inner is None
                     else inner(rows[top], w))
 
         rl = rows.tolist()
@@ -571,20 +587,20 @@ def covariance_integral(kernel, measure) -> float:
 
 
 def covariance_integral_quadrature(kernel, measure, *, tol=1e-9) -> float:
-    """Quadrature cross-check of covariance_integral, component by component."""
+    """Quadrature cross-check of covariance_integral.
+
+    Each component's int autocorr_f over twice its decay radius, broken at
+    the differences of its kinks, is a row of one engine run.
+    """
     pk = as_product(kernel)
-    sm = measure.second_moment()
-    out = sm
+    spans, breaks = [], []
     for comp in pk.components:
         r = 2.0 * comp.decay_radius(1e-8)
         pts = comp.nonsmooth
-        if len(pts) <= 32:
-            breaks = tuple(sorted(set(p - q for p in pts for q in pts)))
-        else:
-            breaks = (0.0,)
-        h = lambda ts, _c=comp: np.array([_c.autocorr_f(float(t)) for t in ts])
-        out *= integrate_line(h, -r, r, tol, breakpoints=breaks).value
-    return out
+        spans.append((-r, r))
+        breaks.append([p - q for p in pts for q in pts] if len(pts) <= 32 else [0.0])
+    fns = [np.vectorize(c.autocorr_f, otypes=[float]) for c in pk.components]
+    return math.prod(_line_rows(fns, spans, breaks, tol), start=measure.second_moment())
 
 
 def variance_window(kernel, measure, T) -> float:
@@ -603,27 +619,25 @@ def variance_window_quadrature(kernel, measure, T, *, tol=1e-9) -> float:
     A component with g integrates its squared window increment
     (g(T - s) - g(-s))^2 over s. One without g uses
     int (int_{-s}^{T-s} f)^2 ds = 2 int_0^T (T - t) autocorr_f(t) dt,
-    which needs no inner quadrature per node.
+    which needs no inner quadrature per node. Each component is a row of
+    one engine run.
     """
     pk = as_product(kernel)
-    sm = measure.second_moment()
     T = float(T)
-    out = sm
+    fns, spans, breaks = [], [], []
     for comp in pk.components:
         if comp.has_g:
-            h = lambda ss, _c=comp: np.square(_c.g(T - ss) - _c.g(-ss))
+            fns.append(lambda ss, _c=comp: np.square(_c.g(T - ss) - _c.g(-ss)))
             r = comp.decay_radius(1e-10)
-            lo, hi = -r, T + r
-            pts = [q for p in comp.nonsmooth for q in (-p, T - p)]
+            spans.append((-r, T + r))
+            breaks.append([q for p in comp.nonsmooth for q in (-p, T - p)])
         else:
-            h = lambda ts, _c=comp: 2.0 * (T - ts) * np.array(
-                [_c.autocorr_f(float(t)) for t in ts])
-            lo, hi = 0.0, T
+            acf = np.vectorize(comp.autocorr_f, otypes=[float])
+            fns.append(lambda ts, _a=acf: 2.0 * (T - ts) * _a(ts))
+            spans.append((0.0, T))
             # autocorr_f has its kinks at the differences of f's kinks
-            pts = [abs(p - q) for p in comp.nonsmooth for q in comp.nonsmooth]
-        out *= integrate_line(h, lo, hi, tol,
-                              breakpoints=tuple(sorted(set(pts)))).value
-    return out
+            breaks.append([abs(p - q) for p in comp.nonsmooth for q in comp.nonsmooth])
+    return math.prod(_line_rows(fns, spans, breaks, tol), start=measure.second_moment())
 
 
 # -- integrability diagnostics -----------------------------------------------

@@ -7,7 +7,8 @@ out of x's shape (x itself included) and return it; the Monte Carlo
 evaluates it in place that way. The persistent control kernel
 f(x) = e^{-|x|}/2 integrates to 1, has no vanishing antiderivative, and
 exists to give diagnostics a positive baseline; operations that need g
-refuse it.
+refuse it. An autocorrelation without a closed form is one row of the
+quadrature engine (quadrature._box_rows at d = 1).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotAvailableError
-from .quadrature import integrate_line
+from .quadrature import _box_rows
 
 
 @dataclass
@@ -27,9 +28,7 @@ class Kernel1D:
     f: callable
     g: callable | None
     nonsmooth: tuple = ()
-    l1_f: float = math.nan
     l2sq_f: float = math.nan
-    l1_g: float | None = None
     l2sq_g: float | None = None
     integral_f: float = math.nan
     integral_g: float | None = None
@@ -46,28 +45,6 @@ class Kernel1D:
     def decay_radius(self, tol: float) -> float:
         """R with |f| <= tol and |g| <= tol outside [-R, R]."""
         return self._decay(max(float(tol), 1e-300))
-
-    def _g_ext(self, x: float) -> float:
-        if math.isinf(x):
-            return 0.0
-        return float(self.g(np.asarray(x, dtype=float)))
-
-    def window_increment(self, a: float, b: float) -> float:
-        """int_a^b f, via g when available, else by quadrature."""
-        if b < a:
-            raise ValueError("inverted interval")
-        if self.has_g:
-            return self._g_ext(b) - self._g_ext(a)
-        r = self.decay_radius(1e-16)
-        return integrate_line(self.f, a, b, 1e-12, breakpoints=self.nonsmooth,
-                              radius=r).value
-
-    def norms(self) -> dict:
-        out = {"l1_f": self.l1_f, "l2sq_f": self.l2sq_f}
-        if self.has_g:
-            out["l1_g"] = self.l1_g
-            out["l2sq_g"] = self.l2sq_g
-        return out
 
     def autocorr_f(self, t: float) -> float:
         """int f(u) f(u + t) du; even in t."""
@@ -86,10 +63,12 @@ class Kernel1D:
         return self._autocorr_quad(self.g, t)
 
     def _autocorr_quad(self, fn, t):
+        # one d = 1 row of the engine over [-r - t, r], broken where either
+        # factor kinks
         r = self.decay_radius(1e-14)
-        breaks = sorted(set(list(self.nonsmooth) + [p - t for p in self.nonsmooth]))
-        h = lambda u: fn(u) * fn(u + t)
-        return integrate_line(h, -r - t, r, 1e-11, breakpoints=breaks).value
+        breaks = [*self.nonsmooth, *(p - t for p in self.nonsmooth)]
+        h = lambda top, prefix, u: (fn(u) * fn(u + t), None)
+        return float(_box_rows(h, [[(-r - t, r)]], [[breaks]], 1e-11, 1_000_000)[0][0])
 
 
 def check_derivative(kernel: Kernel1D, grid, h: float = 1e-5) -> float:
@@ -123,7 +102,7 @@ def signed_ou() -> Kernel1D:
                                    out=out)
     return Kernel1D(
         kind="signed_ou", f=f, g=g, nonsmooth=(0.0,),
-        l1_f=2.0, l2sq_f=1.0, l1_g=2.0, l2sq_g=1.0,
+        l2sq_f=1.0, l2sq_g=1.0,
         integral_f=0.0, integral_g=2.0, sup_f=1.0, range_g=(0.0, 1.0),
         _decay=lambda tol: max(math.log(1.0 / tol), 1.0),
         _acf=lambda t: math.exp(-t) * (1.0 - t),
@@ -145,7 +124,7 @@ def gauss_deriv() -> Kernel1D:
     rt = math.sqrt(0.5 * math.pi)
     return Kernel1D(
         kind="gauss_deriv", f=f, g=g, nonsmooth=(),
-        l1_f=2.0, l2sq_f=rt, l1_g=math.sqrt(math.pi), l2sq_g=rt,
+        l2sq_f=rt, l2sq_g=rt,
         integral_f=0.0, integral_g=math.sqrt(math.pi),
         # |f| peaks at x = 1/sqrt(2)
         sup_f=math.sqrt(2.0 / math.e), range_g=(0.0, 1.0),
@@ -159,7 +138,7 @@ def persistent_control() -> Kernel1D:
     f = lambda x: 0.5 * np.exp(-np.abs(x))
     return Kernel1D(
         kind="persistent_control", f=f, g=None, nonsmooth=(0.0,),
-        l1_f=1.0, l2sq_f=0.25, integral_f=1.0, sup_f=0.5,
+        l2sq_f=0.25, integral_f=1.0, sup_f=0.5,
         _decay=lambda tol: max(math.log(0.5 / tol), 1.0),
         _acf=lambda t: 0.25 * math.exp(-t) * (1.0 + t))
 
@@ -197,16 +176,10 @@ def user_table(xs, gs) -> Kernel1D:
 
     w = np.diff(xs)
     a, b = gs[:-1], gs[1:]
-    crossing = a * b < 0.0
-    seg_l1 = np.where(crossing,
-                      0.5 * w * (a * a + b * b) / np.maximum(np.abs(b - a), 1e-300),
-                      0.5 * w * (np.abs(a) + np.abs(b)))
     rmax = float(max(abs(xs[0]), abs(xs[-1])))
     return Kernel1D(
         kind="user_table", f=f, g=g, nonsmooth=tuple(xs),
-        l1_f=float(np.sum(np.abs(slopes) * w)),
         l2sq_f=float(np.sum(slopes * slopes * w)),
-        l1_g=float(np.sum(seg_l1)),
         l2sq_g=float(np.sum(w * (a * a + a * b + b * b) / 3.0)),
         integral_f=0.0, integral_g=float(np.trapezoid(gs, xs)),
         sup_f=float(np.max(np.abs(slopes))),
@@ -268,12 +241,6 @@ class ProductKernel:
 
     def decay_radius(self, tol: float) -> float:
         return max(k.decay_radius(tol) for k in self.components)
-
-    def f_point(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.d,):
-            raise ValueError(f"point must have shape ({self.d},)")
-        return math.prod(float(k.f(x[i])) for i, k in enumerate(self.components))
 
 
 def as_product(kernel) -> ProductKernel:

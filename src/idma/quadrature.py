@@ -8,14 +8,16 @@ Integrands must be elementwise: they accept a numpy array of abscissas and
 return an array of values (real or complex) of the same shape.
 
 One engine run (_adapt) refines R independent bisections (rows), each from
-its own initial panel edges and exactly as integrate_line alone. Each step
-makes one integrand call, on the 22 nodes (the 15, then the 7) of every
-panel the step evaluates: first the nonempty initial panels of all rows,
-then, per step, the left and the right half of the panel each refining row
-splits. integrate_line is R = 1. _box_rows integrates boxes in R^d, one
-top row each, by levels: each step of axis k runs axis k + 1 for all nodes
-of the step in one engine run, and the innermost axis gets the leading
-coordinates as (rows, 1) columns.
+its own initial panel edges and exactly as a lone line integral would. Each
+step makes one integrand call, on the 22 nodes (the 15, then the 7) of
+every panel the step evaluates: first the nonempty initial panels of all
+rows, then, per step, the left and the right half of the panel each
+refining row splits. _box_rows is the one entry to the engine: it
+integrates boxes in R^d, one top row each, by levels: each step of axis k
+runs axis k + 1 for all nodes of the step in one engine run, and the
+innermost axis gets the leading coordinates as (rows, 1) columns. At d = 1
+its rows are line integrals with their own spans and breakpoints, and
+integrate_line is its one-row case.
 """
 
 from __future__ import annotations
@@ -77,10 +79,9 @@ def _rule(y, half):
     return v_hi, abs(v_hi - v_lo)
 
 
-def _edges(a, b, breakpoints, radius):
-    """Initial panel edges of [a, b]; just [a] when the interval is a point."""
-    lo = -float(radius) if math.isinf(a) and a < 0 else float(a)
-    hi = float(radius) if math.isinf(b) and b > 0 else float(b)
+def _edges(lo, hi, breakpoints):
+    """Initial panel edges of [lo, hi]; just [lo] when the interval is a point."""
+    lo, hi = float(lo), float(hi)
     if hi < lo:
         raise ValueError("inverted interval")
     edges = [lo]
@@ -104,7 +105,7 @@ def _adapt(h, edges, tol, max_evals):
     the (2, rows) left and right halves of the panels the refining rows
     split. h returns (values, aux) of as many elements, aux None or the
     per-node error estimates of inner integrals. Each row refines as
-    integrate_line does, with its own heap and ``max_evals``. Returns
+    a lone line integral does, with its own heap and ``max_evals``. Returns
     per-row values and errors (aux integrated over the surviving panels
     added) and the evaluation count of all rows.
     """
@@ -136,7 +137,7 @@ def _adapt(h, edges, tol, max_evals):
     v, e, aux = (np.zeros(full.shape, c.dtype) for c in first)
     for out, c in zip((v, e, aux), first):
         out[pan, row] = c
-    # left-to-right sums over the panels, as integrate_line's final sum
+    # left-to-right sums over the panels, as each refining row's final sum
     value, err = sum(v[1:], 0.0 + v[0]), sum(e[1:], e[0])
     inner = sum(aux[1:], aux[0].copy())
     # refining rows: [error, frozen error, panels [x0, x1, v, e|None, aux], heap];
@@ -207,16 +208,20 @@ def integrate_line(h, a, b, tol=1e-9, *, breakpoints=(), radius=60.0,
     """Integrate ``h`` over [a, b] by worst-first adaptive bisection.
 
     Infinite endpoints are truncated to ``-radius`` / ``radius``, picked by
-    callers from kernel decay. ``breakpoints`` inside the domain become
-    initial panel edges, keeping kinks off the Gauss nodes. The worst panel
-    is bisected until the summed estimate drops below ``tol``; panels under
-    the width floor are frozen as-is. A ``tol`` that the initial panels miss
-    and that lies below their roundoff floor (50 eps times the sum of their
-    absolute values) raises NonConvergenceError at once, as does exhausting
-    the evaluation budget; either carries the running estimate.
+    callers from kernel decay; the rest is one row of _box_rows at d = 1,
+    with h called on the flat array of each step's nodes. ``breakpoints``
+    inside the domain become initial panel edges, keeping kinks off the
+    Gauss nodes. The worst panel is bisected until the summed estimate
+    drops below ``tol``; panels under the width floor are frozen as-is. A
+    ``tol`` that the initial panels miss and that lies below their roundoff
+    floor (50 eps times the sum of their absolute values) raises
+    NonConvergenceError at once, as does exhausting the evaluation budget;
+    either carries the running estimate.
     """
-    line = lambda rows, xs: (np.asarray(h(xs.ravel())).reshape(xs.shape), None)
-    v, e, n = _adapt(line, np.array([_edges(a, b, breakpoints, radius)]), tol, max_evals)
+    lo = -float(radius) if math.isinf(a) and a < 0 else a
+    hi = float(radius) if math.isinf(b) and b > 0 else b
+    line = lambda top, prefix, xs: (np.asarray(h(xs.ravel())).reshape(xs.shape), None)
+    v, e, n = _box_rows(line, [[(lo, hi)]], [[breakpoints]], tol, max_evals)
     return QuadResult(v[0].item(), float(e[0]), n)
 
 
@@ -233,7 +238,7 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
     columns and the last one as the (rows, 22) array xs, and returns
     (values, aux), aux None or the nodes' error estimates of an integral
     inside them. Every row refines on its own ``max_evals``, so values are
-    those of one integrate_line per outer node. A row's error adds the
+    those of one lone line integral per outer node. A row's error adds the
     inner ones, integrated by the outer 15-node weights over the surviving
     outer panels. Returns per-row values and errors and the evaluation
     count of all rows and levels.
@@ -247,7 +252,7 @@ def _box_rows(last_vec, boxes, breaks, tol, max_evals):
         for box, brk in zip(boxes, breaks):
             key = (tuple(box[k]), tuple(brk[k]))
             if key not in known:
-                known[key] = _edges(*box[k], brk[k], 60.0)
+                known[key] = _edges(*box[k], brk[k])
             per_row.append(known[key])
         width = max(map(len, per_row))
         tables.append(np.array([x + x[-1:] * (width - len(x)) for x in per_row]))

@@ -13,9 +13,10 @@ finite window (tails of g beyond the pad).
 
 Each is one weighted product over the jumps, sum_i y_i prod_k
 factor_k(s_ik). _jump_sums evaluates it for all windows on the stacked
-jumps of a block of replicates: one in-place pass per factor row over all
-of the block's jumps, in one workspace that every block of the run reuses,
-and each replicate summed by the same dot product as a single call.
+jumps of a block of replicates: one in-place pass per factor and ufunc
+over all of its rows and all of the block's jumps, in one workspace that
+every block of the run reuses, and each replicate summed by the same dot
+product as a single call.
 Replicates are keyed by block: stream_for(seed, b), the SFC64 stream of
 SeedSequence(seed)'s b-th spawned child, draws the Poisson counts of
 replicates 512 b to 512 b + 511 in one call, then their uniforms,
@@ -225,8 +226,9 @@ def sample_jumps(cfg: SimConfig, rng: np.random.Generator) -> JumpSet:
 
 # _blocks stacks replicates into one block while it holds fewer than
 # _BLOCK // (nf m) jumps, so the (nf, m, n) factors of a block of several
-# replicates stay within _BLOCK doubles (256 KiB); a replicate with more jumps
-# is a block of its own. A block costs a fixed number of numpy calls besides
+# replicates stay within _BLOCK doubles (256 KiB), and their scratch copy at
+# d > 1 within as many again; a replicate with more jumps is a block of its
+# own. A block costs a fixed number of numpy calls besides
 # its per-jump work, and every block of a run evaluates its factors in the
 # run's one _Workspace, which is only replaced to grow; a larger cap saves
 # calls but raises the peak memory.
@@ -249,23 +251,19 @@ class _Workspace:
 def _jump_sums(jumps: JumpSet, pk, ls, factor, starts, nf: int = 1,
                work=np.empty) -> np.ndarray:
     """sum_i y_i prod_k factor(comp_k, l_k, s_ik) as (replicates, nf, m)."""
-    # factor(comp, ls[:, k, None], locations of axis k, rows) is a generator:
-    # it writes its nf (m, n) factors into rows[0], rows[1], ... in turn and
-    # yields each once written. Axis 0 writes straight into prod (1.0 * x = x
-    # exactly); a later axis writes into scratch rows, rows[1:] sharing one,
-    # and each row is multiplied into prod before the next is written.
-    # work(shape) gives prod and scratch, a run's _Workspace or np.empty;
-    # replicates split the jumps at starts as in _blocks, and one without
-    # jumps sums to +0.0
-    n_scratch = min(nf, 2) if pk.d > 1 else 0
-    buf = work((nf + n_scratch, ls.shape[0], jumps.n))
+    # factor(comp, ls[:, k, None], locations of axis k, out) writes its nf
+    # (m, n) factors into the (nf, m, n) array out. Axis 0 writes straight
+    # into prod (1.0 * x = x exactly); a later axis writes into one scratch
+    # array of prod's shape, which is then multiplied into prod. work(shape)
+    # gives prod and scratch, a run's _Workspace or np.empty; replicates
+    # split the jumps at starts as in _blocks, and one without jumps sums
+    # to +0.0
+    buf = work((nf if pk.d == 1 else 2 * nf, ls.shape[0], jumps.n))
     prod, scratch = buf[:nf], buf[nf:]
     for k, comp in enumerate(pk.components):
-        rows = prod if k == 0 else [scratch[0]] + [scratch[-1]] * (nf - 1)
-        for p, row in zip(prod, factor(comp, ls[:, k, None],
-                                       jumps.locations[:, k], rows)):
-            if k:
-                p *= row
+        factor(comp, ls[:, k, None], jumps.locations[:, k], scratch if k else prod)
+        if k:
+            prod *= scratch
     # vecdot sums every row by the same dot product as the sizes @ prod of a
     # single window and replicate
     return np.array([np.vecdot(prod[:, :, a:b], jumps.sizes[a:b])
@@ -282,18 +280,19 @@ def _window_sums(jumps: JumpSet, pk, ls, starts, Ts=(), mirrored: bool = False,
         raise NotAvailableError(
             "window integrals and limit sums need every component's "
             "antiderivative; use window_integral_grid for kernels without one")
+    Tcol = np.array(Ts, dtype=float)[:, None, None]
 
-    def factor(c, l, s, rows):
-        # g(l - s), then g((T + l) - s) - g(l - s) per T, all in place
-        g_ls = rows[0]
+    def factor(c, l, s, out):
+        # g(l - s) into out[0], then g((T + l) - s) - g(l - s) into out[1:],
+        # one call per ufunc for all T, all in place
+        g_ls, rest = out[0], out[1:]
         if mirrored:
             np.subtract(s, l, out=g_ls)
         else:
             np.subtract(l, s, out=g_ls)
-        yield c.g(g_ls, out=g_ls)
-        for T, row in zip(Ts, rows[1:]):
-            c.g(np.subtract(T + l, s, out=row), out=row)
-            yield np.subtract(row, g_ls, out=row)
+        c.g(g_ls, out=g_ls)
+        c.g(np.subtract(Tcol + l, s, out=rest), out=rest)
+        np.subtract(rest, g_ls, out=rest)
     sums = _jump_sums(jumps, pk, ls, factor, starts, 1 + len(Ts), work)
     Y = sums[:, 0] if mirrored else (-1.0) ** pk.d * sums[:, 0]
     S = sums[:, 1:]
@@ -325,9 +324,8 @@ def eval_field(jumps: JumpSet, kernel, a: float, t) -> float:
     if jumps.n == 0:
         return -float(a)
 
-    def factor(c, t, s, rows):
-        rows[0][...] = c.f(t - s)
-        yield rows[0]
+    def factor(c, t, s, out):
+        out[0] = c.f(t - s)
     sums = _jump_sums(jumps, pk, t[None, :], factor, (0, jumps.n))
     return float(sums[0, 0, 0] - a)
 

@@ -1,4 +1,4 @@
-"""Kernels: norms, antiderivative consistency, tables, products, config."""
+"""Kernels: values, antiderivative consistency, tables, products, config."""
 
 import math
 
@@ -18,7 +18,6 @@ def test_signed_ou_values_and_norms():
     x = np.array([-2.0, -0.5, 0.5, 2.0])
     np.testing.assert_allclose(k.f(x), -np.sign(x) * np.exp(-np.abs(x)))
     np.testing.assert_allclose(k.g(x), np.exp(-np.abs(x)))
-    assert k.norms() == {"l1_f": 2.0, "l2sq_f": 1.0, "l1_g": 2.0, "l2sq_g": 1.0}
     assert k.integral_f == 0.0
     assert k.integral_g == 2.0
     assert k.nonsmooth == (0.0,)
@@ -36,8 +35,6 @@ def test_gauss_deriv_norms():
     k = gauss_deriv()
     assert abs(k.l2sq_f - RT_HALF_PI) < 1e-15
     assert abs(k.l2sq_g - RT_HALF_PI) < 1e-15
-    assert abs(k.l1_g - math.sqrt(math.pi)) < 1e-15
-    assert k.l1_f == 2.0
     assert abs(k.autocorr_f(1.0)) < 1e-15          # (1 - t^2) zero at t = 1
     assert abs(k.autocorr_g(1.0) - RT_HALF_PI * math.exp(-0.5)) < 1e-15
 
@@ -106,17 +103,6 @@ def test_decay_radius():
         assert abs(float(k.f(np.array([2.0 * r]))[0])) <= 1e-10
 
 
-def test_window_increment():
-    k = signed_ou()
-    assert abs(k.window_increment(-1.0, 2.0)
-               - (math.exp(-2.0) - math.exp(-1.0))) < 1e-14
-    pc = persistent_control()          # no g, falls back to quadrature
-    want = 0.5 * (1.0 - math.exp(-1.0)) + 0.5 * (1.0 - math.exp(-2.0))
-    assert abs(pc.window_increment(-1.0, 2.0) - want) < 1e-10
-    with pytest.raises(ValueError):
-        k.window_increment(2.0, 1.0)
-
-
 def test_persistent_control_refuses_g():
     pc = persistent_control()
     assert not pc.has_g
@@ -131,22 +117,11 @@ def test_user_table_triangle():
     x = np.array([-1.5, -0.5, 0.5, 1.5])
     np.testing.assert_allclose(k.f(x), [0.0, 1.0, -1.0, 0.0])
     np.testing.assert_allclose(k.g(np.array([-0.25, 0.25])), [0.75, 0.75])
-    assert k.l1_f == 2.0
     assert k.l2sq_f == 2.0
-    assert abs(k.l1_g - 1.0) < 1e-15
     assert abs(k.l2sq_g - 2.0 / 3.0) < 1e-15
     assert k.integral_f == 0.0
     assert abs(k.integral_g - 1.0) < 1e-15
     assert k.decay_radius(1e-12) == 1.0
-
-
-def test_user_table_sign_crossing_l1():
-    k = user_table([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -1.0, 0.0])
-    # middle segment crosses zero; |g| integrates to 2 * (1/2 * 1/2 * 1)
-    xs = np.linspace(0.0, 3.0, 20001)
-    dense = np.trapezoid(np.abs(k.g(xs)), xs)
-    assert abs(k.l1_g - dense) < 1e-6
-    assert abs(k.l1_g - 1.5) < 1e-12
 
 
 def test_user_table_validation():
@@ -180,10 +155,6 @@ def test_product_kernel():
     assert abs(pk.integral_g - 2.0 * math.sqrt(math.pi)) < 1e-14
     assert pk.decay_radius(1e-10) == max(
         signed_ou().decay_radius(1e-10), gauss_deriv().decay_radius(1e-10))
-    want = (-math.copysign(math.exp(-0.5), 0.5)) * (-2.0 * 0.3 * math.exp(-0.09))
-    assert abs(pk.f_point([0.5, 0.3]) - want) < 1e-14
-    with pytest.raises(ValueError):
-        pk.f_point([0.5])
     with pytest.raises(ConfigError):
         ProductKernel(())
     mixed = ProductKernel((signed_ou(), persistent_control()))

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idma import kernels
+from idma.analytic import _axes
 from idma.errors import NonConvergenceError
 from idma.quadrature import _box_rows, integrate_line
 
@@ -226,3 +230,61 @@ def test_box_rows_errors_independent_of_batch():
              for box, brk in zip(boxes, breaks)]
     assert [x.hex() for x in e.tolist()] == [a[1][0].hex() for a in alone]
     assert v.tolist() == [a[0][0] for a in alone]
+
+
+def _rows_of(fns):
+    """A d = 1 _box_rows integrand that gives row i to fns[i]."""
+    def last_vec(top, prefix, xs):
+        parts = [(top == i, fn(xs[top == i])) for i, fn in enumerate(fns)]
+        y = np.empty(xs.shape, np.result_type(*(v for _, v in parts)))
+        for sel, v in parts:
+            y[sel] = v
+        return y, None
+    return last_vec
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_line_rows_match_lone_integrate_line(kind):
+    # rows of different spans and breakpoints, one of zero width, refine in
+    # one d = 1 run exactly as each integrate_line alone
+    fns = [lambda x: np.abs(x - 0.3) ** 1.5, lambda x: np.exp(-2.0 * np.abs(x - 1.0)),
+           lambda x: np.sin(3.0 * x), lambda x: x * x]
+    if kind == "complex":
+        fns = [lambda x, f=f: np.exp(1j * f(x)) - 1.0 for f in fns]
+    spans = [(0.0, 1.0), (-4.0, 6.0), (-1.0, 2.5), (2.0, 2.0)]
+    breaks = [(0.3,), (1.0, 1.0 + 1e-15), (), (2.0,)]
+    v, e, n = _box_rows(_rows_of(fns), [[s] for s in spans], [[b] for b in breaks],
+                        1e-12, 1_000_000)
+    lone = [integrate_line(f, *s, 1e-12, breakpoints=b)
+            for f, s, b in zip(fns, spans, breaks)]
+    assert [x.item() for x in v] == [r.value for r in lone]
+    assert [x.hex() for x in e.tolist()] == [r.error_estimate.hex() for r in lone]
+    assert n == sum(r.evaluations for r in lone)
+    assert lone[-1].value == 0.0 and lone[-1].evaluations == 0
+
+
+def test_infinite_endpoints_map_to_radius():
+    h = lambda x: np.exp(-np.abs(x)) * np.cos(x)
+    a = integrate_line(h, -np.inf, np.inf, 1e-10, breakpoints=(0.0,), radius=7.5)
+    b = integrate_line(h, -7.5, 7.5, 1e-10, breakpoints=(0.0,))
+    assert (a.value, a.error_estimate, a.evaluations) == (b.value, b.error_estimate,
+                                                          b.evaluations)
+
+
+_J_KERNELS = [kernels.signed_ou(), kernels.gauss_deriv(),
+              kernels.user_table([-1.5, -0.5, 0.0, 0.75, 2.0], [0.0, 0.8, 1.0, -0.4, 0.0])]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(0.0, 40.0), st.floats(-5.0, 5.0))
+def test_window_increment_integrates_to_zero(T, l):
+    # int J_T ds = int g(T + l - s) - g(l - s) ds = 0 for every g vanishing
+    # at infinity: each kernel is a row of one run over _axes' padded span
+    spans, breaks = [], []
+    for k in _J_KERNELS:
+        box, brk = _axes([k], np.array([[l]]), T, [k.decay_radius(1e-15)], -1.0)
+        spans.append(box)
+        breaks.append(brk)
+    fns = [lambda s, k=k: k.g(T + l - s) - k.g(l - s) for k in _J_KERNELS]
+    v, e, _ = _box_rows(_rows_of(fns), spans, breaks, 1e-10, 1_000_000)
+    assert (np.abs(v) <= e + 1e-12).all(), (v, e)
