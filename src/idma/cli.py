@@ -176,17 +176,25 @@ def _emit(cfg: RunConfig, stem: str, columns: list, rows, comments=(),
     and the rows; each column is formatted as its first cell asks: ints and
     strings as they are, bools as true/false, everything else %.17g. The
     JSON has config_digest and seed, then doc (by default the columns and
-    rows). rows is any iterable and is read once; without rows the CSV
-    ends after its header.
+    rows), with null for a NaN or infinite float, which JSON cannot spell.
+    rows is any iterable and is read once; without rows the CSV ends after
+    its header.
     """
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"{stem}.{cfg.format}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if cfg.format == "json":
-            # one dumps and one write: json.dump writes chunk by chunk
-            fh.write(json.dumps({"config_digest": cfg.digest, "seed": cfg.seed,
-                                 **(doc or {"columns": columns, "rows": list(rows)})},
-                                indent=2))
+            # one dumps and one write: json.dump writes chunk by chunk. JSON
+            # has no NaN or infinity: a document with one is dumped, read
+            # back with null for each, and dumped again (floats round-trip)
+            doc = {"config_digest": cfg.digest, "seed": cfg.seed,
+                   **(doc or {"columns": columns, "rows": list(rows)})}
+            try:
+                text = json.dumps(doc, indent=2, allow_nan=False)
+            except ValueError:
+                doc = json.loads(json.dumps(doc), parse_constant=lambda c: None)
+                text = json.dumps(doc, indent=2, allow_nan=False)
+            fh.write(text)
             fh.write("\n")
             return path
         fh.write(f"# config_digest={cfg.digest} seed={cfg.seed}\n")

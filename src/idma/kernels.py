@@ -188,19 +188,23 @@ def user_table(xs, gs) -> Kernel1D:
 
 
 def user_table_from_csv(path) -> Kernel1D:
-    """Load a table kernel from a CSV with columns x,g (header optional)."""
+    """Load a table kernel from a CSV with columns x,g.
+
+    Blank lines and '#' comments are skipped; the first other line may be
+    a header, and every later one must be a row.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    except OSError as exc:
+        raise ConfigError(f"cannot read table {path}: {exc}") from exc
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except (ValueError, IndexError):
-                if not rows:
-                    continue        # header row
+    for i, line in enumerate(lines):
+        parts = line.split(",")
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except (ValueError, IndexError):
+            if i:           # only the first line may be a header
                 raise ConfigError(f"bad table row {line!r} in {path}")
     if len(rows) < 2:
         raise ConfigError(f"table {path} has fewer than 2 usable rows")

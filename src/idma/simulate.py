@@ -20,15 +20,16 @@ product as a single call.
 Replicates are keyed by block: stream_for(seed, b), the SFC64 stream of
 SeedSequence(seed)'s b-th spawned child, draws the Poisson counts of
 replicates 512 b to 512 b + 511 in one call, then their uniforms,
-replicate after replicate, with one random call per key block in each
-block of evaluation; two index gathers split them into the block's
-locations and sizes, turned into jumps in place. All else runs once per
-block, on one thread, so replicate r depends on (seed, r) alone, and a run
-of more replicates keeps the first ones bit for bit. One block loop serves
-every entry point: window_integral_sweep evaluates several T on each
-replicate's one cloud, and monte_carlo is its case of one T; sample_jumps
-and sample_limit draw one replicate at a time from the stream they are
-given.
+replicate after replicate. The blocks of evaluation are placed from the
+cumulative counts and never span two key blocks, and each draws its
+uniforms with one random call; two index gathers split them into the
+block's locations and sizes, turned into jumps in place. All else runs
+once per block, on one thread, so replicate r depends on (seed, r) alone,
+and a run of more replicates keeps the first ones bit for bit. One block
+loop serves every entry point: window_integral_sweep evaluates several T
+on each replicate's one cloud, and monte_carlo is its case of one T;
+sample_jumps and sample_limit draw every key block from the one stream
+they are given.
 
 The module is numerics only: the command-line front end writes the
 replicate matrices of a SimResult to CSV or JSON.
@@ -143,8 +144,9 @@ def stream_for(seed: int, block: int) -> np.random.Generator:
 
     monte_carlo and window_integral_sweep draw the replicates of key block
     b, replicates b * _KEY_BLOCK to (b + 1) * _KEY_BLOCK - 1, from
-    stream_for(seed, b): first all _KEY_BLOCK Poisson counts in one call,
-    then each replicate's uniforms in turn, its locations and then its sizes.
+    stream_for(seed, b) as _blocks does: first all _KEY_BLOCK Poisson
+    counts in one call, then each replicate's uniforms in turn, its
+    locations and then its sizes.
     """
     if not (0 <= seed < 2 ** 64 and 0 <= block < 2 ** 64):
         raise ValueError("seed and block must lie in [0, 2^64)")
@@ -152,26 +154,20 @@ def stream_for(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(key))
 
 
-def _keyed_streams(cfg: SimConfig):
-    """cfg's replicates as (rng, used, drawn) entries, one per key block."""
-    n = cfg.n_replicates
-    for b in range(-(-n // _KEY_BLOCK)):
-        used = min(_KEY_BLOCK, n - b * _KEY_BLOCK)
-        yield stream_for(cfg.seed, b), used, _KEY_BLOCK
+def _blocks(cfg: SimConfig, n: int, stream, cap: int):
+    """Draw replicates 0 to n - 1, yield (jumps, starts) per block.
 
-
-def _blocks(cfg: SimConfig, streams, cap: int):
-    """Draw the replicates of streams, yield (jumps, starts) per block.
-
-    Each (rng, used, drawn) entry of streams draws drawn Poisson counts in
-    one call and then the uniforms of the first used of them, replicate after
-    replicate, each its locations (row-major) and then its sizes.
+    Key block b, replicates b * _KEY_BLOCK on, is drawn from stream(b):
+    first _KEY_BLOCK Poisson counts in one call, then, for each block of
+    evaluation, one random call for exactly the uniforms of its replicates,
+    replicate after replicate, each its locations (row-major) and then its
+    sizes. Counts beyond replicate n - 1 are drawn and left unused.
     """
-    # a block holds fewer than cap jumps in all, or a single replicate; its
-    # replicate i owns jumps starts[i]:starts[i+1]. Each entry draws the
-    # uniforms of its replicates in a block with one random call, into the
-    # block's one fresh array, so no yielded JumpSet aliases a later one and
-    # cap changes no bit
+    # a block holds fewer than cap jumps in all, or a single replicate, and
+    # never spans two key blocks; its replicate i owns jumps
+    # starts[i]:starts[i+1]. Its boundaries come from the cumulative counts,
+    # and its uniforms go into a fresh array of its own, so no yielded
+    # JumpSet aliases a later one and cap changes no bit
     tm, lo, hi = cfg.tail_mass, cfg.window_lo, cfg.window_hi
     if tm <= 0.0:
         raise EmptyTruncationError(
@@ -182,18 +178,17 @@ def _blocks(cfg: SimConfig, streams, cap: int):
     measure, eps, d, mean = cfg.measure, cfg.eps, cfg.d, tm * cfg.window_volume
     w = d + 1           # uniforms per jump
 
-    def split(u, starts):
-        # replicate i's uniforms start at w * starts[i]: its jump j's
-        # locations sit at d j + starts[i] on, its size at j + d starts[i+1].
-        # The uniforms are turned into jumps in place: (hi - lo) * u + lo is
+    def split(u, s):
+        # replicate i's uniforms start at w * s[i]: its jump j's locations
+        # sit at d j + s[i] on, its size at j + d s[i+1]. The uniforms are
+        # turned into jumps in place: (hi - lo) * u + lo is
         # rng.uniform(lo, hi)'s own formula, and _quantile skips
         # jump_quantile's eps and tail mass checks, which SimConfig and the
         # checks above make once per run
-        n = starts[-1]
-        if len(starts) == 2:
+        n = s[-1]
+        if s.size == 2:
             loc, v = u[:n * d].reshape(n, d), u[n * d:n * w]
         else:
-            s = np.array(starts)
             k = np.diff(s)
             loc = u[np.arange(n * d) + np.repeat(s[:-1], k * d)].reshape(n, d)
             v = u[np.arange(n) + d * np.repeat(s[1:], k)]
@@ -201,27 +196,28 @@ def _blocks(cfg: SimConfig, streams, cap: int):
         loc += lo
         _check_uniforms(v)
         jumps = JumpSet(loc, measure._quantile(v, eps), lo, hi, cfg.window_pad)
-        return jumps, starts
+        return jumps, s.tolist()
 
-    flat, starts = None, [0]
-    for rng, used, drawn in streams:
-        a = starts[-1]      # the entry's first jump in the block
-        for k in rng.poisson(mean, drawn)[:used].tolist():
-            if len(starts) > 1 and starts[-1] + k >= cap:
-                rng.random(out=flat[a * w:starts[-1] * w])
-                yield split(flat, starts)
-                flat, starts, a = None, [0], 0
-            if flat is None:
-                # a replicate with more than cap jumps gets its own block
-                flat = np.empty(max(cap, k) * w)
-            starts.append(starts[-1] + k)
-        rng.random(out=flat[a * w:starts[-1] * w])
-    yield split(flat, starts)
+    for b in range(-(-n // _KEY_BLOCK)):
+        rng = stream(b)
+        counts = rng.poisson(mean, _KEY_BLOCK)[:n - b * _KEY_BLOCK]
+        cum = np.concatenate(([0], np.cumsum(counts)))
+        i = 0
+        while i < counts.size:
+            # replicates i to j - 1: the most with cum[j] - cum[i] < cap, or i
+            j = max(i + 1, int(np.searchsorted(cum, cum[i] + cap)) - 1)
+            s = cum[i:j + 1] - cum[i]
+            yield split(rng.random(s[-1] * w), s)
+            i = j
 
 
 def sample_jumps(cfg: SimConfig, rng: np.random.Generator) -> JumpSet:
-    """Draw the Poisson cloud for one replicate over the padded window."""
-    return next(_blocks(cfg, [(rng, 1, 1)], 0))[0]
+    """Draw the Poisson cloud of one replicate over the padded window.
+
+    rng draws as a key block does (see _blocks): with stream_for(seed, b)
+    it gives replicate _KEY_BLOCK * b of monte_carlo's clouds.
+    """
+    return next(_blocks(cfg, 1, lambda b: rng, 0))[0]
 
 
 # _blocks stacks replicates into one block while it holds fewer than
@@ -390,23 +386,24 @@ def _limit_drift(cfg: SimConfig, mirrored: bool) -> float:
     return sign * cfg.kernel.integral_g * _truncated_mean(cfg.measure, cfg.eps)
 
 
-def _replicate_sums(cfg: SimConfig, streams, Ts=(), mirrored: bool = False):
+def _replicate_sums(cfg: SimConfig, n: int, stream, Ts=(),
+                    mirrored: bool = False):
     """Y_l and S_{T,l} - a T^d per replicate: (n, m) and (n, len(Ts), m).
 
-    The one block loop of the Monte Carlo, over the replicates of the
-    (rng, used, drawn) entries of streams (see _blocks). Kernels without g
-    take S from window_integral_grid per T and replicate, and Y is NaN;
-    without any T they reach _window_sums, which refuses them.
+    The one block loop of the Monte Carlo, over n replicates whose key
+    block b draws from stream(b) (see _blocks). Kernels without g take S
+    from window_integral_grid per T and replicate, and Y is NaN; without
+    any T they reach _window_sums, which refuses them.
     """
     pk, m = cfg.kernel, cfg.m
     if Ts and not pk.has_g:
         a = pk.integral_f * _truncated_mean(cfg.measure, cfg.eps)
         S = [[[window_integral_grid(jumps, pk, T, l, a)[0] for l in cfg.ls]
-              for T in Ts] for jumps, _ in _blocks(cfg, streams, 0)]
+              for T in Ts] for jumps, _ in _blocks(cfg, n, stream, 0)]
         return np.full((len(S), m), np.nan), np.array(S)
     cap, work = max(1, _BLOCK // ((1 + len(Ts)) * m)), _Workspace()
     Y, S = zip(*(_window_sums(jumps, pk, cfg.ls, starts, Ts, mirrored, work)
-                 for jumps, starts in _blocks(cfg, streams, cap)))
+                 for jumps, starts in _blocks(cfg, n, stream, cap)))
     return np.concatenate(Y) - _limit_drift(cfg, mirrored), np.concatenate(S)
 
 
@@ -414,12 +411,13 @@ def sample_limit(cfg: SimConfig, rng: np.random.Generator,
                  mirrored: bool = False, n: int | None = None) -> np.ndarray:
     """The limit values Y_l for every l in cfg.ls: one replicate, shape (m,).
 
-    With n, an (n, m) array of n replicates drawn one after another from
-    rng, equal bit for bit to n successive calls without n.
+    With n, an (n, m) array of n replicates. rng draws every key block of
+    _blocks in turn, so its first k rows equal a call with n = k on an
+    equal rng, bit for bit, and a call without n is row 0.
     """
     if n is not None and n < 1:
         raise ValueError("n must be at least 1")
-    ys = _replicate_sums(cfg, [(rng, 1, 1)] * (n or 1), mirrored=mirrored)[0]
+    ys = _replicate_sums(cfg, n or 1, lambda b: rng, mirrored=mirrored)[0]
     return ys[0] if n is None else ys
 
 
@@ -439,7 +437,8 @@ def monte_carlo(cfg: SimConfig) -> SimResult:
     antiderivatives, else the trapezoid grid fallback. Y needs g; it is NaN
     without one.
     """
-    Y, S = _replicate_sums(cfg, _keyed_streams(cfg), (cfg.T,))
+    Y, S = _replicate_sums(cfg, cfg.n_replicates,
+                           lambda b: stream_for(cfg.seed, b), (cfg.T,))
     return SimResult(S=S[:, 0], Y=Y, cfg=cfg)
 
 
@@ -457,7 +456,8 @@ def window_integral_sweep(cfg: SimConfig, T_grid) -> np.ndarray:
     Ts = tuple(float(T) for T in T_grid)
     if not Ts or not all(0.0 <= T <= cfg.T for T in Ts):
         raise ValueError(f"T_grid needs one or more T in [0, cfg.T={cfg.T}]")
-    return _replicate_sums(cfg, _keyed_streams(cfg), Ts)[1]
+    return _replicate_sums(cfg, cfg.n_replicates,
+                           lambda b: stream_for(cfg.seed, b), Ts)[1]
 
 
 @dataclass(frozen=True)

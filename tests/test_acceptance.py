@@ -166,7 +166,7 @@ def test_criterion_8_thread_determinism(tmp_path):
 def test_criterion_9_limit_symmetry_identity():
     # -int g(-s) L(ds) and int g(s) L(ds) must share one law: 100 seeded
     # KS comparisons at 1%, at most 5 rejections tolerated; each sample is
-    # n replicates of one sample_limit call, equal to n single calls
+    # n replicates of one sample_limit call, drawn key block by key block
     cfg = simulate.SimConfig(
         measure=levy.two_point(1.0), kernel=kernels.signed_ou(), T=0.0,
         ls=[0.0], eps=0.5, window_pad=12.0, n_replicates=10_000, seed=0)

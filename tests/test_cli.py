@@ -14,7 +14,7 @@ import pytest
 import idma
 from idma import analytic, cli, kernels, levy, verify
 from idma.cli import load_config, main
-from idma.errors import ConfigError
+from idma.errors import ConfigError, NonConvergenceError
 from idma.simulate import SimConfig, monte_carlo, window_integral_sweep
 
 BASE = {"measure": {"kind": "two_point", "lambda": 1.0},
@@ -28,6 +28,15 @@ def write_config(tmp_path, extra=None, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+def strict_json(path):
+    # json.loads takes NaN and Infinity, which are not JSON; a strict parser
+    # such as JavaScript's JSON.parse refuses them
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
 
 
 def read_csv(path):
@@ -167,10 +176,15 @@ def test_load_config_rejects_bad_input(tmp_path, capsys):
     ({"kernel": "signed_ou"}, "kernel config must be a dict with a 'kind' key"),
     ({"kernel": {"kind": "user_table"}}, "user_table takes exactly the key 'file'"),
     ({"kernel": {"kind": "product"}}, "product takes exactly the key 'components'"),
-    ({"kernel": {"kind": "user_table", "file": "bad.csv"}}, "bad table row '0.0,oops'")])
+    ({"kernel": {"kind": "user_table", "file": "bad.csv"}}, "bad table row '0.0,oops'"),
+    ({"kernel": {"kind": "user_table", "file": "missing.csv"}}, "cannot read table"),
+    ({"kernel": {"kind": "user_table", "file": "two_headers.csv"}},
+     "bad table row 'm,m'")])
 def test_config_errors_exit_2(tmp_path, capsys, extra, message):
-    # the table's header row is skipped, the bad row after its data is not
+    # the table's header row is skipped, the bad row after its data is not,
+    # and neither is a second header
     (tmp_path / "bad.csv").write_text("x,g\n-1.0,0.0\n0.0,oops\n1.0,0.0\n")
+    (tmp_path / "two_headers.csv").write_text("# units\nx,g\nm,m\n-1.0,0.0\n1.0,0.0\n")
     out = tmp_path / "o"
     assert main(["cov", "--config", write_config(tmp_path, dict(extra, out=str(out)))]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
@@ -344,13 +358,49 @@ def test_simulate_replicates_csv_and_json(tmp_path):
         assert type(r) is int and type(j) is int
         assert s == res.S[r, j] and y == res.Y[r, j]
 
-    # a kernel without an antiderivative has no limit sum: Y is NaN
+    # a kernel without an antiderivative has no limit sum: Y is NaN, written
+    # nan in the CSV and null in the JSON
     ctrl = write_config(tmp_path, {**extra, "kernel": {"kind": "persistent_control"}},
                         name="ctrl.json")
+    assert main(["simulate", "--config", ctrl]) == 0
+    _, _, cells = read_csv(tmp_path / "o" / "replicates.csv")
+    assert all(y == "nan" and math.isfinite(float(s)) for _, _, s, y in cells)
     assert main(["simulate", "--config", ctrl, "--format", "json"]) == 0
-    doc = json.loads((tmp_path / "o" / "replicates.json").read_text())
+    doc = strict_json(tmp_path / "o" / "replicates.json")
     assert len(doc["rows"]) == 7 * 2
-    assert all(math.isnan(y) and math.isfinite(s) for _, _, s, y in doc["rows"])
+    assert all(y is None and math.isfinite(s) for _, _, s, y in doc["rows"])
+
+
+def test_json_outputs_write_null_for_non_finite(tmp_path, monkeypatch):
+    # a converge T whose window CFs fail has NaN distances, and a divergent
+    # condition an infinite value; the JSON writes both as null
+    batch = verify._log_cf_rows
+
+    def failing_at_4(kernel, measure, windows=(), corners=(), *, tol):
+        if windows and windows[0].T == 4.0:
+            raise NonConvergenceError("budget exhausted", evaluations=22,
+                                      error_estimate=1.0)
+        return batch(kernel, measure, windows=windows, corners=corners, tol=tol)
+    monkeypatch.setattr(verify, "_log_cf_rows", failing_at_4)
+    cfg_path = write_config(tmp_path, {
+        "T_grid": [2.0, 4.0, 8.0], "z_grid": [0.5, 1.0],
+        "out": str(tmp_path / "o")})
+    assert main(["converge", "--config", cfg_path, "--format", "json"]) == 0
+    doc = strict_json(tmp_path / "o" / "convergence.json")
+    assert doc["failed_T"] == [4.0]
+    assert doc["dist_claimed"][1] is None and doc["dist_boundary"][1] is None
+    assert all(math.isfinite(v) for v in doc["dist_claimed"][::2])
+
+    rep = analytic.ConditionsReport(math.inf, 1.0, -math.inf, False, True,
+                                    False, (math.nan, 0.0, 0.0), 5)
+    monkeypatch.setattr(analytic, "check_conditions", lambda *a, **k: rep)
+    assert main(["conditions", "--config", cfg_path, "--format", "json"]) == 0
+    doc = strict_json(tmp_path / "o" / "conditions.json")
+    assert [doc[c] for c in ("c1", "c2", "c3")] == [None, 1.0, None]
+    assert doc["errors"] == [None, 0.0, 0.0] and doc["pass"] == [False, True, False]
+    assert main(["conditions", "--config", cfg_path]) == 0
+    _, header, rows = read_csv(tmp_path / "o" / "conditions.csv")
+    assert rows[0][:3] == ["inf", "1", "-inf"]
 
 
 # sha256 of every file the six subcommands write for PIN_CONFIG; all but

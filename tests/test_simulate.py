@@ -75,14 +75,32 @@ def test_sample_jumps_matches_uniform_draw(d):
     cfg = SimConfig(measure=dickman(), kernel=pk, T=1.0, ls=np.zeros((1, d)),
                     eps=0.5, window_pad=1.5, seed=9)
     for r in range(300):
+        # the stream draws a key block's 512 counts first, and the cloud
+        # takes the first
         rng = stream_for(cfg.seed, r)
-        n = int(rng.poisson(cfg.tail_mass * cfg.window_volume))
+        n = int(rng.poisson(cfg.tail_mass * cfg.window_volume, 512)[0])
         locations = rng.uniform(cfg.window_lo, cfg.window_hi, size=(n, d))
         sizes = dickman().sample_jump_sizes(cfg.eps, n, rng)
         js = sample_jumps(cfg, stream_for(cfg.seed, r))
         assert js.locations.shape == (n, d)
         assert np.array_equal(js.locations.view(np.int64), locations.view(np.int64))
         assert np.array_equal(js.sizes.view(np.int64), sizes.view(np.int64))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_jumps_is_first_replicate_of_key_block(d):
+    # sample_jumps on the key block b stream is replicate 512 b of
+    # monte_carlo's clouds, bit for bit
+    pk = ProductKernel(tuple(signed_ou() for _ in range(d)))
+    cfg = SimConfig(measure=dickman(), kernel=pk, T=1.0, ls=np.zeros((1, d)),
+                    eps=0.2, window_pad=1.5, n_replicates=2000, seed=12)
+    for b in (0, 1, 3):
+        got = sample_jumps(cfg, stream_for(cfg.seed, b))
+        want = keyed_jumps(cfg, 512 * b)
+        assert got.n > 0
+        assert np.array_equal(got.locations.view(np.int64),
+                              want.locations.view(np.int64))
+        assert np.array_equal(got.sizes.view(np.int64), want.sizes.view(np.int64))
 
 
 def test_sim_config_defaults_and_validation():
@@ -127,30 +145,36 @@ def test_sample_jumps_statistics():
 
 def test_jump_sets_keep_their_own_arrays():
     # every block draws into arrays of its own: a JumpSet keeps its jumps
-    # after later draws, whether from sample_jumps or a block of _blocks,
-    # and a block of several streams draws each as sample_jumps does
+    # after later draws, whether from sample_jumps or a block of _blocks.
+    # A block holds the replicates of one key block only, each drawn as
+    # keyed_jumps draws it
     cfg = SimConfig(measure=two_point(1.0), kernel=signed_ou(), T=2.0,
-                    ls=[0.0], eps=0.5, window_pad=4.0, n_replicates=40, seed=6)
+                    ls=[0.0], eps=0.5, window_pad=4.0, n_replicates=600,
+                    seed=6)
     first = sample_jumps(cfg, stream_for(cfg.seed, 0))
     kept = first.locations.copy(), first.sizes.copy()
     second = sample_jumps(cfg, stream_for(cfg.seed, 1))
     assert np.array_equal(first.locations, kept[0])
     assert np.array_equal(first.sizes, kept[1])
     assert not np.shares_memory(first.sizes, second.sizes)
-    want = [sample_jumps(cfg, stream_for(cfg.seed, r)) for r in range(40)]
+    n = cfg.n_replicates
+    want = [keyed_jumps(cfg, r) for r in range(n)]
     shared = big = False
     for cap in (12, 40):   # about 10 jumps per replicate
-        streams = [(stream_for(cfg.seed, r), 1, 1) for r in range(40)]
-        blocks = list(simulate._blocks(cfg, streams, cap))
+        blocks = list(simulate._blocks(
+            cfg, n, lambda b: stream_for(cfg.seed, b), cap))
         assert len(blocks) > 5
-        rs = iter(want)
+        r = 0
         for jumps, starts in blocks:
             shared |= len(starts) > 2
             big |= starts[-1] > cap
+            assert starts[-1] < cap or len(starts) == 2
+            assert r // 512 == (r + len(starts) - 2) // 512
             for a, b in zip(starts, starts[1:]):
-                one = next(rs)
-                assert np.array_equal(jumps.locations[a:b], one.locations)
-                assert np.array_equal(jumps.sizes[a:b], one.sizes)
+                assert np.array_equal(jumps.locations[a:b], want[r].locations)
+                assert np.array_equal(jumps.sizes[a:b], want[r].sizes)
+                r += 1
+        assert r == n
         for (x, _), (y, _) in zip(blocks, blocks[1:]):
             assert not np.shares_memory(x.locations, y.locations)
             assert not np.shares_memory(x.sizes, y.sizes)
@@ -409,29 +433,31 @@ def test_monte_carlo_pinned_bits(monkeypatch, name):
 
 def test_sample_limit_mirrored_pinned_bits():
     # symmetric jumps folded from one uniform each, frozen as for PINNED
+    # when sample_limit came to draw a key block's counts first
     cfg = SimConfig(measure=truncated_stable(0.5, 1.0), kernel=signed_ou(),
                     T=0.0, ls=[0.0, 0.5], eps=0.05, window_pad=8.0,
                     n_replicates=1)
     ys = sample_limit(cfg, stream_for(7, 0), mirrored=True, n=4)
     assert [[v.hex() for v in row] for row in ys.tolist()] == [
-        ["0x1.e89069fd62035p-1", "0x1.250c77d726c5dp+0"],
-        ["0x1.4e591b2b472ecp-1", "0x1.71879bce7a238p-2"],
-        ["-0x1.404b0749af0aep-1", "-0x1.23cc10217d1f4p+0"],
-        ["0x1.82f4bb510c274p+0", "0x1.5143534f1b30fp+0"]]
+        ["0x1.70e1bba135ea9p-4", "-0x1.ff5c8d8328ecep-2"],
+        ["0x1.9a7c1f7d71d29p-2", "0x1.6307aa175d7c2p-4"],
+        ["-0x1.c79eb9ad4f55bp+0", "-0x1.aea8e6f5b5c6bp+0"],
+        ["0x1.4c8f80b67f53fp+0", "0x1.cb3d3207da767p-1"]]
 
 
 def test_sample_limit_mirrored_product_pinned_bits():
-    # a table kernel ⊗ a Gaussian, frozen as for PINNED
+    # a table kernel ⊗ a Gaussian, frozen as for PINNED when sample_limit
+    # came to draw a key block's counts first
     cfg = SimConfig(measure=two_point(0.7),
                     kernel=ProductKernel((TABLE, gauss_deriv())), T=0.0,
                     ls=[[0.0, 0.0], [0.25, 0.5]], eps=0.5, window_pad=3.0,
                     n_replicates=1)
     ys = sample_limit(cfg, stream_for(5, 0), mirrored=True, n=4)
     assert [[v.hex() for v in row] for row in ys.tolist()] == [
-        ["-0x1.61351c7b23d70p-3", "-0x1.4a64d4a90b724p+0"],
-        ["0x1.59f126f1881d4p-2", "0x1.8965833c0d8c5p+0"],
-        ["0x1.30d0a70f1432cp+0", "0x1.102df66dd5c5dp+0"],
-        ["-0x1.873cc7d8f88eap+0", "-0x1.5da56dd5af6aep+0"]]
+        ["-0x1.b789c94d395a9p-1", "0x1.2285b7d0a741fp-2"],
+        ["0x1.e24a7e67463d6p-1", "0x1.ed5a31326d2d2p-1"],
+        ["0x1.da8b92760e0a0p-5", "-0x1.ddd64707ed9e4p-4"],
+        ["0x1.6c9b8f72331f2p-1", "0x1.09fa3a17249aap-1"]]
 
 
 def test_monte_carlo_checks_before_drawing(monkeypatch):
@@ -520,23 +546,29 @@ def test_window_integral_sweep_refuses_T_beyond_window():
 @pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("block", [None, 7])
 def test_sample_limit_batch_matches_calls(monkeypatch, mirrored, block):
-    # n replicates in one call equal n calls on the same rng, bit for bit,
-    # replicates without jumps included (+0.0 before the drift)
+    # a call with n = k equals the first k rows of a longer call on an equal
+    # rng, bit for bit, on either side of the key block boundary at 512 and
+    # with replicates without jumps (+0.0 before the drift); a call without
+    # n is row 0
     for measure, d in ((two_point(0.3), 1), (dickman(), 2)):
         pk = ProductKernel(tuple(signed_ou() for _ in range(d)))
         cfg = SimConfig(measure=measure, kernel=pk, T=0.0,
                         ls=np.arange(2 * d).reshape(2, d) * 0.25, eps=0.9,
                         window_pad=2.0, n_replicates=1)
-        rng = stream_for(3, d)
-        want = np.array([sample_limit(cfg, rng, mirrored) for _ in range(40)])
         if block is not None:
             monkeypatch.setattr(simulate, "_BLOCK", block)
-        got = sample_limit(cfg, stream_for(3, d), mirrored, n=40)
+        want = sample_limit(cfg, stream_for(3, d), mirrored, n=1100)
+        assert want.shape == (1100, 2)
+        assert np.any(want == -simulate._limit_drift(cfg, mirrored))
+        for k in (1, 40, 511, 512, 600):
+            got = sample_limit(cfg, stream_for(3, d), mirrored, n=k)
+            assert got.shape == (k, 2)
+            assert np.array_equal(got.view(np.int64), want[:k].view(np.int64))
+        one = sample_limit(cfg, stream_for(3, d), mirrored)
+        assert np.array_equal(one.view(np.int64), want[0].view(np.int64))
         monkeypatch.undo()
-        assert got.shape == (40, 2) and want.shape == (40, 2)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
     with pytest.raises(ValueError):
-        sample_limit(cfg, rng, n=0)
+        sample_limit(cfg, stream_for(3, 0), n=0)
 
 
 def test_monte_carlo_grid_fallback():
